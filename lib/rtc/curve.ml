@@ -331,26 +331,34 @@ let min_plus_deconv f g =
      changes f(dt+s) - g(s) by (integral rate of f over l) - (integral
      rate of g over l) <= 0 once both legs are past their horizons, so
      the supremum over s is attained within max horizon + l. *)
-  let l = lcm f.rate_den g.rate_den in
-  let search_limit = Stdlib.max (horizon f) (horizon g) + l in
-  let value dt =
-    let rec scan s best =
-      if s > search_limit then best
-      else scan (s + 1) (Stdlib.max best (eval f (dt + s) - eval g s))
-    in
-    scan 1 (eval f dt - eval g 0)
-  in
-  (* Beyond h = max horizon every f-leg sits past f's horizon, so the
-     whole supremum advances by exactly rate_num per rate_den of f:
-     probing one f-period past h certifies the tail. *)
   let h = Stdlib.max (horizon f) (horizon g) in
-  let anchor = value h in
+  let search_limit = h + lcm f.rate_den g.rate_den in
+  (* Beyond h every f-leg sits past f's horizon, so the whole supremum
+     advances by exactly rate_num per rate_den of f: probing one f-period
+     past h certifies the tail.  One table of the supremum over
+     0 .. h + rate_den serves both the samples and those probes, computed
+     on tabulated operands. *)
+  let last = h + f.rate_den in
+  let fs = Array.init (last + search_limit + 1) (eval f) in
+  let gs = Array.init (search_limit + 1) (eval g) in
+  (* dt <= last and s <= search_limit keep both reads in bounds; the
+     checked reads cost about as much as the loop itself *)
+  let value =
+    Array.init (last + 1) (fun dt ->
+        let best = ref (fs.(dt) - gs.(0)) in
+        for s = 1 to search_limit do
+          let v = Array.unsafe_get fs (dt + s) - Array.unsafe_get gs s in
+          if v > !best then best := v
+        done;
+        !best)
+  in
   let slack =
-    probe_slack ~kind:f.kind ~h ~l:f.rate_den ~rate:rf ~anchor [ value ]
+    probe_slack ~kind:f.kind ~h ~l:f.rate_den ~rate:rf ~anchor:value.(h)
+      [ Array.get value ]
   in
   {
     kind = f.kind;
-    samples = Array.init (h + 1) value;
+    samples = Array.sub value 0 (h + 1);
     rate_num = f.rate_num;
     rate_den = f.rate_den;
     tail_offset = signed_offset f.kind slack;

@@ -130,6 +130,13 @@ val min_plus_deconv : t -> t -> t
     {e lower} service curve, whose floor-rounded tail must be used as
     is (re-wrapping it as [Upper] would overstate the service); the
     result takes [f]'s kind.
+
+    Cost: O((h + den_f) * (h + lcm)) array operations, where [h] is the
+    larger horizon, [den_f] the tail denominator of [f] and [lcm] that
+    of both denominators after {!harmonise}.  The operands are
+    tabulated once ([f] on [0 .. h + den_f + h + lcm], [g] on
+    [0 .. h + lcm]) and one table of the supremum gives both the
+    samples and the tail probes.
     @raise Unstable when [rate f > rate g] (unbounded supremum). *)
 
 val vertical_deviation : upper:t -> lower:t -> int option

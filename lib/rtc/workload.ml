@@ -45,10 +45,14 @@ let pick_window ~horizon ~better g =
   if horizon > limit then consider horizon;
   !best
 
+(* The window search, the certified slack and the samples all read the
+   demand on 0..horizon only: evaluate the stream there once. *)
+let tabulate ~horizon g = Array.get (Array.init (horizon + 1) g)
+
 let arrival_upper ~horizon ~wcet stream =
   if wcet < 1 then invalid_arg "Rtc.Workload.arrival_upper: wcet < 1";
   if horizon < 1 then invalid_arg "Rtc.Workload.arrival_upper: horizon < 1";
-  let g dt = wcet * events stream dt in
+  let g = tabulate ~horizon (fun dt -> wcet * events stream dt) in
   (* eta_plus is subadditive (any window splits into two), so the
      slack-anchor tail of [certified] is sound at every point past the
      horizon — unlike a window-difference estimate, which can undershoot
@@ -59,7 +63,7 @@ let arrival_upper ~horizon ~wcet stream =
 let arrival_lower ~horizon ~bcet stream =
   if bcet < 1 then invalid_arg "Rtc.Workload.arrival_lower: bcet < 1";
   if horizon < 1 then invalid_arg "Rtc.Workload.arrival_lower: horizon < 1";
-  let g dt = bcet * floor_events stream dt in
+  let g = tabulate ~horizon (fun dt -> bcet * floor_events stream dt) in
   (* eta_minus is superadditive (worst windows concatenate), dual of the
      upper case: a window-difference estimate can overshoot the long-run
      guaranteed rate and eventually promise more arrivals than the

@@ -204,7 +204,7 @@ let handle_edit (s : Session.t) ~id ~edits ~guard =
       | Error e -> Protocol.fail ~id e
       | Ok r ->
         s.spec <- new_spec;
-        s.edits <- s.edits @ edits;
+        s.edit_count <- s.edit_count + List.length edits;
         (* invalidate, don't re-hash: hashing the whole spec costs more
            than the incremental update; Session.content_digest recomputes
            on demand when the analyse cache next needs the address *)
@@ -331,7 +331,7 @@ let handle_metrics t (s : Session.t) ~id =
     (Json.Obj
        (session_header s
        @ [ "requests", Json.Int s.requests;
-           "edits", Json.Int (List.length s.edits);
+           "edits", Json.Int s.edit_count;
            "sessions", Json.Int (Session.count t.table);
            "evictions", Json.Int (Session.evictions t.table);
            "counters", counters;

@@ -7,7 +7,7 @@ type t = {
   worker : int;
   scope : Obs.Metrics.scope;
   base : Spec_file.t;
-  mutable edits : Explore.Space.edit list;
+  mutable edit_count : int;
   mutable spec : Spec.t;
   mutable warm : Engine.warm option;
   mutable last_outcomes : Engine.element_outcome list;
@@ -89,7 +89,7 @@ let register tbl ~base ~spec ~digest =
             worker = pin_worker tbl id;
             scope = Obs.Metrics.scope ("serve.session:" ^ id);
             base;
-            edits = [];
+            edit_count = 0;
             spec;
             warm = None;
             last_outcomes = [];

@@ -23,8 +23,9 @@ type t = {
   worker : int;  (** pinned {!Explore.Pool.Service} worker index *)
   scope : Obs.Metrics.scope;  (** per-session accumulation cell set *)
   base : Spec_file.t;  (** the uploaded description (pure data) *)
-  mutable edits : Explore.Space.edit list;
-      (** accumulated edit history, oldest first *)
+  mutable edit_count : int;
+      (** edits applied since [load]; the edits themselves are folded
+          into [spec] and not kept *)
   mutable spec : Spec.t;  (** current system (worker-domain owned) *)
   mutable warm : Engine.warm option;  (** [None] until [load] finishes *)
   mutable last_outcomes : Engine.element_outcome list;

@@ -182,6 +182,57 @@ let test_edf_rtc_rejected () =
   | Error _ -> ()
   | Ok () -> Alcotest.fail "edf resource with rtc backend must be rejected"
 
+(* ------------------------------------------------------------------ *)
+(* pinned RTC outputs *)
+
+(* The rendered per-element bounds of the shipped mixed-backend example
+   and of the paper system forced onto the RTC backend.  Every curve
+   operation of the RTC path is exact integer arithmetic, so any change
+   to these lines is a change in the analysis, not noise. *)
+let rendered spec =
+  Format.asprintf "%a" Cpa_system.Report.print_outcomes
+    (ok (Engine.analyse ~mode:Engine.Hierarchical spec))
+
+let test_pinned_hybrid_example () =
+  let text =
+    let ic = open_in_bin "hybrid.spec" in
+    Fun.protect ~finally:(fun () -> close_in ic) (fun () ->
+        really_input_string ic (in_channel_length ic))
+  in
+  let spec =
+    match Cpa_system.Spec_file.parse text with
+    | Ok d -> Cpa_system.Spec_file.to_spec d
+    | Error e -> Alcotest.failf "hybrid.spec: %s" e
+  in
+  Alcotest.(check string) "examples/hybrid.spec"
+    "f1           on can      R = [4:10]\n\
+     f2           on can      R = [2:10]\n\
+     t1           on cpu1     R = [24:24]\n\
+     t2           on cpu1     R = [32:56]\n\
+     t3           on cpu1     R = [40:96]\n\
+     converged: true after 3 iteration(s)\n"
+    (rendered spec)
+
+let test_pinned_paper_rtc () =
+  let spec = Scenarios.Paper_system.spec () in
+  let spec =
+    {
+      spec with
+      Spec.resources =
+        List.map
+          (fun (r : Spec.resource) -> { r with Spec.backend = Spec.Rtc })
+          spec.Spec.resources;
+    }
+  in
+  Alcotest.(check string) "paper system, rtc backend"
+    "F1           on CAN      R = [4:10]\n\
+     F2           on CAN      R = [2:10]\n\
+     T1           on CPU1     R = [24:24]\n\
+     T2           on CPU1     R = [32:56]\n\
+     T3           on CPU1     R = [40:96]\n\
+     converged: true after 3 iteration(s)\n"
+    (rendered spec)
+
 let () =
   Alcotest.run "hybrid"
     [
@@ -201,6 +252,10 @@ let () =
             test_mixed_backend_converges;
           Alcotest.test_case "edf rejects rtc backend" `Quick
             test_edf_rtc_rejected;
+          Alcotest.test_case "pinned hybrid example" `Quick
+            test_pinned_hybrid_example;
+          Alcotest.test_case "pinned paper system on rtc" `Quick
+            test_pinned_paper_rtc;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest [ prop_roundtrip_conservative ] );

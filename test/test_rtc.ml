@@ -325,6 +325,204 @@ let prop_deconv_dominates =
       in
       Curve.eval (Curve.min_plus_deconv alpha beta) dt >= Curve.eval alpha dt)
 
+(* ------------------------------------------------------------------ *)
+(* deconvolution against the closure-scan reference *)
+
+let ceil_div a b = (a + b - 1) / b
+
+let rec gcd a b = if b = 0 then a else gcd b (a mod b)
+
+(* The direct form of [Curve.min_plus_deconv]: every sample and every
+   tail probe rescans the whole lag range through [Curve.eval].  The
+   library kernel tabulates its operands instead and must reproduce this
+   exactly: the same samples, tail rate and tail offset, and [None]
+   (Unstable) on the same inputs. *)
+let reference_deconv f g =
+  let f, g = Curve.harmonise f g in
+  let ((num, den) as rf) = Curve.tail_rate f and rg = Curve.tail_rate g in
+  if not (Curve.rate_le rf rg) then None
+  else begin
+    let h = Stdlib.max (Curve.horizon f) (Curve.horizon g) in
+    let search_limit = h + (den / gcd den (snd rg) * snd rg) in
+    let value dt =
+      let rec scan s best =
+        if s > search_limit then best
+        else
+          scan (s + 1)
+            (Stdlib.max best (Curve.eval f (dt + s) - Curve.eval g s))
+      in
+      scan 1 (Curve.eval f dt - Curve.eval g 0)
+    in
+    let anchor = value h in
+    let slack = ref 0 in
+    for x = 1 to den do
+      let d =
+        match Curve.kind f with
+        | Curve.Upper -> value (h + x) - anchor - ceil_div (x * num) den
+        | Curve.Lower -> anchor + (x * num / den) - value (h + x)
+      in
+      if d > !slack then slack := d
+    done;
+    let offset =
+      match Curve.kind f with Curve.Upper -> !slack | Curve.Lower -> - !slack
+    in
+    Some (Curve.kind f, Array.init (h + 1) value, rf, offset)
+  end
+
+let library_deconv f g =
+  match Curve.min_plus_deconv f g with
+  | c ->
+    Some
+      ( Curve.kind c,
+        Array.init (Curve.horizon c + 1) (Curve.eval c),
+        Curve.tail_rate c,
+        Curve.tail_offset c )
+  | exception Curve.Unstable _ -> None
+
+(* Numerators are arrival curves of jittery or bursty streams; the
+   denominators cover every service shape the hybrid backend feeds in,
+   plus an Upper-kind line.  Horizons are drawn independently. *)
+type arrival = {
+  period : int;
+  jitter : int;
+  burst : int;
+  wcet : int;
+  a_horizon : int;
+}
+
+type service =
+  | Full
+  | Rate of int * int
+  | Tdma of int * int  (* slot, cycle *)
+  | Blocked of int * service
+  | Remaining of arrival list * service
+  | Upper_line of int * int
+
+let arrival_curve a =
+  let stream =
+    if a.burst > 1 then
+      Stream.periodic_burst ~name:"b" ~period:a.period ~burst:a.burst
+        ~d_min:(Stdlib.max 1 (a.period / (2 * a.burst)))
+    else Stream.periodic_jitter ~name:"j" ~period:a.period ~jitter:a.jitter ()
+  in
+  Workload.arrival_upper ~horizon:a.a_horizon ~wcet:a.wcet stream
+
+let rec service_curve ~horizon = function
+  | Full -> Workload.service_full ~horizon
+  | Rate (num, den) -> Workload.service_rate ~horizon ~rate:(num, den)
+  | Tdma (slot, cycle) -> Workload.service_tdma ~horizon ~slot ~cycle
+  | Blocked (blocking, s) ->
+    Workload.service_delayed ~blocking (service_curve ~horizon s)
+  | Remaining (interferers, s) ->
+    List.fold_left
+      (fun beta a ->
+        Gpc.remaining_service ~arrival_upper:(arrival_curve a)
+          ~service_lower:beta)
+      (service_curve ~horizon s) interferers
+  | Upper_line (num, den) ->
+    Curve.linear ~kind:Curve.Upper ~horizon ~rate:(num, den)
+
+let string_of_arrival a =
+  Printf.sprintf "arrival(T=%d J=%d burst=%d C=%d h=%d)" a.period a.jitter
+    a.burst a.wcet a.a_horizon
+
+let rec string_of_service = function
+  | Full -> "full"
+  | Rate (n, d) -> Printf.sprintf "rate %d/%d" n d
+  | Tdma (s, c) -> Printf.sprintf "tdma %d/%d" s c
+  | Blocked (b, s) -> Printf.sprintf "blocked %d (%s)" b (string_of_service s)
+  | Remaining (xs, s) ->
+    Printf.sprintf "remaining [%s] (%s)"
+      (String.concat "; " (List.map string_of_arrival xs))
+      (string_of_service s)
+  | Upper_line (n, d) -> Printf.sprintf "upper line %d/%d" n d
+
+let gen_arrival ~max_wcet =
+  let open QCheck.Gen in
+  let* period = int_range 5 300 in
+  let* jitter = int_range 0 (2 * period) in
+  let* burst = frequency [ 3, return 1; 1, int_range 2 4 ] in
+  let* wcet = int_range 1 max_wcet in
+  let+ a_horizon = int_range 16 200 in
+  { period; jitter; burst; wcet; a_horizon }
+
+let gen_service =
+  let open QCheck.Gen in
+  (* prime denominators and long TDMA cycles push the lcm with an arrival
+     window past harmonise's cap of 720 *)
+  let base =
+    frequency
+      [
+        2, return Full;
+        2, map2 (fun n d -> Rate (Stdlib.min n d, d)) (int_range 1 13)
+             (oneofl [ 1; 2; 7; 11; 13 ]);
+        3, (let* cycle = int_range 2 40 in
+            let+ slot = int_range 1 cycle in
+            Tdma (slot, cycle));
+      ]
+  in
+  let blocked = map2 (fun b s -> Blocked (b, s)) (int_range 1 30) base in
+  frequency
+    [
+      3, base;
+      2, blocked;
+      3, map2 (fun xs s -> Remaining (xs, s))
+           (list_size (int_range 1 3) (gen_arrival ~max_wcet:2))
+           (oneof [ base; blocked ]);
+      1, map2 (fun n d -> Upper_line (n, d)) (int_range 1 4) (int_range 1 3);
+    ]
+
+let deconv_case =
+  let open QCheck.Gen in
+  let gen =
+    let* a = gen_arrival ~max_wcet:6 in
+    let* s = gen_service in
+    let+ s_horizon = int_range 16 200 in
+    a, s, s_horizon
+  in
+  QCheck.make gen ~print:(fun (a, s, h) ->
+      Printf.sprintf "%s (/) %s at horizon %d" (string_of_arrival a)
+        (string_of_service s) h)
+
+let prop_deconv_matches_reference =
+  QCheck.Test.make ~name:"deconvolution equals the closure-scan reference"
+    ~count:150 deconv_case (fun (a, s, horizon) ->
+      let f = arrival_curve a and g = service_curve ~horizon s in
+      library_deconv f g = reference_deconv f g)
+
+let test_deconv_reference_cases () =
+  (* fixed cases that the property reaches only by chance: coarsened
+     tails (periodic arrivals take their own period as window, so T=97
+     against a 1/11 rate or an 11-slot cycle exceeds the lcm cap), a
+     remaining service with a negative tail offset, and overload *)
+  let arrival period wcet horizon =
+    { period; jitter = 0; burst = 1; wcet; a_horizon = horizon }
+  in
+  let remaining = Remaining ([ arrival 30 2 80 ], Tdma (6, 10)) in
+  Alcotest.(check bool) "remaining service has a negative tail offset" true
+    (Curve.tail_offset (service_curve ~horizon:90 remaining) < 0);
+  let cases =
+    [
+      arrival 97 3 150, Rate (1, 11), 120, true, true;
+      arrival 97 3 150, Tdma (5, 11), 200, true, true;
+      arrival 127 2 150, Rate (5, 7), 130, true, true;
+      arrival 40 3 100, remaining, 90, false, true;
+      arrival 10 7 100, Tdma (3, 10), 100, false, false;
+    ]
+  in
+  List.iter
+    (fun (a, s, horizon, coarsened, stable) ->
+      let name = string_of_arrival a ^ " (/) " ^ string_of_service s in
+      let f = arrival_curve a and g = service_curve ~horizon s in
+      let df = snd (Curve.tail_rate f) and dg = snd (Curve.tail_rate g) in
+      Alcotest.(check bool) (name ^ ": coarsened") coarsened
+        (df / gcd df dg * dg > 720);
+      let reference = reference_deconv f g in
+      Alcotest.(check bool) (name ^ ": stability") stable (reference <> None);
+      Alcotest.(check bool) (name ^ ": equal") true
+        (library_deconv f g = reference))
+    cases
+
 let () =
   Alcotest.run "rtc"
     [
@@ -341,6 +539,8 @@ let () =
             test_long_period_tail_rate;
           Alcotest.test_case "map2 mismatched horizons" `Quick
             test_map2_mismatched_horizons;
+          Alcotest.test_case "deconvolution reference cases" `Quick
+            test_deconv_reference_cases;
         ] );
       ( "gpc",
         [
@@ -358,5 +558,6 @@ let () =
             prop_conv_dominated;
             prop_deconv_dominates;
             prop_arrival_tails_conservative;
+            prop_deconv_matches_reference;
           ] );
     ]

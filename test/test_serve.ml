@@ -253,6 +253,11 @@ let run_session c ~spec_text ~edits ~interleave_with =
     | Some j -> Json.to_string j
     | None -> Alcotest.fail "metrics reply has no counters"
   in
+  Alcotest.(check (option int)) "metrics count every applied edit"
+    (Some (List.fold_left (fun n es -> n + List.length es) 0 edits))
+    (match Json.member "edits" m.Protocol.body with
+     | Some (Json.Int n) -> Some n
+     | _ -> None);
   ignore (reply_exn "close" (Client.close_session c ~session));
   { edit_bodies; counters }
 
