@@ -7,7 +7,7 @@
      dune exec bench/main.exe -- table3  # a single experiment
      dune exec bench/main.exe -- perf    # Bechamel timing benches
      dune exec bench/main.exe -- explore # domain-pool scaling (BENCH_3.json)
-     dune exec bench/main.exe -- scale   # kernel A/B + pool scaling (BENCH_6.json)
+     dune exec bench/main.exe -- scale   # kernel timings + pool scaling (BENCH_6.json)
      dune exec bench/main.exe -- serve   # warm-session daemon storm (BENCH_serve.json)
      dune exec bench/main.exe -- propagation # per-mode tightness table (BENCH_9.json)
      dune exec bench/main.exe -- hybrid  # rtc/cpa/mixed backend table (BENCH_10.json)
@@ -733,41 +733,16 @@ let explore_bench () =
   Printf.printf "wrote BENCH_3.json\n"
 
 (* ------------------------------------------------------------------ *)
-(* scale: hot-path kernel speedups + honest pool scaling (BENCH_6.json) *)
+(* scale: hot-path kernel timings + honest pool scaling (BENCH_6.json) *)
 
-(* Serial A/B of the batched curve kernels: the same analysis run with
-   kernels forced off (the scalar legacy paths) and on (batched range
-   sweeps, compact task-op construction, demand kernels), outcomes
-   asserted identical, wall time and curve-probe counters compared. *)
-let kernel_case name spec mode =
-  let module Kernels = Event_model.Kernels in
-  let scalar_result =
-    Kernels.with_scalar (fun () ->
-      ok (Engine.analyse ~mode ~incremental:false spec))
-  in
-  let batched_result =
-    Kernels.with_batched (fun () ->
-      ok (Engine.analyse ~mode ~incremental:false spec))
-  in
-  if not (same_outcomes scalar_result batched_result) then begin
-    Printf.eprintf "%s: scalar and batched outcomes differ!\n" name;
-    exit 1
-  end;
-  let t_scalar =
-    time_ms (fun () ->
-      Kernels.with_scalar (fun () ->
-        Engine.analyse ~mode ~incremental:false spec))
-  in
-  let t_batched =
-    time_ms (fun () ->
-      Kernels.with_batched (fun () ->
-        Engine.analyse ~mode ~incremental:false spec))
-  in
-  ( name,
-    t_scalar,
-    t_batched,
-    scalar_result.Engine.stats.curve,
-    batched_result.Engine.stats.curve )
+(* Serial timing of the curve kernels: one from-scratch analysis per
+   case, wall time plus the curve-probe counters of that run.  The
+   kernels' agreement with the paper's equations is checked by
+   [Verify.Oracle.kernel_agreement], not here. *)
+let timed_case name spec mode =
+  let result = ok (Engine.analyse ~mode ~incremental:false spec) in
+  let t = time_ms (fun () -> Engine.analyse ~mode ~incremental:false spec) in
+  name, t, result.Engine.stats.curve
 
 (* Bytes allocated per call, measured over [iters] calls of [f] after a
    warmup call: the periodic-tail fast paths must not allocate at all. *)
@@ -781,29 +756,26 @@ let bytes_per_call ?(iters = 100_000) f =
   (b1 -. b0) /. float_of_int iters
 
 let scale () =
-  banner "scale: curve kernels A/B + allocation + pool scaling (BENCH_6.json)";
+  banner "scale: curve kernels + allocation + pool scaling (BENCH_6.json)";
   let module Curve = Event_model.Curve in
-  (* --- serial kernel speedups ------------------------------------ *)
+  (* --- serial kernel timings ------------------------------------- *)
   let cases =
     [
-      kernel_case "chain_16" (Scenarios.Synthetic.chain ~stages:16 ())
+      timed_case "chain_16" (Scenarios.Synthetic.chain ~stages:16 ())
         Engine.Hierarchical;
-      kernel_case "paper_flat_sem" (Paper.spec ()) Engine.Flat_sem;
-      kernel_case "paper_hierarchical" (Paper.spec ()) Engine.Hierarchical;
-      kernel_case "network_8" (Scenarios.Synthetic.network ~seed:1 ~ecus:8 ())
+      timed_case "paper_flat_sem" (Paper.spec ()) Engine.Flat_sem;
+      timed_case "paper_hierarchical" (Paper.spec ()) Engine.Hierarchical;
+      timed_case "network_8" (Scenarios.Synthetic.network ~seed:1 ~ecus:8 ())
         Engine.Hierarchical;
     ]
   in
-  Printf.printf "%-20s %10s %10s %8s %12s %12s %8s\n" "system" "scalar"
-    "batched" "speedup" "per.evals" "per.evals'" "reduc.";
+  Printf.printf "%-20s %10s %12s %12s %12s\n" "system" "ms" "per.evals"
+    "batch.evals" "batch.probes";
   List.iter
-    (fun (name, t_s, t_b, (cs : Curve.stats), (cb : Curve.stats)) ->
-      Printf.printf "%-20s %9.3f %9.3f %7.2fx %12d %12d %7.1fx\n" name t_s t_b
-        (t_s /. t_b) cs.Curve.periodic_evals cb.Curve.periodic_evals
-        (float_of_int cs.Curve.periodic_evals
-        /. float_of_int (Stdlib.max 1 cb.Curve.periodic_evals)))
+    (fun (name, t, (c : Curve.stats)) ->
+      Printf.printf "%-20s %10.3f %12d %12d %12d\n" name t
+        c.Curve.periodic_evals c.Curve.batch_evals c.Curve.batch_probe_count)
     cases;
-  Printf.printf "(scalar = kernels disabled; identical outcomes asserted)\n";
   (* --- allocation-free fast paths -------------------------------- *)
   let periodic_curve =
     Stream.delta_min_curve
@@ -905,19 +877,13 @@ let scale () =
     "{\n  \"benchmark\": \"hot-path curve kernels + explore pool scaling\",\n";
   Buffer.add_string buf "  \"unit\": \"ms, best of 5 runs\",\n  \"kernels\": [\n";
   List.iteri
-    (fun i (name, t_s, t_b, (cs : Curve.stats), (cb : Curve.stats)) ->
+    (fun i (name, t, (c : Curve.stats)) ->
       Buffer.add_string buf
         (Printf.sprintf
-           "    {\"name\": %S, \"scalar_ms\": %.3f, \"batched_ms\": %.3f, \
-            \"speedup\": %.2f, \"identical_outcomes\": true, \
-            \"scalar_periodic_evals\": %d, \"batched_periodic_evals\": %d, \
-            \"periodic_eval_reduction\": %.1f, \"batch_evals\": %d, \
-            \"batch_probe_count\": %d}%s\n"
-           name t_s t_b (t_s /. t_b) cs.Curve.periodic_evals
-           cb.Curve.periodic_evals
-           (float_of_int cs.Curve.periodic_evals
-           /. float_of_int (Stdlib.max 1 cb.Curve.periodic_evals))
-           cb.Curve.batch_evals cb.Curve.batch_probe_count
+           "    {\"name\": %S, \"ms\": %.3f, \"periodic_evals\": %d, \
+            \"batch_evals\": %d, \"batch_probe_count\": %d}%s\n"
+           name t c.Curve.periodic_evals c.Curve.batch_evals
+           c.Curve.batch_probe_count
            (if i = List.length cases - 1 then "" else ",")))
     cases;
   Buffer.add_string buf

@@ -6,45 +6,15 @@ module Time = Timebase.Time
    convolution of the g curves.  Both are associative, so the n-ary
    combination is a left fold over pairs. *)
 
-(* Scalar reference implementation (legacy path, kept for the kernel
-   agreement oracle and honest before/after benchmarks). *)
-let or_pair_scalar a b =
-  let dmin_a = Stream.delta_min a
-  and dmin_b = Stream.delta_min b in
-  let delta_min n =
-    if n <= 1 then Time.zero
-    else
-      let rec scan k best =
-        if k > n then best
-        else scan (k + 1) (Time.min best (Time.max (dmin_a k) (dmin_b (n - k))))
-      in
-      scan 1 (Time.max (dmin_a 0) (dmin_b n))
-  in
-  let g_a k = Stream.delta_plus a (k + 2)
-  and g_b k = Stream.delta_plus b (k + 2) in
-  let delta_plus n =
-    (* delta(0) = delta(1) = 0 by convention; pinning it here (rather than
-       relying on the clamp in [Stream.make]) keeps [budget] non-negative,
-       so [g_a]/[g_b] are never consulted at the meaningless indices
-       -1 / -2 however the closure is reached. *)
-    if n <= 1 then Time.zero
-    else
-      let budget = n - 2 in
-      let rec scan k best =
-        if k > budget then best
-        else scan (k + 1) (Time.max best (Time.min (g_a k) (g_b (budget - k))))
-      in
-      scan 1 (Time.min (g_a 0) (g_b budget))
-  in
-  Stream.make ~name:"or-pair" ~delta_min ~delta_plus
-
-(* Batched path: the convolution at index [n] scans every split
-   [k + (n - k)], so evaluating the combined curve up to a horizon [N]
-   through per-probe memo lookups costs O(N^2) underlying curve probes —
-   this is where flat-SEM fitting burnt its 66k periodic evals.  Instead
-   each input curve is swept once into a growable packed value table
-   (SoA, one [Curve.eval_range_into] per extension) and the scan runs on
-   int arrays: O(N) underlying probes total, no allocation per split. *)
+(* The convolution at index [n] scans every split [k + (n - k)], so
+   evaluating the combined curve up to a horizon [N] through per-probe
+   memo lookups costs O(N^2) underlying curve probes — this is where
+   flat-SEM fitting burnt its 66k periodic evals.  Instead each input
+   curve is swept once into a growable packed value table (SoA, one
+   [Curve.eval_range_into] per extension) and the scan runs on int
+   arrays: O(N) underlying probes total, no allocation per split.  The
+   direct min/max scans over the distance functions live in
+   [Verify.Reference] as the differential reference. *)
 
 let rec next_pow2 k n = if k >= n then k else next_pow2 (k * 2) n
 
@@ -71,7 +41,7 @@ let ensure t n =
     t.filled <- need
   end
 
-let or_pair_batched a b =
+let or_pair a b =
   let ta = table (Stream.delta_min_curve a) ~offset:0
   and tb = table (Stream.delta_min_curve b) ~offset:0 in
   let delta_min n =
@@ -112,9 +82,6 @@ let or_pair_batched a b =
     end
   in
   Stream.make ~name:"or-pair" ~delta_min ~delta_plus
-
-let or_pair a b =
-  if !Kernels.enabled then or_pair_batched a b else or_pair_scalar a b
 
 let or_combine ?name streams =
   match streams with

@@ -16,10 +16,10 @@ let delay_bound ?(horizon = 4096) ~d stream =
     in
     scan 2 0
   in
-  (* Batched variant for the compact path: one range sweep fills a packed
-     scratch array, the deficit scan then runs allocation-free on ints.
-     Only used where every value is finite (compact curves are finite
-     everywhere), so no per-probe Inf check is needed. *)
+  (* Compact path: one range sweep fills a packed scratch array, the
+     deficit scan then runs allocation-free on ints.  Only used where
+     every value is finite (compact curves are finite everywhere), so no
+     per-probe Inf check is needed. *)
   let scan_max_batched q_max =
     if q_max < 2 then 0
     else begin
@@ -35,9 +35,6 @@ let delay_bound ?(horizon = 4096) ~d stream =
       !worst
     end
   in
-  let scan_max q_max =
-    if !Kernels.enabled then scan_max_batched q_max else scan_max_scalar q_max
-  in
   match Curve.periodic_tail (Stream.delta_min_curve stream) with
   | Some (prefix_len, period_events, period_time) ->
     (* Exact long-run rate from the compact tail: [period_events] events
@@ -50,7 +47,7 @@ let delay_bound ?(horizon = 4096) ~d stream =
          distance, so the deficit is non-increasing from period to
          period; its maximum is attained within the prefix plus one tail
          period (scan a second period to be safe at the boundary). *)
-      Time.of_int (scan_max (prefix_len + (2 * period_events) + 1))
+      Time.of_int (scan_max_batched (prefix_len + (2 * period_events) + 1))
   | None ->
     (* Closure-backed curve: estimate the long-run rate from the distance
        growth over the second half of the horizon.  A transient (jitter
@@ -67,7 +64,7 @@ let delay_bound ?(horizon = 4096) ~d stream =
     in
     if rate_exceeded then Time.Inf
     else
-      (* closure values can be Inf (e.g. sporadic-derived): keep the
+      (* closure values can be Inf (e.g. sporadic-derived): use the
          early-stopping scalar scan *)
       Time.of_int (scan_max_scalar horizon)
 

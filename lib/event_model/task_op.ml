@@ -1,23 +1,20 @@
 module Time = Timebase.Time
 module Interval = Timebase.Interval
 
-(* Scalar reference: memoized recurrence (legacy path, kept for the
-   kernel agreement oracle and before/after benchmarks). *)
-let output_curves_scalar ~r_minus ~spread stream =
-  let delta_min =
-    Curve.make_rec (fun self n ->
-      if n <= 1 then Time.zero
-      else
-        Time.max
-          (Time.sub_clamped (Stream.delta_min stream n) (Time.of_int spread))
-          (Time.add (self (n - 1)) (Time.of_int r_minus)))
-  in
-  let delta_plus =
-    Curve.make (fun n ->
-      if n <= 1 then Time.zero
-      else Time.add (Stream.delta_plus stream n) (Time.of_int spread))
-  in
-  (delta_min, delta_plus)
+(* Closure fallback for inputs without a periodic tail: the memoized
+   recurrence, evaluated on demand. *)
+let closure_delta_min ~r_minus ~spread stream =
+  Curve.make_rec (fun self n ->
+    if n <= 1 then Time.zero
+    else
+      Time.max
+        (Time.sub_clamped (Stream.delta_min stream n) (Time.of_int spread))
+        (Time.add (self (n - 1)) (Time.of_int r_minus)))
+
+let closure_delta_plus ~spread stream =
+  Curve.make (fun n ->
+    if n <= 1 then Time.zero
+    else Time.add (Stream.delta_plus stream n) (Time.of_int spread))
 
 (* ------------------------------------------------------------------ *)
 (* Compact construction.
@@ -50,7 +47,7 @@ let output_curves_scalar ~r_minus ~spread stream =
    ([in n >= spread] from [n_c] on), hence the [n_c + pe] floor on [p];
    for the [(1, r)] tail the inequality direction suffices.  If the
    window check fails the prefix is extended; past a cap the constructor
-   falls back to the scalar closure, so compactness is an optimisation,
+   falls back to the closure recurrence, so compactness is an optimisation,
    never a change in semantics. *)
 
 let rec grow_to arr n =
@@ -156,24 +153,17 @@ let compact_delta_plus ~spread in_plus =
 let output ?name ~response stream =
   let r_minus = Interval.lo response in
   let spread = Interval.width response in
-  let scalar () = output_curves_scalar ~r_minus ~spread stream in
-  let delta_min, delta_plus =
-    if not !Kernels.enabled then scalar ()
-    else begin
-      let dmin =
-        compact_delta_min ~r:r_minus ~spread (Stream.delta_min_curve stream)
-      in
-      let dplus = compact_delta_plus ~spread (Stream.delta_plus_curve stream) in
-      match (dmin, dplus) with
-      | Some dm, Some dp -> (dm, dp)
-      | Some dm, None ->
-        let _, dp = scalar () in
-        (dm, dp)
-      | None, Some dp ->
-        let dm, _ = scalar () in
-        (dm, dp)
-      | None, None -> scalar ()
-    end
+  let delta_min =
+    match
+      compact_delta_min ~r:r_minus ~spread (Stream.delta_min_curve stream)
+    with
+    | Some curve -> curve
+    | None -> closure_delta_min ~r_minus ~spread stream
+  in
+  let delta_plus =
+    match compact_delta_plus ~spread (Stream.delta_plus_curve stream) with
+    | Some curve -> curve
+    | None -> closure_delta_plus ~spread stream
   in
   let name =
     match name with

@@ -10,58 +10,40 @@ let blocking ~task ~others =
 
 (* Completion of the q-th instance: it starts once blocking, the q-1 own
    predecessors, and all higher-priority arrivals (up to and including the
-   start instant) are served, then transmits non-preemptively. *)
-let completion ~window_limit ~task ~others q =
+   start instant) are served, then transmits non-preemptively.
+
+   Blocking and the higher-priority snapshot are hoisted out of the per-q
+   loop, interference goes through the resumable [Busy_window.Demand]
+   kernel, and the start-time fixpoint for q warm-starts at the (q-1)-th
+   start time (sound for the same reason as in [Spp]: the queued-own term
+   grows by [C+] per q, so the previous fixpoint satisfies
+   [f_q w' = w' + C+ >= w'] and iteration from it still converges to the
+   least fixed point).  The cold-start iteration is the differential
+   reference in [Verify.Reference]. *)
+let make_finish ~window_limit ~task ~others =
   let hp = Busy_window.higher_priority ~than:task others in
+  let demand = Busy_window.Demand.make hp in
   let c_plus = Interval.hi task.Rt_task.cet in
   let block = blocking ~task ~others in
-  let diverged = ref None in
-  let own_queued = block + ((q - 1) * c_plus) in
-  let step w =
-    match Busy_window.interference ~tasks:hp ~window:(w + 1) with
-    | Ok demand -> own_queued + demand
-    | Error reason ->
-      diverged := Some reason;
-      w
-  in
-  match Busy_window.fixpoint ~limit:window_limit ~init:own_queued step with
-  | Some start when !diverged = None -> Some (start + c_plus)
-  | Some _ | None -> None
-
-(* Kernel path: blocking and the higher-priority snapshot are hoisted
-   out of the per-q loop, interference goes through the resumable
-   [Busy_window.Demand] kernel, and the start-time fixpoint for q
-   warm-starts at the (q-1)-th start time (sound for the same reason as
-   in [Spp]: the queued-own term grows by [C+] per q, so the previous
-   fixpoint satisfies [f_q w' = w' + C+ >= w'] and iteration from it
-   still converges to the least fixed point). *)
-let make_finish ~window_limit ~task ~others =
-  if not !Event_model.Kernels.enabled then completion ~window_limit ~task ~others
-  else begin
-    let hp = Busy_window.higher_priority ~than:task others in
-    let demand = Busy_window.Demand.make hp in
-    let c_plus = Interval.hi task.Rt_task.cet in
-    let block = blocking ~task ~others in
-    let prev = ref 0 in
-    fun q ->
-      let own_queued = block + ((q - 1) * c_plus) in
-      let diverged = ref false in
-      let step w =
-        match Busy_window.Demand.eval demand ~window:(w + 1) with
-        | Ok d -> own_queued + d
-        | Error _ ->
-          diverged := true;
-          w
-      in
-      match
-        Busy_window.fixpoint ~limit:window_limit
-          ~init:(Stdlib.max own_queued !prev) step
-      with
-      | Some start when not !diverged ->
-        prev := start;
-        Some (start + c_plus)
-      | Some _ | None -> None
-  end
+  let prev = ref 0 in
+  fun q ->
+    let own_queued = block + ((q - 1) * c_plus) in
+    let diverged = ref false in
+    let step w =
+      match Busy_window.Demand.eval demand ~window:(w + 1) with
+      | Ok d -> own_queued + d
+      | Error _ ->
+        diverged := true;
+        w
+    in
+    match
+      Busy_window.fixpoint ~limit:window_limit
+        ~init:(Stdlib.max own_queued !prev) step
+    with
+    | Some start when not !diverged ->
+      prev := start;
+      Some (start + c_plus)
+    | Some _ | None -> None
 
 let response_time ?(window_limit = Busy_window.default_window_limit) ?q_limit
     ?record ~task ~others () =

@@ -5,61 +5,44 @@ module Stream = Event_model.Stream
 (* Completion time of the q-th activation within the level-i busy
    period: least fixed point of w = B + q C+ + interference(w), where B
    is an optional blocking term for shared resources (priority-inversion
-   bound of the locking protocol in use). *)
-let completion ~window_limit ~blocking ~task ~others q =
-  let hp = Busy_window.higher_priority ~than:task others in
-  let c_plus = Interval.hi task.Rt_task.cet in
-  let diverged = ref None in
-  let own = blocking + (q * c_plus) in
-  let step w =
-    match Busy_window.interference ~tasks:hp ~window:w with
-    | Ok demand -> own + demand
-    | Error reason ->
-      diverged := Some reason;
-      w
-  in
-  match Busy_window.fixpoint ~limit:window_limit ~init:own step with
-  | Some w when !diverged = None -> Some w
-  | Some _ | None -> None
+   bound of the locking protocol in use).
 
-(* Kernel path: the higher-priority set is snapshot once per analysed
-   task (not once per q), the interference queries go through the
-   resumable [Busy_window.Demand] kernel, and the fixpoint for the q-th
-   activation warm-starts at the (q-1)-th completion [w'].  Warm start
-   is sound: the window equation [f_q] is monotone with
+   The higher-priority set is snapshot once per analysed task (not once
+   per q), the interference queries go through the resumable
+   [Busy_window.Demand] kernel, and the fixpoint for the q-th activation
+   warm-starts at the (q-1)-th completion [w'].  Warm start is sound:
+   the window equation [f_q] is monotone with
    [f_q w' = own_q - own_(q-1) + w' >= w'] (since [w'] is the previous
    fixpoint of the same demand term and [own] grows by [C+] per q), so
    iterating from [w'] still reaches the least fixed point of [f_q] —
    every iterate stays [<= lfp] — while skipping the ramp-up from
    [own_q].  Query windows therefore never decrease across the whole
-   busy period, which is exactly the hint contract of [Demand]. *)
+   busy period, which is exactly the hint contract of [Demand].  The
+   cold-start iteration from [own_q] is the differential reference in
+   [Verify.Reference]. *)
 let make_finish ~window_limit ~blocking ~task ~others =
-  if not !Event_model.Kernels.enabled then
-    completion ~window_limit ~blocking ~task ~others
-  else begin
-    let hp = Busy_window.higher_priority ~than:task others in
-    let demand = Busy_window.Demand.make hp in
-    let c_plus = Interval.hi task.Rt_task.cet in
-    let prev = ref 0 in
-    fun q ->
-      let own = blocking + (q * c_plus) in
-      let diverged = ref false in
-      let step w =
-        match Busy_window.Demand.eval demand ~window:w with
-        | Ok d -> own + d
-        | Error _ ->
-          diverged := true;
-          w
-      in
-      match
-        Busy_window.fixpoint ~limit:window_limit
-          ~init:(Stdlib.max own !prev) step
-      with
-      | Some w when not !diverged ->
-        prev := w;
-        Some w
-      | Some _ | None -> None
-  end
+  let hp = Busy_window.higher_priority ~than:task others in
+  let demand = Busy_window.Demand.make hp in
+  let c_plus = Interval.hi task.Rt_task.cet in
+  let prev = ref 0 in
+  fun q ->
+    let own = blocking + (q * c_plus) in
+    let diverged = ref false in
+    let step w =
+      match Busy_window.Demand.eval demand ~window:w with
+      | Ok d -> own + d
+      | Error _ ->
+        diverged := true;
+        w
+    in
+    match
+      Busy_window.fixpoint ~limit:window_limit ~init:(Stdlib.max own !prev)
+        step
+    with
+    | Some w when not !diverged ->
+      prev := w;
+      Some w
+    | Some _ | None -> None
 
 let response_time ?(window_limit = Busy_window.default_window_limit) ?q_limit
     ?record ?(blocking = 0) ~task ~others () =

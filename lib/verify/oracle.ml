@@ -47,86 +47,32 @@ let pp_report ppf r =
     (if passed r then "PASS" else "FAIL")
 
 (* ------------------------------------------------------------------ *)
-(* oracle 1: compact curve backend vs naive closure reimplementation *)
-
-(* The naive twins below deliberately avoid [Curve.periodic]: they are
-   plain closures over the defining formulas (or the concrete arrival
-   pattern), so the compact backend's prefix/tail arithmetic and its
-   arithmetic pseudo-inversion are checked against an implementation
-   that shares no code with them. *)
-
-let naive_periodic ~period =
-  let d n = Time.of_int ((n - 1) * period) in
-  Es.make ~name:"naive" ~delta_min:d ~delta_plus:d
-
-let naive_jitter ~period ~jitter ~d_min =
-  Es.make ~name:"naive"
-    ~delta_min:(fun n ->
-      Time.of_int
-        (Stdlib.max ((n - 1) * d_min) (((n - 1) * period) - jitter)))
-    ~delta_plus:(fun n -> Time.of_int (((n - 1) * period) + jitter))
-
-let naive_burst ~period ~burst ~d_min =
-  let position j = ((j / burst) * period) + (j mod burst * d_min) in
-  let over_starts n pick =
-    let rec scan j acc =
-      if j >= burst then acc
-      else scan (j + 1) (pick acc (position (j + n - 1) - position j))
-    in
-    scan 1 (position (n - 1) - position 0)
-  in
-  Es.make ~name:"naive"
-    ~delta_min:(fun n -> Time.of_int (over_starts n Stdlib.min))
-    ~delta_plus:(fun n -> Time.of_int (over_starts n Stdlib.max))
-
-let naive_sporadic ~d_min =
-  Es.make ~name:"naive"
-    ~delta_min:(fun n -> Time.of_int ((n - 1) * d_min))
-    ~delta_plus:(fun _ -> Time.Inf)
-
-(* independent linear-scan pseudo-inversions over the naive curves *)
-let scan_eta_plus s dt =
-  if dt <= 0 then Count.zero
-  else begin
-    let t = Time.of_int dt in
-    let rec scan n =
-      if n > 8192 then Count.Inf
-      else if Time.(Es.delta_min s n < t) then scan (n + 1)
-      else Count.of_int (n - 1)
-    in
-    scan 1
-  end
-
-let scan_eta_minus s dt =
-  let t = Time.of_int dt in
-  let rec scan n =
-    if n > 8192 then Count.Inf
-    else if Time.(Es.delta_plus s (n + 2) > t) then Count.of_int n
-    else scan (n + 1)
-  in
-  scan 0
+(* oracle 1: compact curve backend vs the naive closures of [Reference],
+   which share no code with its prefix/tail arithmetic or its
+   arithmetic pseudo-inversion *)
 
 let backend_ns = List.init 65 Fun.id @ [ 100; 1000; 4097 ]
 
 let backend_dts = [ 1; 2; 7; 10; 99; 100; 250; 1000; 2500; 10_000 ]
 
+(* pointwise equality of both distance curves on [backend_ns] *)
+let delta_agreement ~name ~labels:(la, lb) a b =
+  forall ~name backend_ns (fun n ->
+      let mismatch role x y =
+        if Time.equal x y then None
+        else
+          Some
+            (Printf.sprintf "%s %d: %s %s, %s %s" role n la (Time.to_string x)
+               lb (Time.to_string y))
+      in
+      match mismatch "delta_min" (Es.delta_min a n) (Es.delta_min b n) with
+      | Some _ as m -> m
+      | None -> mismatch "delta_plus" (Es.delta_plus a n) (Es.delta_plus b n))
+
 let backend_pair ~name compact naive =
   [
-    forall ~name:(name ^ ":delta") backend_ns (fun n ->
-        let mismatch role c nv =
-          if Time.equal c nv then None
-          else
-            Some
-              (Printf.sprintf "%s %d: compact %s, naive %s" role n
-                 (Time.to_string c) (Time.to_string nv))
-        in
-        match
-          mismatch "delta_min" (Es.delta_min compact n) (Es.delta_min naive n)
-        with
-        | Some _ as m -> m
-        | None ->
-          mismatch "delta_plus" (Es.delta_plus compact n)
-            (Es.delta_plus naive n));
+    delta_agreement ~name:(name ^ ":delta") ~labels:("compact", "naive")
+      compact naive;
     forall ~name:(name ^ ":eta") backend_dts (fun dt ->
         let mismatch role c nv =
           if Count.equal c nv then None
@@ -136,12 +82,13 @@ let backend_pair ~name compact naive =
                  (Count.to_string c) (Count.to_string nv))
         in
         match
-          mismatch "eta_plus" (Es.eta_plus compact dt) (scan_eta_plus naive dt)
+          mismatch "eta_plus" (Es.eta_plus compact dt)
+            (Reference.scan_eta_plus naive dt)
         with
         | Some _ as m -> m
         | None ->
           mismatch "eta_minus" (Es.eta_minus compact dt)
-            (scan_eta_minus naive dt));
+            (Reference.scan_eta_minus naive dt));
   ]
 
 let backend_agreement () =
@@ -149,25 +96,25 @@ let backend_agreement () =
     [
       backend_pair ~name:"periodic(250)"
         (Es.periodic ~name:"c" ~period:250)
-        (naive_periodic ~period:250);
+        (Reference.naive_periodic ~period:250);
       backend_pair ~name:"periodic(7)"
         (Es.periodic ~name:"c" ~period:7)
-        (naive_periodic ~period:7);
+        (Reference.naive_periodic ~period:7);
       backend_pair ~name:"jitter(450,90)"
         (Es.periodic_jitter ~name:"c" ~period:450 ~jitter:90 ())
-        (naive_jitter ~period:450 ~jitter:90 ~d_min:1);
+        (Reference.naive_jitter ~period:450 ~jitter:90 ~d_min:1);
       backend_pair ~name:"jitter(1000,3000,40)"
         (Es.periodic_jitter ~name:"c" ~period:1000 ~jitter:3000 ~d_min:40 ())
-        (naive_jitter ~period:1000 ~jitter:3000 ~d_min:40);
+        (Reference.naive_jitter ~period:1000 ~jitter:3000 ~d_min:40);
       backend_pair ~name:"burst(1000,5,10)"
         (Es.periodic_burst ~name:"c" ~period:1000 ~burst:5 ~d_min:10)
-        (naive_burst ~period:1000 ~burst:5 ~d_min:10);
+        (Reference.naive_burst ~period:1000 ~burst:5 ~d_min:10);
       backend_pair ~name:"burst(50,3,1)"
         (Es.periodic_burst ~name:"c" ~period:50 ~burst:3 ~d_min:1)
-        (naive_burst ~period:50 ~burst:3 ~d_min:1);
+        (Reference.naive_burst ~period:50 ~burst:3 ~d_min:1);
       backend_pair ~name:"sporadic(100)"
         (Es.sporadic ~name:"c" ~d_min:100)
-        (naive_sporadic ~d_min:100);
+        (Reference.naive_sporadic ~d_min:100);
     ]
 
 (* ------------------------------------------------------------------ *)
@@ -256,38 +203,152 @@ let engine_agreement ?(mode = Engine.Hierarchical) spec =
     [ check ~name false ("incremental rejected: " ^ Guard.Error.to_string e) ]
 
 (* ------------------------------------------------------------------ *)
-(* oracle 2b: batched analysis kernels vs scalar legacy paths *)
+(* oracle 2b: production operators vs the paper's equations *)
 
-(* The batched kernels (range sweeps in OR-combination, compact task-op
-   construction, demand vectors in the busy-window analyses) are pure
-   optimisations: the whole analysis, run with kernels forced off and
-   on, must render byte-identical outcomes. *)
-let kernel_agreement ?(mode = Engine.Hierarchical) spec =
-  let module Kernels = Event_model.Kernels in
-  let name =
-    Printf.sprintf "engine[%s]:batched=scalar" (Engine.mode_name mode)
+(* Every optimised operator — the prefix-table OR convolution, the
+   compact Θτ construction, the warm-started demand-kernel busy windows —
+   must agree with [Reference] on the inputs the converged analysis
+   actually feeds it.  Inputs are rebuilt from the result exactly as
+   [Engine.analyse_resource] builds them: tasks resolve their activation
+   against the fixed point, frames take the outer stream of their
+   pre-bus hierarchy. *)
+
+let render_verdict show = function
+  | Ok v -> show v
+  | Error e -> "error: " ^ e
+
+let local_agreement ~name ~operator production reference =
+  let a = production () and b = reference () in
+  if String.equal a b then
+    check ~name true (operator ^ ": byte-identical outcomes")
+  else
+    check ~name false
+      (Printf.sprintf "%s: production:\n%s\nreference:\n%s" operator a b)
+
+let resource_agreement ~qualify (r : Engine.result) (res : Spec.resource) =
+  let spec = r.Engine.spec in
+  let tasks =
+    List.filter
+      (fun (k : Spec.task) -> String.equal k.resource res.res_name)
+      spec.Spec.tasks
   in
-  match
-    ( Kernels.with_batched (fun () ->
-          Engine.analyse ~mode ~incremental:false spec),
-      Kernels.with_scalar (fun () ->
-          Engine.analyse ~mode ~incremental:false spec) )
-  with
-  | Ok batched, Ok scalar ->
-    let a = render_result batched and b = render_result scalar in
-    if String.equal a b then [ check ~name true "byte-identical outcomes" ]
-    else
-      [ check ~name false (Printf.sprintf "batched:\n%s\nscalar:\n%s" a b) ]
-  | Error a, Error b ->
-    let a = Guard.Error.to_string a and b = Guard.Error.to_string b in
+  let rt_of_task (k : Spec.task) =
+    Scheduling.Rt_task.make ~name:k.task_name ~cet:k.cet ~priority:k.priority
+      ~activation:(r.Engine.resolve k.activation)
+  in
+  (* one line per task and frame: its response outcome *)
+  let busy response () =
+    let frames =
+      List.filter_map
+        (fun (f : Spec.frame) ->
+          if String.equal f.bus res.res_name then
+            Some
+              (Scheduling.Rt_task.make ~name:f.frame_name ~cet:f.tx_time
+                 ~priority:f.frame_priority
+                 ~activation:
+                   (Hem.Model.outer (r.Engine.pre_bus_hierarchy f.frame_name)))
+          else None)
+        spec.Spec.frames
+    in
+    let rt_tasks = List.map rt_of_task tasks @ frames in
+    String.concat "\n"
+      (List.map
+         (fun (task : Scheduling.Rt_task.t) ->
+           let others = List.filter (fun t -> t != task) rt_tasks in
+           Format.asprintf "%s %a" task.name Busy.pp_outcome
+             (response ~task ~others))
+         rt_tasks)
+  in
+  let edf busy_period schedulable () =
+    let edf_tasks =
+      List.map
+        (fun (k : Spec.task) ->
+          { Scheduling.Edf.task = rt_of_task k; deadline = Option.get k.deadline })
+        tasks
+    in
+    Printf.sprintf "busy_period=%s schedulable=%s"
+      (render_verdict string_of_int (busy_period edf_tasks))
+      (render_verdict (fun () -> "ok") (schedulable edf_tasks))
+  in
+  let name = qualify res.res_name in
+  match res.backend, res.scheduler with
+  | Spec.Cpa, Spec.Spp ->
     [
-      check ~name (String.equal a b)
-        (Printf.sprintf "both rejected: %s / %s" a b);
+      local_agreement ~name ~operator:"spp"
+        (busy (fun ~task ~others ->
+             Scheduling.Spp.response_time ~task ~others ()))
+        (busy (fun ~task ~others ->
+             Reference.spp_response_time ~task ~others ()));
     ]
-  | Ok _, Error e ->
-    [ check ~name false ("scalar rejected: " ^ Guard.Error.to_string e) ]
-  | Error e, Ok _ ->
-    [ check ~name false ("batched rejected: " ^ Guard.Error.to_string e) ]
+  | Spec.Cpa, Spec.Spnp ->
+    [
+      local_agreement ~name ~operator:"spnp"
+        (busy (fun ~task ~others ->
+             Scheduling.Spnp.response_time ~task ~others ()))
+        (busy (fun ~task ~others ->
+             Reference.spnp_response_time ~task ~others ()));
+    ]
+  | Spec.Cpa, Spec.Edf ->
+    [
+      local_agreement ~name ~operator:"edf"
+        (edf
+           (fun ts -> Scheduling.Edf.busy_period ts)
+           (fun ts -> Scheduling.Edf.schedulable ts))
+        (edf Reference.edf_busy_period Reference.edf_schedulable);
+    ]
+  | Spec.Cpa, (Spec.Tdma | Spec.Round_robin) | Spec.Rtc, _ -> []
+
+let rec or_nodes acc = function
+  | Spec.Or_of acts -> List.fold_left or_nodes (acts :: acc) acts
+  | Spec.And_of acts -> List.fold_left or_nodes acc acts
+  | Spec.From_source _ | Spec.From_output _ | Spec.From_signal _
+  | Spec.From_frame _ ->
+    acc
+
+let kernel_agreement (r : Engine.result) =
+  let spec = r.Engine.spec in
+  let qualify x =
+    let x =
+      match r.Engine.mode with
+      | Engine.Hierarchical -> x
+      | mode -> Engine.mode_name mode ^ ":" ^ x
+    in
+    Printf.sprintf "kernel[%s]:production=reference" x
+  in
+  let labels = ("production", "reference") in
+  let activations =
+    List.map (fun (k : Spec.task) -> k.activation) spec.Spec.tasks
+    @ List.concat_map
+        (fun (f : Spec.frame) ->
+          List.map (fun (s : Spec.signal_binding) -> s.origin) f.signals)
+        spec.Spec.frames
+  in
+  let ors =
+    List.rev_map
+      (fun acts ->
+        let inputs = List.map r.Engine.resolve acts in
+        let production = Event_model.Combine.or_combine inputs in
+        delta_agreement
+          ~name:(qualify (Es.name production))
+          ~labels production
+          (Reference.or_combine inputs))
+      (List.fold_left or_nodes [] activations)
+  in
+  let outputs =
+    List.filter_map
+      (fun (k : Spec.task) ->
+        Engine.response r k.task_name
+        |> Option.map (fun response ->
+               let input = r.Engine.resolve k.activation in
+               delta_agreement
+                 ~name:(qualify (k.task_name ^ ".out"))
+                 ~labels
+                 (Event_model.Task_op.output ~response input)
+                 (Reference.task_output ~response input)))
+      spec.Spec.tasks
+  in
+  List.concat_map (resource_agreement ~qualify r) spec.Spec.resources
+  @ ors @ outputs
 
 (* ------------------------------------------------------------------ *)
 (* oracle 3: hierarchical vs flat-SEM baseline *)
@@ -823,18 +884,14 @@ let verify_spec ?(label = "system") ?(selfcheck = true) ?(seed = 42)
               (fun mode -> engine_agreement ~mode spec)
               [ Engine.Hierarchical; Engine.Flat_stream; Engine.Flat_sem ]
           in
-          let kernels =
-            List.concat_map
-              (fun mode -> kernel_agreement ~mode spec)
-              [ Engine.Hierarchical; Engine.Flat_sem ]
-          in
           let batches = batch_agreement spec in
           let tightness =
             match Engine.analyse ~mode:Engine.Flat_sem spec with
             | Error e ->
               [ check ~name:"analyse[flat_sem]" false (Guard.Error.to_string e) ]
             | Ok flat ->
-              hierarchy_tightness hem flat
+              kernel_agreement flat
+              @ hierarchy_tightness hem flat
               ::
               (match generators with
                | None -> []
@@ -853,7 +910,7 @@ let verify_spec ?(label = "system") ?(selfcheck = true) ?(seed = 42)
                 (Engine.status_name hem.Engine.status)
                 hem.Engine.iterations)
           :: incremental)
-          @ kernels @ batches @ tightness @ propagation @ hybrid
+          @ kernel_agreement hem @ batches @ tightness @ propagation @ hybrid
       in
       { label; checks; violations = List.rev !violations })
 

@@ -15,9 +15,10 @@
     - {b engine agreement}: the incremental fixed-point engine vs a
       from-scratch recomputation — outcomes must be byte-identical,
       including iteration counts;
-    - {b kernel agreement}: the whole analysis with the batched kernels
-      forced off vs on ([Event_model.Kernels]) — byte-identical rendered
-      outcomes;
+    - {b kernel agreement}: every optimised production operator (the
+      OR convolution, Θτ, the SPP/SPNP/EDF busy windows) vs the direct
+      transcription of the paper's equations in {!Reference}, on the
+      inputs of a converged analysis — byte-identical outcomes;
     - {b hierarchy tightness}: hierarchical analysis response bounds
       never exceed the flat-SEM baseline's;
     - {b simulation dominance}: analytic response bounds and arrival
@@ -81,12 +82,21 @@ val engine_agreement :
 (** [analyse ~incremental:true] vs [analyse ~incremental:false] on the
     given system ([mode] defaults to [Hierarchical]). *)
 
-val kernel_agreement :
-  ?mode:Cpa_system.Engine.mode -> Cpa_system.Spec.t -> check list
-(** The analysis with batched kernels enabled vs disabled
-    ([Event_model.Kernels.with_batched] / [with_scalar]), both from
-    scratch: rendered outcomes must be byte-identical ([mode] defaults
-    to [Hierarchical]). *)
+val kernel_agreement : Cpa_system.Engine.result -> check list
+(** Production operators vs {!Reference} on the inputs of [result],
+    rebuilt as the engine's local analysis builds them (tasks through
+    [result.resolve], frames through the outer stream of
+    [result.pre_bus_hierarchy]), with no further engine run:
+    - every CPA SPP/SPNP resource: per-element response outcome; every
+      CPA EDF resource: busy period and schedulability verdict —
+      rendered byte-identically;
+    - every [Or_of] activation: [Combine.or_combine] vs
+      {!Reference.or_combine};
+    - every task with a bounded response: [Task_op.output] vs
+      {!Reference.task_output};
+    the stream checks on both distance curves over the backend probe
+    list.  Checks are named [kernel[<resource or stream>]:production=reference],
+    the name qualified with the mode for non-hierarchical results. *)
 
 val hierarchy_tightness :
   Cpa_system.Engine.result -> Cpa_system.Engine.result -> check
@@ -175,9 +185,10 @@ val verify_spec :
 (** Runs the hierarchical analysis (with the {!Stream} sanitizer wired
     into the engine's [~selfcheck] hook and pack-degradation warnings
     captured, unless [selfcheck:false]), audits every frame hierarchy,
-    then runs the engine, kernel, batch, tightness and — when
-    [generators] are given — simulation oracles.  [seed] and [horizon]
-    configure the simulation. *)
+    then runs the engine, kernel (on the hierarchical and flat-SEM
+    results), batch, tightness and — when [generators] are given —
+    simulation oracles.  [seed] and [horizon] configure the
+    simulation. *)
 
 val verify_case :
   ?selfcheck:bool -> ?seed:int -> ?horizon:int -> Fuzz.case -> report

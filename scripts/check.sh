@@ -7,8 +7,7 @@
 # with an optimal-dominance gate and a plumbing-overhead guard), the
 # hybrid backend table (BENCH_10.json, with pure-agreement/DES-dominance
 # gates and a pay-for-use guard on the pure-CPA path), the
-# kernel A/B + pool scaling benchmark
-# (BENCH_6.json), the exploration checks (jobs-determinism byte diff +
+# kernel timing + pool scaling benchmark (BENCH_6.json), the exploration checks (jobs-determinism byte diff +
 # BENCH_3.json scaling sanity), the self-verification smoke
 # (sanitizer + differential oracles on the paper system and a fixed-seed
 # fuzz batch), and a serve-daemon smoke (warm session round over a Unix
@@ -18,6 +17,26 @@ cd "$(dirname "$0")/.."
 # Hard wall-clock ceiling: a hung fixed point or deadlocked pool must
 # fail the check, not stall it (tune with CHECK_TIMEOUT_S).
 timeout "${CHECK_TIMEOUT_S:-900}" dune build @runtest
+
+# ratio_guard LABEL REF OLD NEW TOL_PCT FAILURE: print the timing
+# comparison and fail the check with FAILURE unless
+# NEW <= OLD * (1 + TOL_PCT / 100).
+ratio_guard() {
+  if ! awk -v label="$1" -v ref="$2" -v old="$3" -v new="$4" -v tol="$5" 'BEGIN {
+    limit = old * (1 + tol / 100.0);
+    printf "check: %s %.3f ms vs %s %.3f ms (limit %.3f ms)\n",
+      label, new, ref, old, limit;
+    exit !(new <= limit)
+  }'; then
+    echo "$6" >&2
+    exit 1
+  fi
+}
+
+# full_ms FILE ARRAY CASE: full_ms of the named case in a BENCH file
+full_ms() {
+  jq --arg n "$3" "[.$2[] | select(.name == \$n)][0].full_ms" "$1"
+}
 
 # --- trace smoke test -------------------------------------------------
 # An analyse run with --trace must produce a valid Chrome trace with
@@ -118,17 +137,10 @@ cp BENCH_1.json "$baseline"
 dune exec bench/main.exe -- perf
 if [ "${PERF_GUARD:-1}" = 1 ]; then
   tol="${PERF_TOL_PCT:-25}"
-  old=$(jq '[.cases[].incremental_ms] | add' "$baseline")
-  new=$(jq '[.cases[].incremental_ms] | add' BENCH_1.json)
-  if ! awk -v old="$old" -v new="$new" -v tol="$tol" 'BEGIN {
-    limit = old * (1 + tol / 100.0);
-    printf "check: no-sink perf %.3f ms vs baseline %.3f ms (limit %.3f ms)\n",
-      new, old, limit;
-    exit !(new <= limit)
-  }'; then
-    echo "check: instrumentation overhead exceeds ${tol}% budget" >&2
-    exit 1
-  fi
+  ratio_guard "no-sink perf" baseline \
+    "$(jq '[.cases[].incremental_ms] | add' "$baseline")" \
+    "$(jq '[.cases[].incremental_ms] | add' BENCH_1.json)" "$tol" \
+    "check: instrumentation overhead exceeds ${tol}% budget"
 fi
 # --- kernel no-regression gate ----------------------------------------
 # The committed BENCH_1.json numbers were produced with the batched
@@ -139,17 +151,10 @@ fi
 if [ "${KERNEL_GUARD:-1}" = 1 ]; then
   ktol="${KERNEL_TOL_PCT:-10}"
   for case_name in chain_16 paper_flat_sem; do
-    old=$(jq --arg n "$case_name" '[.cases[] | select(.name == $n)][0].full_ms' "$baseline")
-    new=$(jq --arg n "$case_name" '[.cases[] | select(.name == $n)][0].full_ms' BENCH_1.json)
-    if ! awk -v old="$old" -v new="$new" -v tol="$ktol" -v name="$case_name" 'BEGIN {
-      limit = old * (1 + tol / 100.0);
-      printf "check: kernel case %s %.3f ms vs baseline %.3f ms (limit %.3f ms)\n",
-        name, new, old, limit;
-      exit !(new <= limit)
-    }'; then
-      echo "check: kernel case ${case_name} regressed more than ${ktol}% vs committed BENCH_1.json" >&2
-      exit 1
-    fi
+    ratio_guard "kernel case $case_name" baseline \
+      "$(full_ms "$baseline" cases "$case_name")" \
+      "$(full_ms BENCH_1.json cases "$case_name")" "$ktol" \
+      "check: kernel case ${case_name} regressed more than ${ktol}% vs committed BENCH_1.json"
   done
 fi
 rm -f "$baseline"
@@ -179,17 +184,10 @@ done
 if [ "${PROP_GUARD:-1}" = 1 ]; then
   ptol="${PROP_KERNEL_TOL_PCT:-10}"
   for case_name in chain_16 paper_flat_sem; do
-    old=$(jq --arg n "$case_name" '[.cases[] | select(.name == $n)][0].full_ms' BENCH_1.json)
-    new=$(jq --arg n "$case_name" '[.kernel[] | select(.name == $n)][0].full_ms' BENCH_9.json)
-    if ! awk -v old="$old" -v new="$new" -v tol="$ptol" -v name="$case_name" 'BEGIN {
-      limit = old * (1 + tol / 100.0);
-      printf "check: propagation kernel case %s %.3f ms vs perf %.3f ms (limit %.3f ms)\n",
-        name, new, old, limit;
-      exit !(new <= limit)
-    }'; then
-      echo "check: propagation plumbing slows ${case_name} more than ${ptol}% vs perf run" >&2
-      exit 1
-    fi
+    ratio_guard "propagation kernel case $case_name" perf \
+      "$(full_ms BENCH_1.json cases "$case_name")" \
+      "$(full_ms BENCH_9.json kernel "$case_name")" "$ptol" \
+      "check: propagation plumbing slows ${case_name} more than ${ptol}% vs perf run"
   done
 fi
 echo "check: propagation tightness ok (strict wins: $(jq -cr '.strict_win_systems | join(", ")' BENCH_9.json))"
@@ -223,33 +221,25 @@ dune exec bin/hem_tool.exe -- verify --file examples/hybrid.spec > /dev/null \
 if [ "${HYBRID_GUARD:-1}" = 1 ]; then
   htol="${HYBRID_KERNEL_TOL_PCT:-10}"
   for case_name in chain_16 paper_flat_sem; do
-    old=$(jq --arg n "$case_name" '[.cases[] | select(.name == $n)][0].full_ms' BENCH_1.json)
-    new=$(jq --arg n "$case_name" '[.kernel[] | select(.name == $n)][0].full_ms' BENCH_10.json)
-    if ! awk -v old="$old" -v new="$new" -v tol="$htol" -v name="$case_name" 'BEGIN {
-      limit = old * (1 + tol / 100.0);
-      printf "check: hybrid kernel case %s %.3f ms vs perf %.3f ms (limit %.3f ms)\n",
-        name, new, old, limit;
-      exit !(new <= limit)
-    }'; then
-      echo "check: backend plumbing slows ${case_name} more than ${htol}% vs perf run" >&2
-      exit 1
-    fi
+    ratio_guard "hybrid kernel case $case_name" perf \
+      "$(full_ms BENCH_1.json cases "$case_name")" \
+      "$(full_ms BENCH_10.json kernel "$case_name")" "$htol" \
+      "check: backend plumbing slows ${case_name} more than ${htol}% vs perf run"
   done
 fi
 echo "check: hybrid backends ok (pure agreement + DES dominance on paper, mixed spec analyses + verifies)"
 
-# --- kernel A/B + pool scaling (BENCH_6.json) -------------------------
-# Refreshes BENCH_6.json.  The bench itself asserts scalar and batched
-# outcomes identical, allocation-free packed fast paths, and
-# byte-identical sweep rows across jobs counts; here we check the
-# headline claims: serial kernel speedup, the periodic-eval reduction,
-# and that requesting more jobs than cores never costs (the pool clamps
-# to the machine).
+# --- kernel timings + pool scaling (BENCH_6.json) ---------------------
+# Refreshes BENCH_6.json.  The bench itself asserts allocation-free
+# packed fast paths and byte-identical sweep rows across jobs counts;
+# here we check the headline claims: the periodic-eval budget of the
+# OR-convolution kernels (39833 = the last recorded scalar count,
+# 199167, divided by 5), and that requesting more jobs than cores never
+# costs (the pool clamps to the machine).  The kernels' timing is gated
+# by the kernel no-regression guard against BENCH_1.json above.
 dune exec bench/main.exe -- scale
-jq -e '[.kernels[] | select(.name == "chain_16")][0].speedup >= 2' BENCH_6.json > /dev/null \
-  || { echo "check: chain_16 kernel speedup below 2x" >&2; exit 1; }
-jq -e '[.kernels[] | select(.name == "paper_flat_sem")][0].periodic_eval_reduction >= 5' BENCH_6.json > /dev/null \
-  || { echo "check: paper_flat_sem periodic-eval reduction below 5x" >&2; exit 1; }
+jq -e '[.kernels[] | select(.name == "paper_flat_sem")][0].periodic_evals <= 39833' BENCH_6.json > /dev/null \
+  || { echo "check: paper_flat_sem periodic evals above 39833 (5x the scalar path's 199167)" >&2; exit 1; }
 jq -e '.pool.rows_identical == true' BENCH_6.json > /dev/null
 jq -e '.allocation_bytes_per_call.eval_packed <= 1 and .allocation_bytes_per_call.count_lt_packed <= 1' BENCH_6.json > /dev/null \
   || { echo "check: packed periodic fast path allocates" >&2; exit 1; }
@@ -264,7 +254,7 @@ if [ "$cores6" -ge 2 ]; then
     exit 1
   fi
 fi
-echo "check: kernel scale ok (chain_16 $(jq '[.kernels[] | select(.name == "chain_16")][0].speedup' BENCH_6.json)x serial, $(jq '[.kernels[] | select(.name == "paper_flat_sem")][0].periodic_eval_reduction' BENCH_6.json)x fewer periodic evals, pool clamped to ${cores6} core(s))"
+echo "check: kernel scale ok (paper_flat_sem $(jq '[.kernels[] | select(.name == "paper_flat_sem")][0].periodic_evals' BENCH_6.json) periodic evals, pool clamped to ${cores6} core(s))"
 
 # --- exploration: determinism guard -----------------------------------
 # The deterministic stdout of sweep/explore must be byte-identical at

@@ -1,0 +1,224 @@
+(* Production operators against Verify.Reference, the direct
+   transcription of the paper's equations: the OR-combination (eqs 3-4)
+   on compact, closure-backed and sporadic inputs, and the SPP/SPNP/EDF
+   busy-window analyses on random task sets whose busy windows span
+   several activations (so the warm-started fixpoints and resumable
+   demand searches are exercised). *)
+
+module Time = Timebase.Time
+module Interval = Timebase.Interval
+module Stream = Event_model.Stream
+module Combine = Event_model.Combine
+module Busy_window = Scheduling.Busy_window
+module Rt_task = Scheduling.Rt_task
+module Edf = Scheduling.Edf
+module Reference = Verify.Reference
+
+(* ------------------------------------------------------------------ *)
+(* OR-combination *)
+
+(* standard event model (P, J, d_min = 1) as a plain closure: the same
+   stream as [Stream.periodic_jitter], but on the closure backend *)
+let closure_jitter ~period ~jitter =
+  Stream.make ~name:"closure"
+    ~delta_min:(fun n ->
+      Time.of_int (Stdlib.max (n - 1) (((n - 1) * period) - jitter)))
+    ~delta_plus:(fun n -> Time.of_int (((n - 1) * period) + jitter))
+
+type kind = Compact | Closure | Sporadic
+
+let kind_name = function
+  | Compact -> "compact"
+  | Closure -> "closure"
+  | Sporadic -> "sporadic"
+
+let stream_of (kind, period, jitter) =
+  match kind with
+  | Compact -> Stream.periodic_jitter ~name:"compact" ~period ~jitter ()
+  | Closure -> closure_jitter ~period ~jitter
+  | Sporadic -> Stream.sporadic ~name:"sporadic" ~d_min:period
+
+let arb_or_inputs =
+  let open QCheck in
+  let input =
+    Gen.triple
+      (Gen.oneofl [ Compact; Closure; Sporadic ])
+      (Gen.int_range 1 200) (Gen.int_range 0 400)
+  in
+  make
+    ~print:(fun inputs ->
+      String.concat "; "
+        (List.map
+           (fun (k, p, j) -> Printf.sprintf "%s(%d,%d)" (kind_name k) p j)
+           inputs))
+    Gen.(list_size (int_range 2 3) input)
+
+let or_ns = List.init 34 Fun.id @ [ 64; 100; 257 ]
+
+let prop_or_matches_reference =
+  QCheck.Test.make ~name:"or_combine = reference" ~count:80 arb_or_inputs
+    (fun inputs ->
+      let streams = List.map stream_of inputs in
+      let production = Combine.or_combine streams in
+      let reference = Reference.or_combine streams in
+      List.for_all
+        (fun n ->
+          Time.equal (Stream.delta_min production n)
+            (Stream.delta_min reference n)
+          && Time.equal (Stream.delta_plus production n)
+               (Stream.delta_plus reference n))
+        or_ns)
+
+(* ------------------------------------------------------------------ *)
+(* busy windows *)
+
+type spec_task = {
+  period : int;
+  jitter : int;
+  cet : int * int;
+  priority : int;
+  deadline : int;
+  closure : bool;
+}
+
+let print_task t =
+  Printf.sprintf "{P=%d J=%d C=[%d:%d] prio=%d D=%d%s}" t.period t.jitter
+    (fst t.cet) (snd t.cet) t.priority t.deadline
+    (if t.closure then " closure" else "")
+
+(* [n] tasks sharing a utilisation below 0.6, so no busy period
+   diverges; the first task has jitter >= its period and C+ >= 2, so at
+   least two of its activations share a busy window (q >= 2) *)
+let gen_task ~n ~bursty =
+  let open QCheck.Gen in
+  let* period = int_range 20 300 in
+  let* jitter =
+    if bursty then int_range period (3 * period) else int_range 0 (2 * period)
+  in
+  let c_cap = Stdlib.max 2 (period * 6 / (10 * n)) in
+  let* c_hi = int_range 2 c_cap in
+  let* c_lo = int_range 1 c_hi in
+  let* priority = int_range 1 5 in
+  let* deadline = int_range c_hi (2 * period) in
+  let+ closure = bool in
+  { period; jitter; cet = (c_lo, c_hi); priority; deadline; closure }
+
+let arb_task_set =
+  let open QCheck in
+  let gen =
+    let open Gen in
+    let* n = int_range 2 5 in
+    let* first = gen_task ~n ~bursty:true in
+    let* rest = list_repeat (n - 1) (gen_task ~n ~bursty:false) in
+    let+ blocking = int_range 0 20 in
+    (first :: rest, blocking)
+  in
+  make
+    ~print:(fun (ts, blocking) ->
+      Printf.sprintf "blocking=%d %s" blocking
+        (String.concat " " (List.map print_task ts)))
+    gen
+
+let rt_tasks specs =
+  List.mapi
+    (fun i t ->
+      let activation =
+        if t.closure then closure_jitter ~period:t.period ~jitter:t.jitter
+        else
+          Stream.periodic_jitter ~name:"a" ~period:t.period ~jitter:t.jitter ()
+      in
+      Rt_task.make ~name:(Printf.sprintf "t%d" i)
+        ~cet:(Interval.make ~lo:(fst t.cet) ~hi:(snd t.cet))
+        ~priority:t.priority ~activation)
+    specs
+
+let render_outcome = Format.asprintf "%a" Busy_window.pp_outcome
+
+let render_result show = function
+  | Ok v -> "ok " ^ show v
+  | Error e -> "error " ^ e
+
+(* every task of the set: response outcome and backlog bound rendered by
+   both implementations; the first task's busy window must reach q >= 2 *)
+let busy_agreement ~production_response ~production_backlog
+    ~reference_response ~reference_backlog specs =
+  let tasks = rt_tasks specs in
+  let q_max = ref 0 in
+  let agree =
+    List.for_all
+      (fun task ->
+        let others = List.filter (fun t -> t != task) tasks in
+        let record ~q ~arr:_ ~fin:_ =
+          if task == List.hd tasks then q_max := Stdlib.max !q_max q
+        in
+        let p =
+          render_outcome (production_response ~record ~task ~others)
+          ^ render_result string_of_int (production_backlog ~task ~others)
+        and r =
+          render_outcome (reference_response ~task ~others)
+          ^ render_result string_of_int (reference_backlog ~task ~others)
+        in
+        if String.equal p r then true
+        else QCheck.Test.fail_reportf "%s: production %s, reference %s"
+            task.Rt_task.name p r)
+      tasks
+  in
+  agree && !q_max >= 2
+
+let prop_spp_matches_reference =
+  QCheck.Test.make ~name:"spp response/backlog = reference" ~count:100
+    arb_task_set (fun (specs, blocking) ->
+      busy_agreement specs
+        ~production_response:(fun ~record ~task ~others ->
+          Scheduling.Spp.response_time ~record ~blocking ~task ~others ())
+        ~production_backlog:(fun ~task ~others ->
+          Scheduling.Spp.backlog_bound ~blocking ~task ~others ())
+        ~reference_response:(fun ~task ~others ->
+          Reference.spp_response_time ~blocking ~task ~others ())
+        ~reference_backlog:(fun ~task ~others ->
+          Reference.spp_backlog_bound ~blocking ~task ~others ()))
+
+let prop_spnp_matches_reference =
+  QCheck.Test.make ~name:"spnp response/backlog = reference" ~count:100
+    arb_task_set (fun (specs, _) ->
+      busy_agreement specs
+        ~production_response:(fun ~record ~task ~others ->
+          Scheduling.Spnp.response_time ~record ~task ~others ())
+        ~production_backlog:(fun ~task ~others ->
+          Scheduling.Spnp.backlog_bound ~task ~others ())
+        ~reference_response:(fun ~task ~others ->
+          Reference.spnp_response_time ~task ~others ())
+        ~reference_backlog:(fun ~task ~others ->
+          Reference.spnp_backlog_bound ~task ~others ()))
+
+let prop_edf_matches_reference =
+  QCheck.Test.make ~name:"edf busy period/schedulable = reference" ~count:100
+    arb_task_set (fun (specs, _) ->
+      let tasks =
+        List.map2
+          (fun task t -> { Edf.task; deadline = t.deadline })
+          (rt_tasks specs) specs
+      in
+      let render busy_period schedulable =
+        render_result string_of_int (busy_period tasks)
+        ^ " / "
+        ^ render_result (fun () -> "") (schedulable tasks)
+      in
+      let p =
+        render (fun ts -> Edf.busy_period ts) (fun ts -> Edf.schedulable ts)
+      and r = render Reference.edf_busy_period Reference.edf_schedulable in
+      String.equal p r
+      || QCheck.Test.fail_reportf "production %s, reference %s" p r)
+
+let () =
+  Alcotest.run "reference"
+    [
+      ( "properties",
+        List.map QCheck_alcotest.to_alcotest
+          [
+            prop_or_matches_reference;
+            prop_spp_matches_reference;
+            prop_spnp_matches_reference;
+            prop_edf_matches_reference;
+          ] );
+    ]

@@ -121,7 +121,7 @@ let prop_output_delta_plus_exact =
         [ 2; 3; 5; 9 ])
 
 (* the compact (periodic-backend, verified-window) construction must
-   agree with the scalar recurrence everywhere — deep probes included,
+   agree with the direct Θτ recursion everywhere — deep probes included,
    where the compact curve runs on tail arithmetic *)
 let arb_stream_mixed =
   let open QCheck in
@@ -144,42 +144,26 @@ let arb_stream_mixed =
 
 let deep_ns = [ 1; 2; 3; 4; 5; 7; 11; 16; 33; 64; 100; 257; 1000; 4001 ]
 
-let prop_compact_matches_scalar =
-  QCheck.Test.make ~name:"kernel output = scalar output" ~count:150
+let prop_output_matches_reference =
+  QCheck.Test.make ~name:"output = reference output" ~count:150
     (QCheck.pair arb_stream_mixed arb_response) (fun (s, r) ->
-      let batched =
-        Event_model.Kernels.with_batched (fun () -> Task_op.output ~response:r s)
-      in
-      let scalar =
-        Event_model.Kernels.with_scalar (fun () -> Task_op.output ~response:r s)
-      in
+      let out = Task_op.output ~response:r s in
+      let reference = Verify.Reference.task_output ~response:r s in
       List.for_all
         (fun n ->
-          Time.equal (Stream.delta_min batched n) (Stream.delta_min scalar n)
-          && Time.equal (Stream.delta_plus batched n)
-               (Stream.delta_plus scalar n))
+          Time.equal (Stream.delta_min out n) (Stream.delta_min reference n)
+          && Time.equal (Stream.delta_plus out n)
+               (Stream.delta_plus reference n))
         deep_ns)
 
 (* Theta_tau conservatism audit (differential): the compact kernel path
-   must equal the naive direct recursion
+   must equal the direct recursion (Verify.Reference.task_output)
      d' n = max (d n - spread) (d' (n-1) + r-)
    on the historically suspect families — jitter larger than the period
    (deep clamped region, late floor/tail crossover) and r- = 0 (floor
    never binds, output follows the shifted input exactly).  The audit
    swept ~900 adversarial parameter combinations without divergence;
    these pin its representatives. *)
-let naive_theta ~response s n =
-  let r_minus = Interval.lo response and spread = Interval.width response in
-  let rec go k prev =
-    if k > n then prev
-    else
-      let direct =
-        Time.sub_clamped (Stream.delta_min s k) (Time.of_int spread)
-      in
-      go (k + 1) (Time.max direct (Time.add prev (Time.of_int r_minus)))
-  in
-  if n < 2 then Time.zero else go 2 Time.zero
-
 let audit_ns = [ 2; 3; 5; 17; 100; 1000; 4001; 30000 ]
 
 let test_theta_audit_jitter_above_period () =
@@ -190,11 +174,12 @@ let test_theta_audit_jitter_above_period () =
       in
       let r = Interval.make ~lo ~hi in
       let out = Task_op.output ~response:r s in
+      let reference = Verify.Reference.task_output ~response:r s in
       List.iter
         (fun n ->
           Alcotest.check time
             (Printf.sprintf "p=%d j=%d [%d:%d] n=%d" period jitter lo hi n)
-            (naive_theta ~response:r s n)
+            (Stream.delta_min reference n)
             (Stream.delta_min out n))
         audit_ns)
     [
@@ -215,23 +200,21 @@ let test_theta_audit_zero_r_minus () =
       in
       let r = Interval.make ~lo:0 ~hi in
       let out = Task_op.output ~response:r s in
+      let reference = Verify.Reference.task_output ~response:r s in
       List.iter
         (fun n ->
           Alcotest.check time
             (Printf.sprintf "p=%d j=%d [0:%d] n=%d" period jitter hi n)
-            (naive_theta ~response:r s n)
+            (Stream.delta_min reference n)
             (Stream.delta_min out n))
         audit_ns)
     [ 100, 0, 60; 100, 250, 60; 7, 1000, 3; 1, 0, 0 ]
 
 let test_compact_backend_used () =
-  (* on a plain jittered input the kernel path must actually produce a
-     compact (periodic-tail) output curve, not fall back to closures *)
+  (* on a plain jittered input the output must actually be a compact
+     (periodic-tail) curve, not the closure fallback *)
   let input = Stream.periodic_jitter ~name:"in" ~period:250 ~jitter:600 () in
-  let out =
-    Event_model.Kernels.with_batched (fun () ->
-      Task_op.output ~response:(Interval.make ~lo:5 ~hi:30) input)
-  in
+  let out = Task_op.output ~response:(Interval.make ~lo:5 ~hi:30) input in
   Alcotest.(check bool) "delta_min compact" true
     (Option.is_some
        (Event_model.Curve.periodic_tail (Stream.delta_min_curve out)));
@@ -266,6 +249,6 @@ let () =
             prop_output_min_distance_r_minus;
             prop_output_monotone_delta_min;
             prop_output_delta_plus_exact;
-            prop_compact_matches_scalar;
+            prop_output_matches_reference;
           ] );
     ]

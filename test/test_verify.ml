@@ -172,6 +172,47 @@ let test_engine_agreement_paper () =
       Cpa_system.Engine.Flat_sem;
     ]
 
+(* one resource per busy-window policy and an OR activation: the kernel
+   oracle must cover every optimised operator and find them all in
+   agreement with Verify.Reference *)
+let test_kernel_agreement_operators () =
+  let spec =
+    match
+      Cpa_system.Spec_file.parse
+        {|
+        (system
+          (source a (periodic-jitter 100 30 5))
+          (source b (sporadic 50))
+          (resource bus spnp)
+          (resource cpu spp)
+          (resource ecu edf)
+          (frame f (bus bus) (send mixed 500) (tx 2 4) (priority 7)
+            (signal x triggering (source a)))
+          (task t1 (resource cpu) (cet 3 6) (priority 1)
+            (activation (or (signal f x) (source b))))
+          (task t2 (resource cpu) (cet 5 8) (priority 2)
+            (activation (source a)))
+          (task t3 (resource ecu) (cet 5 5) (priority 1) (deadline 80)
+            (activation (output t1))))
+        |}
+    with
+    | Ok d -> Cpa_system.Spec_file.to_spec d
+    | Error e -> Alcotest.failf "parse failed: %s" e
+  in
+  match Cpa_system.Engine.analyse spec with
+  | Error e -> Alcotest.fail (Guard.Error.to_string e)
+  | Ok result ->
+    let checks = Oracle.kernel_agreement result in
+    check_all_ok ~what:"kernel" checks;
+    List.iter
+      (fun name ->
+        Alcotest.(check bool) (name ^ " checked") true
+          (List.exists (fun (c : Oracle.check) -> String.equal c.name name)
+             checks))
+      (List.map
+         (Printf.sprintf "kernel[%s]:production=reference")
+         [ "bus"; "cpu"; "ecu"; "or(upd(x),b)"; "t1.out"; "t3.out" ])
+
 let paper_generators () =
   [
     "S1", Des.Gen.periodic ~period:250 ();
@@ -302,6 +343,8 @@ let () =
           Alcotest.test_case "backend agreement" `Quick test_backend_agreement;
           Alcotest.test_case "engine agreement (paper)" `Quick
             test_engine_agreement_paper;
+          Alcotest.test_case "kernel agreement (every operator)" `Quick
+            test_kernel_agreement_operators;
           Alcotest.test_case "verify_spec (paper)" `Slow test_verify_spec_paper;
           Alcotest.test_case "cache agreement" `Slow test_cache_agreement;
           Alcotest.test_case "negative control" `Quick test_negative_control;
