@@ -1,7 +1,6 @@
 type worker_stat = {
   worker : int;
   tasks : int;
-  steals : int;
   busy_us : float;
   idle_us : float;
   counters : (string * int) list;
@@ -18,8 +17,6 @@ type 'a outcome =
 let c_tasks = Obs.Metrics.counter "explore.pool.tasks"
 let c_maps = Obs.Metrics.counter "explore.pool.maps"
 let c_interrupts = Obs.Metrics.counter "explore.pool.interrupts"
-let c_steals = Obs.Metrics.counter "explore.pool.steals"
-let g_deque_hwm = Obs.Metrics.gauge "explore.pool.deque_hwm"
 
 let default_jobs () = Domain.recommended_domain_count ()
 
@@ -28,7 +25,8 @@ let default_jobs () = Domain.recommended_domain_count ()
    handshake across all domains), which is exactly the jobs=4 slowdown
    BENCH_3 recorded on a 1-core box.  [jobs] is therefore a request;
    the pool runs [min jobs cores] domains unless the caller explicitly
-   oversubscribes (tests exercising spawn paths, overhead benchmarks). *)
+   oversubscribes (tests that need real extra domains on a small
+   machine). *)
 let effective_jobs ?(oversubscribe = false) jobs =
   if oversubscribe then jobs
   else Stdlib.max 1 (Stdlib.min jobs (Domain.recommended_domain_count ()))
@@ -36,16 +34,24 @@ let effective_jobs ?(oversubscribe = false) jobs =
 let now_us () = Unix.gettimeofday () *. 1e6
 
 (* ------------------------------------------------------------------ *)
-(* Legacy claiming: one atomic round-trip per item, guard checked and
-   injection site fired before every claim.  This is the only schedule
-   whose interruption behaviour is deterministic across jobs counts
-   (claims are globally ascending, so when the guard trips at item [k]
-   every item below [k] has already been claimed and therefore completes
-   before the join), so it is kept for every guarded or fault-injected
-   map.  Unguarded maps — the throughput path — use the chunked
-   work-stealing scheduler below instead. *)
-let worker_loop_items ~label ~queue ~n ~f ~results ~errors ~guard ~stop ~tasks
-    ~hist () =
+(* One worker: claims items one at a time off the shared counter, in
+   globally ascending order, checking the guard and firing the injection
+   site before every claim.  Ascending claims are what make an
+   interruption deterministic across jobs counts: when the guard trips at
+   item [k] every item below [k] has already been claimed and therefore
+   completes before the join.  Results (and the first exception per item)
+   are recorded by index so the merge is schedule-independent.  An
+   exception escaping the claim path itself — e.g. an injected worker
+   crash — is captured per worker, never lost. *)
+let worker ~label ~queue ~n ~f ~results ~errors ~guard ~stop w =
+  let scope = Obs.Metrics.scope (Printf.sprintf "%s.worker%d" label w) in
+  let tasks = ref 0 in
+  let crash = ref None in
+  (* One local histogram per worker (plain cells, single writer); the
+     caller merges them into the registered distribution after the
+     join.  [idle_us] is filled in post-join too — a worker cannot
+     know how long it out-waited its peers. *)
+  let hist = if Obs.Hist.enabled () then Some (Obs.Hist.make ()) else None in
   let rec drain () =
     match Atomic.get stop with
     | Some _ -> ()
@@ -76,137 +82,11 @@ let worker_loop_items ~label ~queue ~n ~f ~results ~errors ~guard ~stop ~tasks
           ignore (Atomic.compare_and_set stop None (Some r))
       end
   in
-  drain ()
-
-(* ------------------------------------------------------------------ *)
-(* Chunked scheduler: workers claim contiguous chunks off the shared
-   counter (one atomic op per chunk, not per item) into a per-worker
-   deque; the owner drains its deque from the front in small private
-   batches, and when both the shared counter and its own deque run dry
-   it steals the back half of a peer's remainder — classic bounded
-   work-stealing, which fixes the tail imbalance block-splitting would
-   otherwise reintroduce.  Only reachable when no guard can trip, so
-   workers never abandon claimed items and the merge is a total,
-   schedule-independent function of [f]. *)
-
-type deque = {
-  mutable d_lo : int;  (* next index the owner will take *)
-  mutable d_hi : int;  (* exclusive upper bound of the remainder *)
-  mutable d_hwm : int;  (* deepest remainder this deque ever held *)
-  d_lock : Mutex.t;
-}
-
-let chunk_size ~n ~workers =
-  Stdlib.max 1 (Stdlib.min 64 (n / (4 * workers)))
-
-let mini_batch = 8
-
-let worker_loop_chunked ~queue ~n ~chunk ~f ~results ~errors ~deques ~tasks
-    ~hist w =
-  let workers = Array.length deques in
-  let mine = deques.(w) in
-  let run_range lo hi =
-    for i = lo to hi - 1 do
-      Obs.Metrics.incr c_tasks;
-      Stdlib.incr tasks;
-      match
-        match hist with
-        | None -> f i
-        | Some h ->
-          let t0 = now_us () in
-          let v = f i in
-          Obs.Hist.record h (int_of_float ((now_us () -. t0) *. 1e3));
-          v
-      with
-      | v -> results.(i) <- Some v
-      | exception e -> errors.(i) <- Some e
-    done
-  in
-  (* take up to [mini_batch] items from the front of [dq] *)
-  let take_front dq =
-    Mutex.lock dq.d_lock;
-    let lo = dq.d_lo in
-    let take = Stdlib.min mini_batch (dq.d_hi - lo) in
-    if take > 0 then dq.d_lo <- lo + take;
-    Mutex.unlock dq.d_lock;
-    if take > 0 then Some (lo, lo + take) else None
-  in
-  (* steal the back half of a peer's remainder into [mine] *)
-  let steal () =
-    let rec try_victim k =
-      if k >= workers then false
-      else begin
-        let v = (w + 1 + k) mod workers in
-        if v = w then try_victim (k + 1)
-        else begin
-          let dq = deques.(v) in
-          Mutex.lock dq.d_lock;
-          let len = dq.d_hi - dq.d_lo in
-          let got =
-            if len <= 0 then None
-            else begin
-              let take = (len + 1) / 2 in
-              let lo = dq.d_hi - take in
-              dq.d_hi <- lo;
-              Some (lo, lo + take)
-            end
-          in
-          Mutex.unlock dq.d_lock;
-          match got with
-          | Some (lo, hi) ->
-            Obs.Metrics.incr c_steals;
-            Mutex.lock mine.d_lock;
-            mine.d_lo <- lo;
-            mine.d_hi <- hi;
-            if hi - lo > mine.d_hwm then mine.d_hwm <- hi - lo;
-            Mutex.unlock mine.d_lock;
-            true
-          | None -> try_victim (k + 1)
-        end
-      end
-    in
-    try_victim 0
-  in
-  let rec drain () =
-    match take_front mine with
-    | Some (lo, hi) ->
-      run_range lo hi;
-      drain ()
-    | None ->
-      let i = Atomic.fetch_and_add queue chunk in
-      if i < n then begin
-        let hi = Stdlib.min n (i + chunk) in
-        Mutex.lock mine.d_lock;
-        mine.d_lo <- i;
-        mine.d_hi <- hi;
-        if hi - i > mine.d_hwm then mine.d_hwm <- hi - i;
-        Mutex.unlock mine.d_lock;
-        drain ()
-      end
-      else if steal () then drain ()
-  in
-  drain ()
-
-(* One worker: telemetry wrapper around whichever drain loop the map
-   selected; results (and the first exception per item) are recorded by
-   index so the merge is schedule-independent.  An exception escaping
-   the claim path itself — e.g. an injected worker crash — is captured
-   per worker, never lost. *)
-let worker ~label ~drain w =
-  let scope = Obs.Metrics.scope (Printf.sprintf "%s.worker%d" label w) in
-  let tasks = ref 0 in
-  let crash = ref None in
-  (* One local histogram per worker (plain cells, single writer); the
-     caller merges them into the registered distribution after the
-     join.  [idle_us] is filled in post-join too — a worker cannot
-     know how long it out-waited its peers. *)
-  let hist = if Obs.Hist.enabled () then Some (Obs.Hist.make ()) else None in
   let t_begin = now_us () in
   Obs.Metrics.in_scope scope (fun () ->
-    match drain ~tasks ~hist w with () -> () | exception e -> crash := Some e);
+    match drain () with () -> () | exception e -> crash := Some e);
   let t_end = now_us () in
-  ( { worker = w; tasks = !tasks; steals = Obs.Metrics.read scope c_steals;
-      busy_us = t_end -. t_begin; idle_us = 0.0;
+  ( { worker = w; tasks = !tasks; busy_us = t_end -. t_begin; idle_us = 0.0;
       counters = Obs.Metrics.snapshot scope },
     t_begin,
     t_end,
@@ -233,7 +113,6 @@ let emit_worker_spans label stats =
                attrs =
                  [
                    "tasks", Obs.Event.Int stat.tasks;
-                   "steals", Obs.Event.Int stat.steals;
                    "busy_us", Obs.Event.Int (int_of_float stat.busy_us);
                    "idle_us", Obs.Event.Int (int_of_float stat.idle_us);
                  ];
@@ -251,27 +130,7 @@ let map_guarded ?jobs ?oversubscribe ?(label = "explore.pool")
   let errors = Array.make n None in
   let queue = Atomic.make 0 in
   let stop : Guard.Error.t option Atomic.t = Atomic.make None in
-  (* Guarded or fault-injected maps need the deterministic per-item
-     claim order; unguarded maps take the chunked scheduler. *)
-  let use_items = guard != Guard.none || Guard.Inject.armed () in
-  let deques =
-    if use_items then [||]
-    else
-      Array.init workers (fun _ ->
-        { d_lo = 0; d_hi = 0; d_hwm = 0; d_lock = Mutex.create () })
-  in
-  let drain =
-    if use_items then fun ~tasks ~hist _w ->
-      worker_loop_items ~label ~queue ~n ~f ~results ~errors ~guard ~stop
-        ~tasks ~hist ()
-    else begin
-      let chunk = chunk_size ~n ~workers in
-      fun ~tasks ~hist w ->
-        worker_loop_chunked ~queue ~n ~chunk ~f ~results ~errors ~deques
-          ~tasks ~hist w
-    end
-  in
-  let run = worker ~label ~drain in
+  let run = worker ~label ~queue ~n ~f ~results ~errors ~guard ~stop in
   let stats =
     Obs.Trace.with_span
       ~attrs:
@@ -326,9 +185,6 @@ let map_guarded ?jobs ?oversubscribe ?(label = "explore.pool")
         t_b, t_e, crash, hist)
       stats
   in
-  if Array.length deques > 0 then
-    Obs.Metrics.set g_deque_hwm
-      (Array.fold_left (fun acc d -> Stdlib.max acc d.d_hwm) 0 deques);
   (* Per-worker task-duration histograms fold into one registered
      distribution; the join above is the happens-before edge Hist
      requires. *)
@@ -395,16 +251,13 @@ let map_guarded ?jobs ?oversubscribe ?(label = "explore.pool")
       end
     end
 
-let map_stats ?jobs ?oversubscribe ?label f n =
+let map ?jobs ?oversubscribe ?label f n =
   match map_guarded ?jobs ?oversubscribe ?label f n with
-  | Complete vs, stats -> vs, stats
+  | Complete vs, _ -> vs
   | Interrupted { reason; _ }, _ ->
     (* without a caller-supplied guard an interruption can only come
        from an injected trip; surface it as the error it is *)
     raise (Guard.Error.Error reason)
-
-let map ?jobs ?oversubscribe ?label f n =
-  fst (map_stats ?jobs ?oversubscribe ?label f n)
 
 (* ------------------------------------------------------------------ *)
 (* Persistent worker service *)

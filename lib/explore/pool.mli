@@ -1,5 +1,5 @@
-(** Fixed-size domain pool with a chunked work queue, work stealing and
-    a deterministic merge.
+(** Fixed-size domain pool with a shared work queue and a deterministic
+    merge.
 
     [map ~jobs f n] evaluates [f 0 .. f (n - 1)] on a pool of domains
     pulling work from a shared queue and returns the results {e in index
@@ -12,20 +12,17 @@
     throughput collapse — every minor collection is a stop-the-world
     handshake across all domains.  Results are unaffected (the merge is
     index-ordered either way); only the schedule changes.  Pass
-    [~oversubscribe:true] to force one domain per requested job (spawn-
-    path tests, overhead measurements).  [effective_jobs _ = 1] runs
-    everything in the calling domain (no spawn), which is the baseline
-    the determinism guard compares against.
+    [~oversubscribe:true] to force one domain per requested job (tests
+    that need real extra domains on a machine with fewer cores).
+    [effective_jobs _ = 1] runs everything in the calling domain (no
+    spawn), which is the baseline the determinism guard compares
+    against.
 
-    {b Scheduling.}  Unguarded maps claim {e chunks} of indices off the
-    shared queue (one atomic operation per chunk instead of one per
-    item) into a per-worker deque; owners drain their deque from the
-    front in small batches while idle workers steal the back half of a
-    peer's remainder, so the tail stays balanced without per-item
-    round-trips.  Maps with a real guard — or with fault injection
-    armed — fall back to per-item claims in globally ascending order,
-    which is what makes the interrupted prefix deterministic across
-    jobs counts (see {!map_guarded}).
+    {b Scheduling.}  Every map claims items one at a time off a shared
+    atomic counter, in globally ascending order, checking its guard
+    before each claim.  Ascending claims are what make the interrupted
+    prefix deterministic across jobs counts (see {!map_guarded}); with
+    no guard the check returns at once.
 
     {b Domain-locality contract.}  [f] runs on a worker domain.  Every
     mutable structure it touches must be created inside the call — in
@@ -39,21 +36,18 @@
     Telemetry: every worker runs under its own [Obs.Metrics] scope
     ([<label>.worker<i>]), whose snapshot is returned in
     {!worker_stat.counters}; the pool bumps the global counters
-    [explore.pool.tasks], [explore.pool.maps], [explore.pool.interrupts]
-    and [explore.pool.steals], and records the deepest per-worker deque
-    remainder of the last chunked map in the gauge
-    [explore.pool.deque_hwm].  When [Obs.Hist.enabled], each worker
+    [explore.pool.tasks], [explore.pool.maps] and
+    [explore.pool.interrupts].  When [Obs.Hist.enabled], each worker
     times its items into a private histogram and the pool merges them
     into the registered distribution [<label>.task_ns] after the join.
     When a tracing sink is installed, one [<label>.worker<i>] span per
-    worker (with [tasks] / [steals] / [busy_us] / [idle_us] attributes)
+    worker (with [tasks] / [busy_us] / [idle_us] attributes)
     is emitted {e after} the join, with explicit timestamps, so worker
     domains never touch the sink concurrently. *)
 
 type worker_stat = {
   worker : int;  (** worker index, [0 .. effective_jobs - 1] *)
   tasks : int;  (** queue items this worker executed *)
-  steals : int;  (** deque back-halves this worker stole from peers *)
   busy_us : float;  (** wall time of the worker's drain loop *)
   idle_us : float;
       (** tail imbalance: how long this worker's peers kept running
@@ -94,12 +88,6 @@ val map :
     (deterministic error too).
     @raise Invalid_argument when [jobs < 1] or [n < 0]. *)
 
-val map_stats :
-  ?jobs:int -> ?oversubscribe:bool -> ?label:string -> (int -> 'a) -> int ->
-  'a list * worker_stat list
-(** Like {!map}, also returning per-worker telemetry (in worker order;
-    one entry per {e effective} worker). *)
-
 val map_guarded :
   ?jobs:int ->
   ?oversubscribe:bool ->
@@ -108,14 +96,13 @@ val map_guarded :
   (int -> 'a) ->
   int ->
   'a outcome * worker_stat list
-(** Like {!map_stats}, but checks [guard] before every claim: when it
-    trips (cancellation, deadline, budget), every worker stops at its
-    next claim, all domains are joined, and the call returns
-    [Interrupted] with the completed prefix instead of raising.  [f]
-    itself runs unguarded — interruption granularity is one queue item.
-    Guarded maps (and maps with fault injection armed) claim items
-    one at a time in globally ascending order — chunking never changes
-    interruption semantics.
+(** Like {!map}, but checks [guard] before every claim and returns
+    per-worker telemetry (in worker order; one entry per {e effective}
+    worker).  When the guard trips (cancellation, deadline, budget),
+    every worker stops at its next claim, all domains are joined, and the
+    call returns [Interrupted] with the completed prefix instead of
+    raising.  [f] itself runs unguarded — interruption granularity is
+    one queue item.
 
     Error precedence after the join (all deterministic): the smallest
     index whose [f i] raised wins; then the lowest-numbered worker's
@@ -140,7 +127,7 @@ val map_guarded :
     is how a serving session honours the pool's domain-locality contract
     (its cached streams' curve memo tables are unsynchronised, so every
     request touching one session must run where the session lives).
-    There is deliberately no stealing between mailboxes.
+    Jobs deliberately never move between mailboxes.
 
     Jobs are [unit -> unit] thunks; delivering results (and exceptions —
     a raising job is swallowed, the worker survives) is the submitter's

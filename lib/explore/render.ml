@@ -30,7 +30,6 @@ let timing_line fmt (report : Driver.report) =
     (fun (w : Pool.worker_stat) ->
       Format.fprintf fmt " worker%d: %d tasks %.1f ms" w.worker w.tasks
         (w.busy_us /. 1000.0);
-      if w.steals > 0 then Format.fprintf fmt " (%d steals)" w.steals;
       if w.idle_us >= 100.0 then
         Format.fprintf fmt " (idle %.1f ms)" (w.idle_us /. 1000.0))
     report.workers

@@ -284,16 +284,26 @@ echo "check: exploration determinism ok (sweep ${variants} lines + layout enumer
 
 # --- exploration: BENCH_3.json scaling sanity -------------------------
 # Refreshes BENCH_3.json.  The bench itself asserts rows are identical
-# across job counts; here we check the dedup structure and — only when
-# the machine actually has 4 cores to spend — the scaling claim (>= 2x
-# at 4 domains; with fewer cores the pool clamps the request, recorded
-# per run as effective_jobs, and no 2x can materialise).
+# across job counts; here we check the dedup structure, that 2 domains
+# beat 1 whenever the machine has 2 cores (the sweep is ~46% cache
+# hits, where per-item claims hand a key's duplicates to different
+# workers and one may wait on the other's compute), and — only when the
+# machine actually has 4 cores to spend — the scaling claim (>= 2x at 4
+# domains; with fewer cores the pool clamps the request, recorded per
+# run as effective_jobs, and no 2x can materialise).
 dune exec bench/main.exe -- explore
 jq -e '.rows_identical == true' BENCH_3.json > /dev/null
 jq -e '.variants >= 200 and .cache_hits > 0 and (.variants == .unique + .cache_hits)' BENCH_3.json > /dev/null
 jq -e '[.runs[] | has("effective_jobs")] | all' BENCH_3.json > /dev/null \
   || { echo "check: BENCH_3.json runs missing effective_jobs" >&2; exit 1; }
 cores=$(jq '.cores' BENCH_3.json)
+if [ "$cores" -ge 2 ]; then
+  if ! jq -e '[.runs[] | select(.jobs == 2)][0].speedup_vs_jobs1 > 1' BENCH_3.json > /dev/null; then
+    echo "check: no explore speedup at 2 domains on a ${cores}-core machine" >&2
+    exit 1
+  fi
+  echo "check: explore 2-domain speedup ok ($(jq '[.runs[] | select(.jobs == 2)][0].speedup_vs_jobs1' BENCH_3.json)x, ${cores} cores)"
+fi
 if [ "$cores" -ge 4 ]; then
   if ! jq -e '[.runs[] | select(.jobs == 4)][0].speedup_vs_jobs1 >= 2' BENCH_3.json > /dev/null; then
     echo "check: explore speedup at 4 domains below 2x on a ${cores}-core machine" >&2
@@ -301,7 +311,7 @@ if [ "$cores" -ge 4 ]; then
   fi
   echo "check: explore scaling ok ($(jq '[.runs[] | select(.jobs == 4)][0].speedup_vs_jobs1' BENCH_3.json)x at 4 domains, ${cores} cores)"
 else
-  echo "check: explore scaling assertion skipped (${cores} core(s); dedup + determinism still verified)"
+  echo "check: explore 4-domain scaling assertion skipped (${cores} core(s); dedup + determinism still verified)"
 fi
 
 # --- self-verification ------------------------------------------------

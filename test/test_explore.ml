@@ -51,11 +51,11 @@ let test_pool_invalid () =
   Alcotest.(check bool) "n<0" true
     (raises (fun () -> Pool.map ~jobs:1 (fun i -> i) (-1)))
 
-let test_pool_chunked_determinism () =
-  (* the unguarded (chunked, work-stealing) scheduler must be a pure
-     function of [f]: byte-identical output at every jobs count, with
-     real extra domains forced via oversubscription so stealing is
-     actually exercised on a small machine *)
+let test_pool_schedule_determinism () =
+  (* the pool's one schedule — per-item ascending claims — must be a
+     pure function of [f]: byte-identical output at every jobs count,
+     with real extra domains forced via oversubscription so workers
+     actually interleave their claims on a small machine *)
   let f i = Printf.sprintf "item-%d:%d" i (i * i) in
   let n = 200 in
   let serial = Marshal.to_string (Pool.map ~jobs:1 f n) [] in
@@ -67,9 +67,9 @@ let test_pool_chunked_determinism () =
         (Marshal.to_string (Pool.map ~jobs ~oversubscribe:true f n) []))
     [ 1; 2; 4 ]
 
-let test_pool_chunked_smallest_error () =
-  (* chunking must not change which exception surfaces: still the
-     smallest failing index, even with parallel domains racing *)
+let test_pool_parallel_smallest_error () =
+  (* interleaved claims must not change which exception surfaces: still
+     the smallest failing index, even with parallel domains racing *)
   for _ = 1 to 5 do
     match
       Pool.map ~jobs:4 ~oversubscribe:true
@@ -103,13 +103,19 @@ let test_pool_guarded_prefix_jobs_independent () =
 let test_pool_stats () =
   (* one stat per *effective* worker: the pool clamps the requested jobs
      to the machine's cores unless oversubscription is forced *)
-  let results, stats = Pool.map_stats ~jobs:3 (fun i -> i + 1) 10 in
+  let complete = function
+    | Pool.Complete vs, stats -> vs, stats
+    | Pool.Interrupted _, _ -> Alcotest.fail "unguarded map interrupted"
+  in
+  let results, stats =
+    complete (Pool.map_guarded ~jobs:3 (fun i -> i + 1) 10)
+  in
   Alcotest.(check (list int)) "results" (List.init 10 (fun i -> i + 1)) results;
   Alcotest.(check int) "workers" (Pool.effective_jobs 3) (List.length stats);
   Alcotest.(check int) "tasks add up" 10
     (List.fold_left (fun acc (w : Pool.worker_stat) -> acc + w.tasks) 0 stats);
   let results, stats =
-    Pool.map_stats ~jobs:3 ~oversubscribe:true (fun i -> i + 1) 10
+    complete (Pool.map_guarded ~jobs:3 ~oversubscribe:true (fun i -> i + 1) 10)
   in
   Alcotest.(check (list int)) "results (oversubscribed)"
     (List.init 10 (fun i -> i + 1))
@@ -120,9 +126,9 @@ let test_pool_stats () =
 
 let test_pool_counter_consistency () =
   (* counter bumps from worker domains go through one process-global
-     atomic per counter, so the chunked work-stealing scheduler must
-     lose no updates: totals are exact and schedule-independent at any
-     jobs count, including forced oversubscription (real stealing) *)
+     atomic per counter, so workers claiming interleaved items must lose
+     no updates: totals are exact and schedule-independent at any jobs
+     count, including forced oversubscription (real extra domains) *)
   let c = Obs.Metrics.counter "test.explore.counted" in
   let c_tasks = Obs.Metrics.counter "explore.pool.tasks" in
   let n = 500 in
@@ -175,31 +181,49 @@ let test_pool_hist_merge () =
 (* ------------------------------------------------------------------ *)
 (* Cache *)
 
-let test_cache_single_flight () =
-  (* 40 lookups of 10 distinct keys from 4 domains: each key is computed
-     exactly once and the statistics are schedule-independent *)
+let single_flight ?oversubscribe ~jobs ~n key_of =
+  (* [n] lookups keyed by [key_of i] from [jobs] domains: each distinct
+     key is computed exactly once, every other lookup is a hit (after
+     waiting on the in-flight compute if it has to; the compute sleeps
+     briefly so a concurrent lookup of its key does find it pending) *)
   let cache = Cache.create () in
   let computes = Atomic.make 0 in
   let results =
-    Pool.map ~jobs:4
+    Pool.map ~jobs ?oversubscribe
       (fun i ->
-        let key = Printf.sprintf "k%d" (i mod 10) in
+        let k = key_of i in
         let v, _hit =
-          Cache.find_or_compute cache ~key (fun () ->
+          Cache.find_or_compute cache ~key:(Printf.sprintf "k%d" k) (fun () ->
               Atomic.incr computes;
-              (i mod 10) * 7)
+              Unix.sleepf 0.0005;
+              k * 7)
         in
         v)
-      40
+      n
   in
-  Alcotest.(check (list int)) "values"
-    (List.init 40 (fun i -> i mod 10 * 7))
+  let distinct = List.length (List.sort_uniq compare (List.init n key_of)) in
+  let tag = Printf.sprintf "jobs=%d" jobs in
+  Alcotest.(check (list int)) ("values " ^ tag)
+    (List.init n (fun i -> key_of i * 7))
     results;
-  Alcotest.(check int) "computed once per key" 10 (Atomic.get computes);
+  Alcotest.(check int) ("computed once per key " ^ tag) distinct
+    (Atomic.get computes);
   let stats = Cache.stats cache in
-  Alcotest.(check int) "lookups" 40 stats.Cache.lookups;
-  Alcotest.(check int) "entries" 10 stats.Cache.entries;
-  Alcotest.(check int) "hits = lookups - entries" 30 stats.Cache.hits
+  Alcotest.(check int) ("lookups " ^ tag) n stats.Cache.lookups;
+  Alcotest.(check int) ("entries " ^ tag) distinct stats.Cache.entries;
+  Alcotest.(check int) ("hits = lookups - entries " ^ tag) (n - distinct)
+    stats.Cache.hits
+
+let test_cache_single_flight () =
+  (* 40 lookups of 10 distinct keys from 4 domains: each key is computed
+     exactly once and the statistics are schedule-independent *)
+  single_flight ~jobs:4 ~n:40 (fun i -> i mod 10);
+  (* adjacent duplicates: interleaved per-item claims hand items [2k]
+     and [2k+1] to different workers, so the second lookup of a key
+     usually finds its compute still in flight and waits on it *)
+  List.iter
+    (fun jobs -> single_flight ~oversubscribe:true ~jobs ~n:40 (fun i -> i / 2))
+    [ 2; 4 ]
 
 let test_cache_failed_compute_retries () =
   let cache = Cache.create () in
@@ -480,10 +504,10 @@ let () =
             test_pool_smallest_error;
           Alcotest.test_case "invalid arguments" `Quick test_pool_invalid;
           Alcotest.test_case "worker stats" `Quick test_pool_stats;
-          Alcotest.test_case "chunked scheduler deterministic" `Quick
-            test_pool_chunked_determinism;
-          Alcotest.test_case "chunked smallest-index error" `Quick
-            test_pool_chunked_smallest_error;
+          Alcotest.test_case "schedule deterministic across jobs" `Quick
+            test_pool_schedule_determinism;
+          Alcotest.test_case "parallel smallest-index error" `Quick
+            test_pool_parallel_smallest_error;
           Alcotest.test_case "guarded prefix jobs-independent" `Quick
             test_pool_guarded_prefix_jobs_independent;
           Alcotest.test_case "multi-domain counter consistency" `Quick
