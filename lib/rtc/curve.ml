@@ -335,30 +335,79 @@ let min_plus_deconv f g =
   let search_limit = h + lcm f.rate_den g.rate_den in
   (* Beyond h every f-leg sits past f's horizon, so the whole supremum
      advances by exactly rate_num per rate_den of f: probing one f-period
-     past h certifies the tail.  One table of the supremum over
-     0 .. h + rate_den serves both the samples and those probes, computed
-     on tabulated operands. *)
+     past h certifies the tail.  The rows 0 .. h are the samples, the
+     rows h + 1 .. h + rate_den those probes, all computed on tabulated
+     operands. *)
   let last = h + f.rate_den in
   let fs = Array.init (last + search_limit + 1) (eval f) in
-  let gs = Array.init (search_limit + 1) (eval g) in
-  (* dt <= last and s <= search_limit keep both reads in bounds; the
-     checked reads cost about as much as the loop itself *)
-  let value =
-    Array.init (last + 1) (fun dt ->
-        let best = ref (fs.(dt) - gs.(0)) in
-        for s = 1 to search_limit do
-          let v = Array.unsafe_get fs (dt + s) - Array.unsafe_get gs s in
-          if v > !best then best := v
-        done;
-        !best)
+  (* Replace g by its suffix minimum over the lag range.  With f
+     non-decreasing a lag s never beats a later lag s' with
+     g s' <= g s, so sup (f (dt + s) - g s) = sup (f (dt + s) - gmin s).
+     gmin is non-decreasing, so within a run of equal f values the
+     first lag of the run wins: each row only reads s = 0 and the lags
+     landing on a step of fs. *)
+  let gmin = Array.init (search_limit + 1) (eval g) in
+  for s = search_limit - 1 downto 0 do
+    if gmin.(s + 1) < gmin.(s) then gmin.(s) <- gmin.(s + 1)
+  done;
+  let n = Array.length fs in
+  let n_steps = ref 0 in
+  for i = 1 to n - 1 do
+    let d = fs.(i) - fs.(i - 1) in
+    if d < 0 then
+      invalid_arg "Rtc.Curve.min_plus_deconv: decreasing numerator";
+    if d > 0 then incr n_steps
+  done;
+  let steps = Array.make !n_steps 0 and n_steps = ref 0 in
+  for i = 1 to n - 1 do
+    if fs.(i) > fs.(i - 1) then begin
+      steps.(!n_steps) <- i;
+      incr n_steps
+    end
+  done;
+  let n_steps = !n_steps in
+  (* Candidates are read in ascending order.  Past a step p no later
+     candidate can beat [top - gmin (p - dt)], with [top] the largest f
+     value in the row's range, so the scan stops as soon as that bound
+     no longer exceeds the best value found.  Running maxima here and in
+     the deviation scans compare ints directly: [Stdlib.max] is the
+     polymorphic compare, an external call per step. *)
+  let rec scan ~dt ~stop ~top k best =
+    if k >= n_steps then best
+    else begin
+      let p = steps.(k) in
+      if p > stop then best
+      else begin
+        let gp = gmin.(p - dt) in
+        if top - gp <= best then best
+        else begin
+          let v = fs.(p) - gp in
+          scan ~dt ~stop ~top (k + 1) (if v > best then v else best)
+        end
+      end
+    end
   in
+  (* [first] is the first step past dt; it only moves forward, so rows
+     must be computed in ascending dt (Array.init applies its function in
+     order).  Every read stays in bounds: dt <= last and
+     p - dt <= search_limit. *)
+  let first = ref 0 in
+  let row dt =
+    while !first < n_steps && steps.(!first) <= dt do
+      incr first
+    done;
+    let stop = dt + search_limit in
+    scan ~dt ~stop ~top:fs.(stop) !first (fs.(dt) - gmin.(0))
+  in
+  let samples = Array.init (h + 1) row in
+  let probes = Array.init f.rate_den (fun x -> row (h + 1 + x)) in
   let slack =
-    probe_slack ~kind:f.kind ~h ~l:f.rate_den ~rate:rf ~anchor:value.(h)
-      [ Array.get value ]
+    probe_slack ~kind:f.kind ~h ~l:f.rate_den ~rate:rf ~anchor:samples.(h)
+      [ (fun dt -> probes.(dt - h - 1)) ]
   in
   {
     kind = f.kind;
-    samples = Array.sub value 0 (h + 1);
+    samples;
     rate_num = f.rate_num;
     rate_den = f.rate_den;
     tail_offset = signed_offset f.kind slack;
@@ -392,7 +441,10 @@ let vertical_deviation ~upper ~lower =
     let limit = deviation_limit ~upper ~lower in
     let rec scan dt best =
       if dt > limit then Some best
-      else scan (dt + 1) (Stdlib.max best (eval upper dt - eval lower (dt - 1)))
+      else begin
+        let v = eval upper dt - eval lower (dt - 1) in
+        scan (dt + 1) (if v > best then v else best)
+      end
     in
     scan 1 0
   end
@@ -408,26 +460,30 @@ let horizontal_deviation ~upper ~lower =
   then None
   else begin
     let limit = deviation_limit ~upper ~lower in
-    (* inf {tau | upper dt <= lower (dt - 1 + tau)} per dt >= 1; the lower
-       curve is monotone so tau is found by forward search *)
-    let delay_at dt =
-      let demand = eval upper dt in
-      let rec advance tau =
-        if tau > 8 * limit then None
-        else if eval lower (dt - 1 + tau) >= demand then Some tau
-        else advance (tau + 1)
-      in
-      advance 0
-    in
-    let rec scan dt best =
+    (* tau dt = j dt - (dt - 1) with j dt the first index >= dt - 1
+       where lower reaches upper dt.  The demand never falls and the
+       start only advances, so j never moves left as dt grows: one
+       forward pointer serves every dt. *)
+    let rec scan dt j demand best =
       if dt > limit then Some best
       else begin
-        match delay_at dt with
+        let d = eval upper dt in
+        if d < demand then
+          invalid_arg "Rtc.Curve.horizontal_deviation: decreasing upper curve";
+        let start = dt - 1 in
+        let rec advance j =
+          if j - start > 8 * limit then None
+          else if eval lower j >= d then Some j
+          else advance (j + 1)
+        in
+        match advance (if j > start then j else start) with
         | None -> None
-        | Some tau -> scan (dt + 1) (Stdlib.max best tau)
+        | Some j ->
+          let tau = j - start in
+          scan (dt + 1) j d (if tau > best then tau else best)
       end
     in
-    scan 1 0
+    scan 1 0 min_int 0
   end
 
 let pp ppf t =

@@ -131,13 +131,23 @@ val min_plus_deconv : t -> t -> t
     is (re-wrapping it as [Upper] would overstate the service); the
     result takes [f]'s kind.
 
-    Cost: O((h + den_f) * (h + lcm)) array operations, where [h] is the
-    larger horizon, [den_f] the tail denominator of [f] and [lcm] that
-    of both denominators after {!harmonise}.  The operands are
-    tabulated once ([f] on [0 .. h + den_f + h + lcm], [g] on
-    [0 .. h + lcm]) and one table of the supremum gives both the
-    samples and the tail probes.
-    @raise Unstable when [rate f > rate g] (unbounded supremum). *)
+    Precondition: [f] is non-decreasing (every arrival curve is).  [g]
+    may have any shape: it is replaced by its suffix minimum over the
+    lag range, which leaves the supremum unchanged for a non-decreasing
+    [f] and makes the first lag of every run of equal [f] values the
+    best one of the run.
+
+    Cost: O(h + den_f + h + lcm) to tabulate the operands ([f] on
+    [0 .. h + den_f + h + lcm], [g] on [0 .. h + lcm]), where [h] is the
+    larger horizon, [den_f] the tail denominator of [f] and [lcm] that of
+    both denominators after {!harmonise}; then, for each of the
+    [h + den_f + 1] rows (samples and tail probes), one read per step of
+    [f] in the row's lag range — a row stops early once no later step
+    can beat its best value.  A staircase [f] has one step per event, so
+    rows read far fewer lags than the [h + lcm] of the range; a tail
+    rate close to one step per sample degrades towards that bound.
+    @raise Unstable when [rate f > rate g] (unbounded supremum).
+    @raise Invalid_argument when [f] decreases somewhere on its table. *)
 
 val vertical_deviation : upper:t -> lower:t -> int option
 (** [sup over dt of upper dt - lower (dt - 1)] — the buffer/backlog
@@ -148,7 +158,15 @@ val vertical_deviation : upper:t -> lower:t -> int option
 
 val horizontal_deviation : upper:t -> lower:t -> int option
 (** [sup over dt of inf {tau | upper dt <= lower (dt - 1 + tau)}] — the
-    delay bound; [None] when [rate upper > rate lower] or no finite
-    bound exists in the certified range. *)
+    delay bound; [None] when [rate upper > rate lower] or when some [dt]
+    needs [tau > 8 * limit], with [limit = max horizon + lcm] of the
+    denominators the certified range of [dt].
+
+    Precondition: [upper] is non-decreasing.  The index [dt - 1 + tau]
+    that first reaches the demand then never moves left as [dt] grows, so
+    one forward pointer serves every [dt]: the cost is O(limit + the
+    largest such index), for any shape of [lower].
+    @raise Invalid_argument when [upper] decreases on [1 .. limit] or the
+    kinds are not [(Upper, Lower)]. *)
 
 val pp : Format.formatter -> t -> unit

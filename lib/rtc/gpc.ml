@@ -19,8 +19,10 @@ let remaining_service ~arrival_upper ~service_lower =
   let samples = Array.make (h + 1) 0 in
   let best = ref 0 in
   for dt = 0 to h do
-    best := Stdlib.max !best (witness dt);
-    samples.(dt) <- Stdlib.max 0 !best
+    (* an int comparison: [Stdlib.max] is the polymorphic one *)
+    let w = witness dt in
+    if w > !best then best := w;
+    samples.(dt) <- !best
   done;
   (* tail rate: service rate minus arrival rate over one common period
      (exact, not a window-difference estimate).  When positive, the

@@ -1,15 +1,45 @@
 module Count = Timebase.Count
 module Stream = Event_model.Stream
+module Delta = Event_model.Curve
 
-let events stream dt =
-  match Stream.eta_plus stream dt with
-  | Count.Fin n -> n
-  | Count.Inf -> invalid_arg "Rtc.Workload: unbounded arrivals"
+(* The arrival tables [scale * eta dt] on 0..horizon, each built in one
+   forward walk over a distance curve: both
+   eta_plus dt = max {n | delta_min n < dt} and
+   eta_minus dt = min {n >= 0 | delta_plus (n + 2) > dt} only grow with
+   dt, so the event index [n] advances while the distance [next] it
+   reads still fits in the window, and each distance is read once.  The
+   windows with an infinite inversion are exactly those from the first
+   one on, so one probe at [horizon] decides the error up front — and
+   bounds the walk. *)
+let walk ~horizon ~scale ~strict ~offset curve =
+  let table = Array.make (horizon + 1) 0 in
+  (* the first distance read is at index 2: distances of n <= 1 events
+     are zero and fit in every non-empty window *)
+  let n = ref (2 - offset) in
+  let next = ref (Delta.eval_packed curve (!n + offset)) in
+  for dt = 1 to horizon do
+    while if strict then !next < dt else !next <= dt do
+      incr n;
+      next := Delta.eval_packed curve (!n + offset)
+    done;
+    table.(dt) <- scale * !n
+  done;
+  table
 
-let floor_events stream dt =
-  match Stream.eta_minus stream dt with
-  | Count.Fin n -> n
-  | Count.Inf -> invalid_arg "Rtc.Workload: infinite guaranteed arrivals"
+(* eta_plus: walk n from 1 (every non-empty window holds one event) while
+   delta_min (n + 1) < dt *)
+let eta_plus_table ~horizon ~scale stream =
+  (match Stream.eta_plus stream horizon with
+   | Count.Fin _ -> ()
+   | Count.Inf -> invalid_arg "Rtc.Workload: unbounded arrivals");
+  walk ~horizon ~scale ~strict:true ~offset:1 (Stream.delta_min_curve stream)
+
+(* eta_minus: walk n from 0 while delta_plus (n + 2) <= dt *)
+let eta_minus_table ~horizon ~scale stream =
+  (match Stream.eta_minus stream horizon with
+   | Count.Fin _ -> ()
+   | Count.Inf -> invalid_arg "Rtc.Workload: infinite guaranteed arrivals");
+  walk ~horizon ~scale ~strict:false ~offset:2 (Stream.delta_plus_curve stream)
 
 (* Tail-rate window selection: [certified] uses rate (g window / window),
    so the window that minimises (Upper) or maximises (Lower) that
@@ -45,14 +75,10 @@ let pick_window ~horizon ~better g =
   if horizon > limit then consider horizon;
   !best
 
-(* The window search, the certified slack and the samples all read the
-   demand on 0..horizon only: evaluate the stream there once. *)
-let tabulate ~horizon g = Array.get (Array.init (horizon + 1) g)
-
 let arrival_upper ~horizon ~wcet stream =
   if wcet < 1 then invalid_arg "Rtc.Workload.arrival_upper: wcet < 1";
   if horizon < 1 then invalid_arg "Rtc.Workload.arrival_upper: horizon < 1";
-  let g = tabulate ~horizon (fun dt -> wcet * events stream dt) in
+  let g = Array.get (eta_plus_table ~horizon ~scale:wcet stream) in
   (* eta_plus is subadditive (any window splits into two), so the
      slack-anchor tail of [certified] is sound at every point past the
      horizon — unlike a window-difference estimate, which can undershoot
@@ -63,7 +89,7 @@ let arrival_upper ~horizon ~wcet stream =
 let arrival_lower ~horizon ~bcet stream =
   if bcet < 1 then invalid_arg "Rtc.Workload.arrival_lower: bcet < 1";
   if horizon < 1 then invalid_arg "Rtc.Workload.arrival_lower: horizon < 1";
-  let g = tabulate ~horizon (fun dt -> bcet * floor_events stream dt) in
+  let g = Array.get (eta_minus_table ~horizon ~scale:bcet stream) in
   (* eta_minus is superadditive (worst windows concatenate), dual of the
      upper case: a window-difference estimate can overshoot the long-run
      guaranteed rate and eventually promise more arrivals than the

@@ -15,13 +15,24 @@ val arrival_upper :
 (** [eta_plus dt * wcet] sampled on the horizon.  The tail rate is the
     best [g w / w] over a bounded window range, certified by
     subadditivity of [eta_plus]: the rounded-up tail never dips below
-    [eta_plus dt * wcet] at any [dt] past the horizon. *)
+    [eta_plus dt * wcet] at any [dt] past the horizon.
+
+    The samples come from one forward walk over [delta_min] on
+    [0 .. horizon] (eta_plus only grows with the window, so each
+    distance is read once), equal to one {!Event_model.Stream.eta_plus}
+    per window.  Cost: O(horizon + eta_plus horizon) distance reads.
+    @raise Invalid_argument ["Rtc.Workload: unbounded arrivals"] when
+    [eta_plus horizon] is infinite — exactly when some window up to the
+    horizon is. *)
 
 val arrival_lower :
   horizon:int -> bcet:int -> Event_model.Stream.t -> Curve.t
 (** [eta_minus dt * bcet], dual certification via superadditivity (the
     rounded-down tail never exceeds the guaranteed demand); a stream
-    with no lower bound yields a certified zero tail. *)
+    with no lower bound yields a certified zero tail.  The samples come
+    from the dual walk over [delta_plus].
+    @raise Invalid_argument ["Rtc.Workload: infinite guaranteed
+    arrivals"] when [eta_minus horizon] is infinite. *)
 
 val service_full : horizon:int -> Curve.t
 (** Unit-rate lower service curve of a fully available resource:

@@ -112,7 +112,7 @@ type ctx = {
       (* elements whose profile moved in the current iteration — folded
          into the changed set so downstream outputs are re-derived even
          when the response interval itself is stable *)
-  rtc_outputs : (string, Stream.t * string) Hashtbl.t;
+  rtc_outputs : (string, Stream.t * int array) Hashtbl.t;
       (* converted output streams of tasks on RTC-backend resources,
          with a behavioural fingerprint for change detection; these
          replace the response-based output propagation for such tasks *)
@@ -317,22 +317,14 @@ let record_profiles ctx results =
 (* Converted output streams are opaque closures, so movement across
    iterations is detected behaviourally, like [Spec]'s source
    fingerprints: a prefix of both distance functions plus deep probes
-   that expose the periodic tail. *)
+   that expose the periodic tail, compared as packed values. *)
+let fingerprint_probes =
+  Array.append (Array.init 33 (fun i -> i + 2)) [| 64; 101; 257 |]
+
 let stream_fingerprint s =
-  let buffer = Buffer.create 256 in
-  let probe f n =
-    Buffer.add_string buffer (Timebase.Time.to_string (f s n));
-    Buffer.add_char buffer ' '
-  in
-  for n = 2 to 34 do
-    probe Stream.delta_min n
-  done;
-  List.iter (probe Stream.delta_min) [ 64; 101; 257 ];
-  for n = 2 to 34 do
-    probe Stream.delta_plus n
-  done;
-  List.iter (probe Stream.delta_plus) [ 64; 101; 257 ];
-  Buffer.contents buffer
+  Array.append
+    (Curve.eval_batch (Stream.delta_min_curve s) fingerprint_probes)
+    (Curve.eval_batch (Stream.delta_plus_curve s) fingerprint_probes)
 
 let record_rtc_output ctx name output =
   match output with
@@ -344,7 +336,7 @@ let record_rtc_output ctx name output =
   | Some stream ->
     let fp = stream_fingerprint stream in
     (match Hashtbl.find_opt ctx.rtc_outputs name with
-     | Some (_, old) when String.equal old fp -> ()
+     | Some (_, old) when old = fp -> ()
      | Some _ | None ->
        Hashtbl.replace ctx.rtc_outputs name (stream, fp);
        ctx.rtc_changed <- S.add name ctx.rtc_changed)

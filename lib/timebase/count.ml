@@ -38,8 +38,6 @@ let min x y = if compare x y <= 0 then x else y
 
 let max x y = if compare x y >= 0 then x else y
 
-let pp ppf = function
-  | Fin n -> Format.pp_print_int ppf n
-  | Inf -> Format.pp_print_string ppf "inf"
+let to_string = function Fin n -> string_of_int n | Inf -> "inf"
 
-let to_string t = Format.asprintf "%a" pp t
+let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -22,6 +22,6 @@ let contains t x = t.lo <= x && x <= t.hi
 
 let equal a b = a.lo = b.lo && a.hi = b.hi
 
-let pp ppf t = Format.fprintf ppf "[%d:%d]" t.lo t.hi
+let to_string t = "[" ^ string_of_int t.lo ^ ":" ^ string_of_int t.hi ^ "]"
 
-let to_string t = Format.asprintf "%a" pp t
+let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -64,8 +64,6 @@ let ( > ) x y = compare x y > 0
 
 let ( >= ) x y = compare x y >= 0
 
-let pp ppf = function
-  | Fin d -> Format.pp_print_int ppf d
-  | Inf -> Format.pp_print_string ppf "inf"
+let to_string = function Fin d -> string_of_int d | Inf -> "inf"
 
-let to_string t = Format.asprintf "%a" pp t
+let pp ppf t = Format.pp_print_string ppf (to_string t)

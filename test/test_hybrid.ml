@@ -233,6 +233,154 @@ let test_pinned_paper_rtc () =
      converged: true after 3 iteration(s)\n"
     (rendered spec)
 
+(* The same pins for the synthetic systems of the hybrid benchmark
+   table, under the RTC backend everywhere (EDF resources excepted, as
+   the engine requires) and with RTC on every other resource. *)
+let with_backends choose (spec : Spec.t) =
+  {
+    spec with
+    Spec.resources =
+      List.mapi
+        (fun i (r : Spec.resource) ->
+          if r.Spec.scheduler = Spec.Edf then { r with Spec.backend = Spec.Cpa }
+          else { r with Spec.backend = choose i })
+        spec.Spec.resources;
+  }
+
+let rtc_everywhere = with_backends (fun _ -> Spec.Rtc)
+
+let rtc_alternating =
+  with_backends (fun i -> if i mod 2 = 0 then Spec.Rtc else Spec.Cpa)
+
+let test_pinned_fan_in_8 () =
+  let spec = Scenarios.Synthetic.fan_in ~signals:8 () in
+  Alcotest.(check string) "fan_in_8, rtc backends"
+    "F            on CAN      R = [4:32]\n\
+     T1           on CPU      R = [20:20]\n\
+     T2           on CPU      R = [20:40]\n\
+     T3           on CPU      R = [20:60]\n\
+     T4           on CPU      R = [20:80]\n\
+     T5           on CPU      R = [20:100]\n\
+     T6           on CPU      R = [20:120]\n\
+     T7           on CPU      R = [20:140]\n\
+     T8           on CPU      R = [20:160]\n\
+     converged: true after 2 iteration(s)\n"
+    (rendered (rtc_everywhere spec));
+  Alcotest.(check string) "fan_in_8, mixed backends"
+    "F            on CAN      R = [4:32]\n\
+     T1           on CPU      R = [20:20]\n\
+     T2           on CPU      R = [20:40]\n\
+     T3           on CPU      R = [20:60]\n\
+     T4           on CPU      R = [20:80]\n\
+     T5           on CPU      R = [20:100]\n\
+     T6           on CPU      R = [20:120]\n\
+     T7           on CPU      R = [20:140]\n\
+     T8           on CPU      R = [20:160]\n\
+     converged: true after 2 iteration(s)\n"
+    (rendered (rtc_alternating spec))
+
+let test_pinned_network_8 () =
+  let spec = Scenarios.Synthetic.network () in
+  Alcotest.(check string) "network_8, rtc backends"
+    "sense0       on ecu0     R = [9:15]\n\
+     proc0        on ecu0     R = [5:37]\n\
+     recv7        on ecu0     R = [10:48]\n\
+     sense1       on ecu1     R = [7:38]\n\
+     proc1        on ecu1     R = [8:57]\n\
+     recv0        on ecu1     R = [6:57]\n\
+     sense2       on ecu2     R = [6:115]\n\
+     proc2        on ecu2     R = [8:118]\n\
+     recv1        on ecu2     R = [9:180]\n\
+     sense3       on ecu3     R = [9:15]\n\
+     proc3        on ecu3     R = [10:38]\n\
+     recv2        on ecu3     R = [6:51]\n\
+     sense4       on ecu4     R = [9:36]\n\
+     proc4        on ecu4     R = [7:55]\n\
+     recv3        on ecu4     R = [10:55]\n\
+     sense5       on ecu5     R = [7:117]\n\
+     proc5        on ecu5     R = [5:113]\n\
+     recv4        on ecu5     R = [8:120]\n\
+     sense6       on ecu6     R = [9:19]\n\
+     proc6        on ecu6     R = [7:39]\n\
+     recv5        on ecu6     R = [8:54]\n\
+     sense7       on ecu7     R = [6:23]\n\
+     proc7        on ecu7     R = [5:34]\n\
+     recv6        on ecu7     R = [7:45]\n\
+     gw_recv      on ecu7     R = [6:45]\n\
+     F0           on bus0     R = [2:15]\n\
+     F2           on bus0     R = [2:20]\n\
+     F1           on bus1     R = [2:9]\n\
+     F3           on bus1     R = [2:15]\n\
+     GW           on bus1     R = [2:15]\n\
+     converged: true after 4 iteration(s)\n"
+    (rendered (rtc_everywhere spec));
+  Alcotest.(check string) "network_8, mixed backends"
+    "sense0       on ecu0     R = [9:15]\n\
+     proc0        on ecu0     R = [5:37]\n\
+     recv7        on ecu0     R = [10:48]\n\
+     sense1       on ecu1     R = [7:38]\n\
+     proc1        on ecu1     R = [8:57]\n\
+     recv0        on ecu1     R = [6:57]\n\
+     sense2       on ecu2     R = [6:115]\n\
+     proc2        on ecu2     R = [8:118]\n\
+     recv1        on ecu2     R = [9:129]\n\
+     sense3       on ecu3     R = [9:15]\n\
+     proc3        on ecu3     R = [10:38]\n\
+     recv2        on ecu3     R = [6:51]\n\
+     sense4       on ecu4     R = [9:36]\n\
+     proc4        on ecu4     R = [7:55]\n\
+     recv3        on ecu4     R = [10:55]\n\
+     sense5       on ecu5     R = [7:48]\n\
+     proc5        on ecu5     R = [5:48]\n\
+     recv4        on ecu5     R = [8:48]\n\
+     sense6       on ecu6     R = [9:19]\n\
+     proc6        on ecu6     R = [7:39]\n\
+     recv5        on ecu6     R = [8:54]\n\
+     sense7       on ecu7     R = [6:23]\n\
+     proc7        on ecu7     R = [5:34]\n\
+     recv6        on ecu7     R = [7:45]\n\
+     gw_recv      on ecu7     R = [6:45]\n\
+     F0           on bus0     R = [2:15]\n\
+     F2           on bus0     R = [2:20]\n\
+     F1           on bus1     R = [2:9]\n\
+     F3           on bus1     R = [2:15]\n\
+     GW           on bus1     R = [2:15]\n\
+     converged: true after 3 iteration(s)\n"
+    (rendered (rtc_alternating spec))
+
+let test_pinned_chain_12 () =
+  let spec = Scenarios.Synthetic.chain ~stages:12 () in
+  Alcotest.(check string) "chain_12, rtc backends"
+    "stage1       on cpu0     R = [10:20]\n\
+     stage3       on cpu0     R = [10:50]\n\
+     stage5       on cpu0     R = [10:90]\n\
+     stage7       on cpu0     R = [10:140]\n\
+     stage9       on cpu0     R = [10:200]\n\
+     stage11      on cpu0     R = [10:355]\n\
+     stage2       on cpu1     R = [10:25]\n\
+     stage4       on cpu1     R = [10:60]\n\
+     stage6       on cpu1     R = [10:105]\n\
+     stage8       on cpu1     R = [10:160]\n\
+     stage10      on cpu1     R = [10:240]\n\
+     stage12      on cpu1     R = unbounded (rtc: arrival rate of stage12 exceeds its guaranteed service)\n\
+     converged: false after 3 iteration(s)\n"
+    (rendered (rtc_everywhere spec));
+  Alcotest.(check string) "chain_12, mixed backends"
+    "stage1       on cpu0     R = [10:20]\n\
+     stage3       on cpu0     R = [10:50]\n\
+     stage5       on cpu0     R = [10:90]\n\
+     stage7       on cpu0     R = [10:140]\n\
+     stage9       on cpu0     R = [10:215]\n\
+     stage11      on cpu0     R = [10:650]\n\
+     stage2       on cpu1     R = [10:25]\n\
+     stage4       on cpu1     R = [10:60]\n\
+     stage6       on cpu1     R = [10:105]\n\
+     stage8       on cpu1     R = [10:160]\n\
+     stage10      on cpu1     R = [10:345]\n\
+     stage12      on cpu1     R = unbounded (busy window diverges (overload))\n\
+     converged: false after 4 iteration(s)\n"
+    (rendered (rtc_alternating spec))
+
 let () =
   Alcotest.run "hybrid"
     [
@@ -256,6 +404,9 @@ let () =
             test_pinned_hybrid_example;
           Alcotest.test_case "pinned paper system on rtc" `Quick
             test_pinned_paper_rtc;
+          Alcotest.test_case "pinned fan_in_8" `Quick test_pinned_fan_in_8;
+          Alcotest.test_case "pinned network_8" `Quick test_pinned_network_8;
+          Alcotest.test_case "pinned chain_12" `Quick test_pinned_chain_12;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest [ prop_roundtrip_conservative ] );

@@ -494,7 +494,8 @@ let test_deconv_reference_cases () =
   (* fixed cases that the property reaches only by chance: coarsened
      tails (periodic arrivals take their own period as window, so T=97
      against a 1/11 rate or an 11-slot cycle exceeds the lcm cap), a
-     remaining service with a negative tail offset, and overload *)
+     remaining service with a negative tail offset, overload, and dense
+     numerator tails *)
   let arrival period wcet horizon =
     { period; jitter = 0; burst = 1; wcet; a_horizon = horizon }
   in
@@ -508,6 +509,11 @@ let test_deconv_reference_cases () =
       arrival 127 2 150, Rate (5, 7), 130, true, true;
       arrival 40 3 100, remaining, 90, false, true;
       arrival 10 7 100, Tdma (3, 10), 100, false, false;
+      (* wcet close to the period: the numerator's rounded tail steps at
+         almost every sample, so nearly every lag is a candidate *)
+      arrival 7 6 120, Full, 100, false, true;
+      arrival 13 12 80, Rate (12, 13), 150, false, true;
+      arrival 11 10 64, Tdma (11, 12), 90, false, true;
     ]
   in
   List.iter
@@ -522,6 +528,240 @@ let test_deconv_reference_cases () =
       Alcotest.(check bool) (name ^ ": equal") true
         (library_deconv f g = reference))
     cases
+
+let test_deconv_edge_shapes () =
+  (* the denominator may dip: a Lower curve whose certified tail starts
+     below its last sample (the shape of a remaining service), and one
+     with a dip inside the samples.  A lag past the dip beats every
+     earlier lag, including those that land on a step of the numerator. *)
+  let f = arrival_curve { period = 10; jitter = 0; burst = 1; wcet = 3; a_horizon = 20 } in
+  let tail_dip =
+    Curve.of_samples ~kind:Curve.Lower ~tail_rate:(1, 1) ~tail_offset:(-6)
+      (Array.init 21 Fun.id)
+  in
+  let inner_dip =
+    Curve.create ~kind:Curve.Lower ~horizon:20 ~tail_rate:(1, 1) (fun s ->
+        if s = 14 then 2 else s)
+  in
+  List.iter
+    (fun (name, g) ->
+      Alcotest.(check bool) name true (library_deconv f g = reference_deconv f g))
+    [ "tail dip", tail_dip; "inner dip", inner_dip ];
+  (* a single unit step against no service: the step's lag reaches the
+     row's largest f value exactly *)
+  let step =
+    Curve.create ~kind:Curve.Upper ~horizon:20 ~tail_rate:(0, 1) (fun x ->
+        if x >= 5 then 1 else 0)
+  and none = Curve.create ~kind:Curve.Lower ~horizon:20 ~tail_rate:(0, 1) (fun _ -> 0) in
+  Alcotest.(check bool) "unit step" true
+    (library_deconv step none = reference_deconv step none)
+
+let test_deconv_decreasing_numerator () =
+  let f =
+    Curve.create ~kind:Curve.Upper ~horizon:20 ~tail_rate:(1, 1) (fun dt ->
+        if dt = 7 then 9 else dt)
+  in
+  let g = Workload.service_full ~horizon:20 in
+  Alcotest.check_raises "decreasing numerator"
+    (Invalid_argument "Rtc.Curve.min_plus_deconv: decreasing numerator")
+    (fun () -> ignore (Curve.min_plus_deconv f g))
+
+(* ------------------------------------------------------------------ *)
+(* delay bound against the per-window forward search *)
+
+(* The direct form of [Curve.horizontal_deviation]: for every dt the
+   search for tau restarts at dt - 1.  The library kernel carries one
+   pointer across all dt and must return the same bound. *)
+let reference_horizontal_deviation ~upper ~lower =
+  if not (Curve.kind upper = Curve.Upper && Curve.kind lower = Curve.Lower)
+  then invalid_arg "reference_horizontal_deviation: expected (upper, lower)";
+  let upper, lower = Curve.harmonise upper lower in
+  let ru = Curve.tail_rate upper and rl = Curve.tail_rate lower in
+  if not (Curve.rate_le ru rl) then None
+  else begin
+    let du = snd ru and dl = snd rl in
+    let limit =
+      Stdlib.max (Curve.horizon upper) (Curve.horizon lower + 1)
+      + (du / gcd du dl * dl)
+    in
+    let delay_at dt =
+      let demand = Curve.eval upper dt in
+      let rec advance tau =
+        if tau > 8 * limit then None
+        else if Curve.eval lower (dt - 1 + tau) >= demand then Some tau
+        else advance (tau + 1)
+      in
+      advance 0
+    in
+    let rec scan dt best =
+      if dt > limit then Some best
+      else begin
+        match delay_at dt with
+        | None -> None
+        | Some tau -> scan (dt + 1) (Stdlib.max best tau)
+      end
+    in
+    scan 1 0
+  end
+
+let outcome f = match f () with v -> Ok v | exception Invalid_argument _ -> Error ()
+
+let prop_delay_matches_reference =
+  QCheck.Test.make ~name:"delay bound equals the per-window search" ~count:150
+    deconv_case (fun (a, s, horizon) ->
+      let upper = arrival_curve a and lower = service_curve ~horizon s in
+      outcome (fun () -> Curve.horizontal_deviation ~upper ~lower)
+      = outcome (fun () -> reference_horizontal_deviation ~upper ~lower))
+
+let test_delay_reference_cases () =
+  (* overload, a demand the service never meets, a delay past the lower
+     curve's horizon, and a decreasing upper curve *)
+  let check name upper lower =
+    Alcotest.(check (option int)) name
+      (reference_horizontal_deviation ~upper ~lower)
+      (Curve.horizontal_deviation ~upper ~lower)
+  in
+  let periodic period wcet horizon =
+    arrival_curve { period; jitter = 0; burst = 1; wcet; a_horizon = horizon }
+  in
+  check "overload" (periodic 10 7 100)
+    (Workload.service_tdma ~horizon:100 ~slot:3 ~cycle:10);
+  (* zero rates pass the rate test; the search cap answers None *)
+  check "never served"
+    (Curve.create ~kind:Curve.Upper ~horizon:10 ~tail_rate:(0, 1) (fun dt ->
+         Stdlib.min dt 5))
+    (Curve.create ~kind:Curve.Lower ~horizon:10 ~tail_rate:(0, 1) (fun dt ->
+         Stdlib.min dt 4));
+  check "long delay" (periodic 200 40 60)
+    (Workload.service_bounded_delay ~horizon:30 ~delay:50 ~rate:(1, 2));
+  (* a service whose certified tail starts below its last sample: the
+     first index reaching the demand may lie before dt - 1 *)
+  check "dipping service"
+    (Curve.create ~kind:Curve.Upper ~horizon:30 ~tail_rate:(0, 1) (fun dt ->
+         if dt >= 22 then 20 else 0))
+    (Curve.of_samples ~kind:Curve.Lower ~tail_rate:(1, 1) ~tail_offset:(-6)
+       (Array.init 21 Fun.id));
+  let zigzag =
+    Curve.create ~kind:Curve.Upper ~horizon:20 ~tail_rate:(1, 1) (fun dt ->
+        if dt = 5 then 8 else dt)
+  in
+  Alcotest.check_raises "decreasing upper"
+    (Invalid_argument
+       "Rtc.Curve.horizontal_deviation: decreasing upper curve")
+    (fun () ->
+      ignore
+        (Curve.horizontal_deviation ~upper:zigzag
+           ~lower:(Workload.service_full ~horizon:20)))
+
+(* ------------------------------------------------------------------ *)
+(* arrival tables against per-window pseudo-inversion *)
+
+(* The direct form of the tables behind [Workload.arrival_upper] and
+   [arrival_lower]: one [Stream.eta_plus] / [eta_minus] query per window,
+   failing at the first window whose inversion is infinite.  The tail
+   window search and the certified slack read the table only, so equal
+   samples mean equal curves. *)
+let reference_table ~horizon ~scale eta error stream =
+  Array.init (horizon + 1) (fun dt ->
+      match eta stream dt with
+      | Timebase.Count.Fin n -> scale * n
+      | Timebase.Count.Inf -> invalid_arg error)
+
+let samples c = Array.init (Curve.horizon c + 1) (Curve.eval c)
+
+let table_outcome f =
+  match f () with v -> Ok v | exception Invalid_argument m -> Error m
+
+type stream_kind =
+  | Jittery of int * int
+  | Burst of int * int * int
+  | Sporadic of int
+  | Converted of int * int * int  (* period, jitter, wcet *)
+  | Saturating of int * int  (* delta_min stops growing after n events *)
+  | Bounded_plus of int  (* delta_plus never exceeds the value *)
+
+let string_of_stream_kind = function
+  | Jittery (p, j) -> Printf.sprintf "jittery T=%d J=%d" p j
+  | Burst (p, b, d) -> Printf.sprintf "burst T=%d b=%d d=%d" p b d
+  | Sporadic d -> Printf.sprintf "sporadic d=%d" d
+  | Converted (p, j, c) -> Printf.sprintf "converted T=%d J=%d C=%d" p j c
+  | Saturating (d, n) -> Printf.sprintf "saturating d=%d n=%d" d n
+  | Bounded_plus b -> Printf.sprintf "bounded delta_plus %d" b
+
+let stream_of_kind = function
+  | Jittery (period, jitter) ->
+    Stream.periodic_jitter ~name:"j" ~period ~jitter ()
+  | Burst (period, burst, d_min) ->
+    Stream.periodic_burst ~name:"b" ~period ~burst ~d_min
+  | Sporadic d_min -> Stream.sporadic ~name:"s" ~d_min
+  | Converted (period, jitter, wcet) ->
+    let s = Stream.periodic_jitter ~name:"c" ~period ~jitter () in
+    let c = Hybrid.Convert.of_stream ~horizon:128 ~wcet ~bcet:1 s in
+    Hybrid.Convert.to_stream ~name:"c'" ~wcet ~bcet:1
+      ~upper:c.Hybrid.Convert.upper ~lower:(Some c.Hybrid.Convert.lower)
+  | Saturating (d, n) ->
+    Stream.make ~name:"sat"
+      ~delta_min:(fun k -> Timebase.Time.of_int (d * (Stdlib.min k n - 1)))
+      ~delta_plus:(fun _ -> Timebase.Time.Inf)
+  | Bounded_plus b ->
+    Stream.make ~name:"bp"
+      ~delta_min:(fun _ -> Timebase.Time.zero)
+      ~delta_plus:(fun _ -> Timebase.Time.of_int b)
+
+let gen_stream_kind =
+  let open QCheck.Gen in
+  frequency
+    [
+      3, map2 (fun p j -> Jittery (p, j)) (int_range 1 120) (int_range 0 200);
+      2, (let* period = int_range 10 200 in
+          let* burst = int_range 2 5 in
+          let+ d = int_range 0 ((period - 1) / (burst - 1)) in
+          Burst (period, burst, d));
+      2, map (fun d -> Sporadic d) (int_range 1 80);
+      2, (let* period = int_range 5 60 in
+          let* jitter = int_range 0 40 in
+          let+ wcet = int_range 1 4 in
+          Converted (period, jitter, wcet));
+      1, map2 (fun d n -> Saturating (d, n)) (int_range 1 20) (int_range 2 8);
+      1, map (fun b -> Bounded_plus b) (int_range 0 150);
+    ]
+
+let prop_arrival_tables_match_reference =
+  QCheck.Test.make ~name:"arrival tables equal per-window eta" ~count:200
+    (QCheck.make
+       ~print:(fun (k, (h, c)) ->
+         Printf.sprintf "%s horizon %d cet %d" (string_of_stream_kind k) h c)
+       QCheck.Gen.(
+         pair gen_stream_kind (pair (int_range 1 300) (int_range 1 5))))
+    (fun (kind, (horizon, cet)) ->
+      let s = stream_of_kind kind in
+      table_outcome (fun () ->
+          samples (Workload.arrival_upper ~horizon ~wcet:cet s))
+      = table_outcome (fun () ->
+            reference_table ~horizon ~scale:cet Stream.eta_plus
+              "Rtc.Workload: unbounded arrivals" s)
+      && table_outcome (fun () ->
+             samples (Workload.arrival_lower ~horizon ~bcet:cet s))
+         = table_outcome (fun () ->
+               reference_table ~horizon ~scale:cet Stream.eta_minus
+                 "Rtc.Workload: infinite guaranteed arrivals" s))
+
+let test_arrival_table_errors () =
+  let raises name msg f =
+    Alcotest.check_raises name (Invalid_argument msg) (fun () -> ignore (f ()))
+  in
+  let sat = stream_of_kind (Saturating (10, 4)) in
+  (* delta_min stops at 30: windows up to 30 are bounded, 31 on are not *)
+  Alcotest.(check int) "bounded below the saturation" 9
+    (Curve.eval (Workload.arrival_upper ~horizon:30 ~wcet:3 sat) 30);
+  raises "unbounded arrivals" "Rtc.Workload: unbounded arrivals" (fun () ->
+      Workload.arrival_upper ~horizon:31 ~wcet:3 sat);
+  let bp = stream_of_kind (Bounded_plus 20) in
+  Alcotest.(check int) "guaranteed below the bound" 0
+    (Curve.eval (Workload.arrival_lower ~horizon:19 ~bcet:2 bp) 19);
+  raises "infinite guaranteed arrivals"
+    "Rtc.Workload: infinite guaranteed arrivals" (fun () ->
+      Workload.arrival_lower ~horizon:20 ~bcet:2 bp)
 
 let () =
   Alcotest.run "rtc"
@@ -541,6 +781,14 @@ let () =
             test_map2_mismatched_horizons;
           Alcotest.test_case "deconvolution reference cases" `Quick
             test_deconv_reference_cases;
+          Alcotest.test_case "deconvolution edge shapes" `Quick
+            test_deconv_edge_shapes;
+          Alcotest.test_case "deconvolution decreasing numerator" `Quick
+            test_deconv_decreasing_numerator;
+          Alcotest.test_case "delay reference cases" `Quick
+            test_delay_reference_cases;
+          Alcotest.test_case "arrival table errors" `Quick
+            test_arrival_table_errors;
         ] );
       ( "gpc",
         [
@@ -559,5 +807,7 @@ let () =
             prop_deconv_dominates;
             prop_arrival_tails_conservative;
             prop_deconv_matches_reference;
+            prop_delay_matches_reference;
+            prop_arrival_tables_match_reference;
           ] );
     ]
