@@ -68,8 +68,8 @@ val eval : t -> int -> Timebase.Time.t
 
 (** {1 Packed (batched, allocation-free) evaluation}
 
-    The hot analysis loops — busy-window interference, OR-combination
-    convolutions, the task output recurrence — probe curves millions of
+    The hot analysis loops — busy-window interference, the OR-combination
+    merge, the task output recurrence — probe curves millions of
     times; boxing every result as a [Time.t] and bumping a metrics
     counter per probe dominates the arithmetic itself.  The packed API
     exposes the memo's own order-preserving int encoding: [Time.Fin d]

@@ -64,11 +64,15 @@ let to_stream ?name t =
 
 let fit ?(horizon = 256) s =
   if horizon < 3 then invalid_arg "Sem.fit: horizon < 3";
+  (* one packed sweep: dmin.(i) = delta_min (i + 2) *)
+  let dmin = Array.make (horizon - 1) 0 in
+  Curve.eval_range_into (Stream.delta_min_curve s) ~n0:2 ~len:(horizon - 1)
+    ~dst:dmin ~pos:0;
   let dmin_at n =
-    match Stream.delta_min s n with
-    | Time.Fin d -> d
-    | Time.Inf ->
-      invalid_arg "Sem.fit: stream admits finitely many events"
+    let d = dmin.(n - 2) in
+    if d = Curve.packed_inf then
+      invalid_arg "Sem.fit: stream admits finitely many events";
+    d
   in
   (* The slope over the tail half of the sampled range estimates the
      long-run period without the bias of initial bursts; any residual

@@ -97,14 +97,24 @@ let h_iteration = Obs.Hist.hist "engine.iteration_ns"
    iterations only the entries downstream of responses that actually
    changed are invalidated (pycpa-style dependency-driven propagation);
    everything else — including the memoized curve prefixes inside the
-   cached streams — survives. *)
+   cached streams — survives.  Each task's resolved activation is one
+   more such entry, so its output derivation and every local analysis of
+   its resource share one stream per dependency state. *)
+type post = {
+  model : Hem.Model.t;
+  mutable sem : Stream.t option;
+      (* the flat-SEM baseline's fit to the outer stream, made on first
+         use: every receiver of the frame shares it *)
+}
+
 type ctx = {
   spec : Spec.t;
   mode : mode;
   response_of : string -> Interval.t;
+  activations : (string, Stream.t * S.t) Hashtbl.t;
   task_outputs : (string, Stream.t * S.t) Hashtbl.t;
   frames_pre : (string, Hem.Model.t * S.t) Hashtbl.t;
-  frames_post : (string, Hem.Model.t * S.t) Hashtbl.t;
+  frames_post : (string, post * S.t) Hashtbl.t;
   profiles : (string, Event_model.Propagation.profile) Hashtbl.t;
       (* per-element busy-window completion profiles from the last local
          analysis; consulted by busy_window / optimal output propagation *)
@@ -131,6 +141,7 @@ let make_ctx ?selfcheck spec mode response_of =
     spec;
     mode;
     response_of;
+    activations = Hashtbl.create 16;
     task_outputs = Hashtbl.create 16;
     frames_pre = Hashtbl.create 8;
     frames_post = Hashtbl.create 8;
@@ -215,13 +226,20 @@ let rec resolve ctx (act : Spec.activation) =
     | Spec.From_output name -> task_output ctx name
     | Spec.From_frame name -> Hem.Model.outer (frame_post ctx name)
     | Spec.From_signal { frame; signal } -> begin
-      let post = frame_post ctx frame in
+      let post = frame_post_entry ctx frame in
       match ctx.mode with
-      | Hierarchical -> Hem.Deconstruct.unpack_label post signal
-      | Flat_stream -> Hem.Model.outer post
-      | Flat_sem ->
-        let outer = Hem.Model.outer post in
-        Sem.to_stream ~name:(Stream.name outer ^ "~sem") (Sem.fit outer)
+      | Hierarchical -> Hem.Deconstruct.unpack_label post.model signal
+      | Flat_stream -> Hem.Model.outer post.model
+      | Flat_sem -> (
+        match post.sem with
+        | Some sem -> sem
+        | None ->
+          let outer = Hem.Model.outer post.model in
+          let sem =
+            Sem.to_stream ~name:(Stream.name outer ^ "~sem") (Sem.fit outer)
+          in
+          post.sem <- Some sem;
+          sem)
     end
     | Spec.Or_of acts -> Combine.or_combine (List.map (resolve ctx) acts)
     | Spec.And_of acts -> Combine.and_combine (List.map (resolve ctx) acts)
@@ -230,6 +248,10 @@ let rec resolve ctx (act : Spec.activation) =
    | None -> ()
    | Some audit -> audit stream);
   stream
+
+and activation ctx (k : Spec.task) =
+  memo_deps ctx ctx.activations k.Spec.task_name ~extra:S.empty (fun () ->
+    resolve ctx k.Spec.activation)
 
 and task_output ctx name =
   memo_deps ctx ctx.task_outputs name ~extra:(S.singleton name) (fun () ->
@@ -257,7 +279,7 @@ and task_output ctx name =
         with
         | Some (stream, _) -> stream
         | None ->
-        let input = resolve ctx k.Spec.activation in
+        let input = activation ctx k in
         let response = ctx.response_of name in
         match Spec.task_propagation ctx.spec k with
         | Event_model.Propagation.Theta_tau ->
@@ -288,11 +310,17 @@ and frame_pre ctx name =
           (Comstack.Frame.make ~name:f.frame_name ~send_type:f.send_type
              ~signals ~tx_time:f.tx_time ~priority:f.frame_priority))))
 
-and frame_post ctx name =
+and frame_post_entry ctx name =
   memo_deps ctx ctx.frames_post name ~extra:(S.singleton name) (fun () ->
     stream_span "frame_post" name (fun () ->
       let pre = frame_pre ctx name in
-      Hem.Inner_update.apply_response ~response:(ctx.response_of name) pre))
+      {
+        model =
+          Hem.Inner_update.apply_response ~response:(ctx.response_of name) pre;
+        sem = None;
+      }))
+
+and frame_post ctx name = (frame_post_entry ctx name).model
 
 (* Store freshly collected completion profiles in the context and mark
    the elements whose profile moved (including appearing or vanishing):
@@ -360,7 +388,7 @@ let analyse_resource ?window_limit ?q_limit ctx (res : Spec.resource) =
   in
   let rt_of_task (k : Spec.task) =
     Rt_task.make ~name:k.task_name ~cet:k.cet ~priority:k.priority
-      ~activation:(resolve ctx k.activation)
+      ~activation:(activation ctx k)
   in
   let rt_frames =
     List.map
@@ -472,6 +500,26 @@ let drop_dirty table dirty =
   List.iter (Hashtbl.remove table) stale;
   List.length stale
 
+(* The four memo tables share one lifecycle: reset together, dropped by
+   dependency together and removed by key together. *)
+let reset_memos ctx =
+  Hashtbl.reset ctx.activations;
+  Hashtbl.reset ctx.task_outputs;
+  Hashtbl.reset ctx.frames_pre;
+  Hashtbl.reset ctx.frames_post
+
+let drop_memos ctx dirty =
+  drop_dirty ctx.activations dirty
+  + drop_dirty ctx.task_outputs dirty
+  + drop_dirty ctx.frames_pre dirty
+  + drop_dirty ctx.frames_post dirty
+
+let remove_memos ctx key =
+  Hashtbl.remove ctx.activations key;
+  Hashtbl.remove ctx.task_outputs key;
+  Hashtbl.remove ctx.frames_pre key;
+  Hashtbl.remove ctx.frames_post key
+
 (* The fixpoint driver, shared by cold [analyse] and warm sessions.  All
    mutable state — the response table, the memoization context, the
    per-resource outcome cache — is owned by the caller: a cold analysis
@@ -499,17 +547,10 @@ let run_fixpoint ~mode ~incremental ~max_iterations ?window_limit ?q_limit
        re-analyses every resource. *)
     let run_iteration ~dirty =
       if not incremental then begin
-        Hashtbl.reset ctx.task_outputs;
-        Hashtbl.reset ctx.frames_pre;
-        Hashtbl.reset ctx.frames_post;
+        reset_memos ctx;
         Hashtbl.reset resource_cache
       end
-      else
-        invalidated :=
-          !invalidated
-          + drop_dirty ctx.task_outputs dirty
-          + drop_dirty ctx.frames_pre dirty
-          + drop_dirty ctx.frames_post dirty;
+      else invalidated := !invalidated + drop_memos ctx dirty;
       List.concat_map
         (fun (res : Spec.resource) ->
           match Hashtbl.find_opt resource_cache res.res_name with
@@ -902,9 +943,7 @@ let warm_update ?guard w ~spec ~stale =
     let initial_dirty =
       if w.warm_poisoned then begin
         (* no converged baseline to be incremental against *)
-        Hashtbl.reset ctx0.task_outputs;
-        Hashtbl.reset ctx0.frames_pre;
-        Hashtbl.reset ctx0.frames_post;
+        reset_memos ctx0;
         Hashtbl.reset ctx0.profiles;
         ctx0.profile_changed <- S.empty;
         Hashtbl.reset w.warm_resource_cache;
@@ -920,9 +959,7 @@ let warm_update ?guard w ~spec ~stale =
            streams built from the old parameters. *)
         S.iter
           (fun k ->
-            Hashtbl.remove ctx0.task_outputs k;
-            Hashtbl.remove ctx0.frames_pre k;
-            Hashtbl.remove ctx0.frames_post k;
+            remove_memos ctx0 k;
             Hashtbl.remove ctx0.profiles k)
           stale_set;
         S.iter

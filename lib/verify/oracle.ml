@@ -205,7 +205,7 @@ let engine_agreement ?(mode = Engine.Hierarchical) spec =
 (* ------------------------------------------------------------------ *)
 (* oracle 2b: production operators vs the paper's equations *)
 
-(* Every optimised operator — the prefix-table OR convolution, the
+(* Every optimised operator — the k-way-merge OR-combination, the
    compact Θτ construction, the warm-started demand-kernel busy windows —
    must agree with [Reference] on the inputs the converged analysis
    actually feeds it.  Inputs are rebuilt from the result exactly as

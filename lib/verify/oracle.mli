@@ -16,7 +16,7 @@
       from-scratch recomputation — outcomes must be byte-identical,
       including iteration counts;
     - {b kernel agreement}: every optimised production operator (the
-      OR convolution, Θτ, the SPP/SPNP/EDF busy windows) vs the direct
+      OR merge, Θτ, the SPP/SPNP/EDF busy windows) vs the direct
       transcription of the paper's equations in {!Reference}, on the
       inputs of a converged analysis — byte-identical outcomes;
     - {b hierarchy tightness}: hierarchical analysis response bounds

@@ -1,6 +1,6 @@
 (* Production operators against Verify.Reference, the direct
    transcription of the paper's equations: the OR-combination (eqs 3-4)
-   on compact, closure-backed and sporadic inputs, and the SPP/SPNP/EDF
+   on compact, closure-backed, sporadic and simultaneous-burst inputs, and the SPP/SPNP/EDF
    busy-window analyses on random task sets whose busy windows span
    several activations (so the warm-started fixpoints and resumable
    demand searches are exercised). *)
@@ -25,49 +25,72 @@ let closure_jitter ~period ~jitter =
       Time.of_int (Stdlib.max (n - 1) (((n - 1) * period) - jitter)))
     ~delta_plus:(fun n -> Time.of_int (((n - 1) * period) + jitter))
 
-type kind = Compact | Closure | Sporadic
+type kind = Compact | Closure | Sporadic | Burst
 
 let kind_name = function
   | Compact -> "compact"
   | Closure -> "closure"
   | Sporadic -> "sporadic"
+  | Burst -> "burst"
 
+(* [Burst] reads the second parameter as a burst size of 1-6 events
+   arriving simultaneously ([d_min = 0]) *)
 let stream_of (kind, period, jitter) =
   match kind with
   | Compact -> Stream.periodic_jitter ~name:"compact" ~period ~jitter ()
   | Closure -> closure_jitter ~period ~jitter
   | Sporadic -> Stream.sporadic ~name:"sporadic" ~d_min:period
+  | Burst ->
+    Stream.periodic_burst ~name:"burst" ~period ~burst:(1 + (jitter mod 6))
+      ~d_min:0
 
-let arb_or_inputs =
-  let open QCheck in
-  let input =
-    Gen.triple
-      (Gen.oneofl [ Compact; Closure; Sporadic ])
-      (Gen.int_range 1 200) (Gen.int_range 0 400)
-  in
-  make
-    ~print:(fun inputs ->
-      String.concat "; "
-        (List.map
-           (fun (k, p, j) -> Printf.sprintf "%s(%d,%d)" (kind_name k) p j)
-           inputs))
-    Gen.(list_size (int_range 2 3) input)
+let print_inputs inputs =
+  String.concat "; "
+    (List.map
+       (fun (k, p, j) -> Printf.sprintf "%s(%d,%d)" (kind_name k) p j)
+       inputs)
 
-let or_ns = List.init 34 Fun.id @ [ 64; 100; 257 ]
+let gen_or_inputs =
+  let open QCheck.Gen in
+  list_size (int_range 1 16)
+    (triple
+       (oneofl [ Compact; Closure; Sporadic; Burst ])
+       (int_range 1 200) (int_range 0 400))
+
+let arb_or_inputs = QCheck.make ~print:print_inputs gen_or_inputs
+
+(* every index up to past the flat-SEM fit horizon of 256 *)
+let or_ns = List.init 301 Fun.id
+
+let same_curves a b =
+  List.for_all
+    (fun n ->
+      Time.equal (Stream.delta_min a n) (Stream.delta_min b n)
+      && Time.equal (Stream.delta_plus a n) (Stream.delta_plus b n))
+    or_ns
 
 let prop_or_matches_reference =
   QCheck.Test.make ~name:"or_combine = reference" ~count:80 arb_or_inputs
     (fun inputs ->
       let streams = List.map stream_of inputs in
-      let production = Combine.or_combine streams in
-      let reference = Reference.or_combine streams in
-      List.for_all
-        (fun n ->
-          Time.equal (Stream.delta_min production n)
-            (Stream.delta_min reference n)
-          && Time.equal (Stream.delta_plus production n)
-               (Stream.delta_plus reference n))
-        or_ns)
+      same_curves (Combine.or_combine streams) (Reference.or_combine streams))
+
+(* the merge breaks ties by input position; the curves must not depend
+   on it *)
+let prop_or_order_independent =
+  let arb =
+    QCheck.make
+      ~print:(fun (a, b) -> print_inputs a ^ " | shuffled: " ^ print_inputs b)
+      QCheck.Gen.(
+        let* inputs = gen_or_inputs in
+        let+ shuffled = shuffle_l inputs in
+        (inputs, shuffled))
+  in
+  QCheck.Test.make ~name:"or_combine ignores input order" ~count:80 arb
+    (fun (inputs, shuffled) ->
+      same_curves
+        (Combine.or_combine (List.map stream_of inputs))
+        (Combine.or_combine (List.map stream_of shuffled)))
 
 (* ------------------------------------------------------------------ *)
 (* busy windows *)
@@ -217,6 +240,7 @@ let () =
         List.map QCheck_alcotest.to_alcotest
           [
             prop_or_matches_reference;
+            prop_or_order_independent;
             prop_spp_matches_reference;
             prop_spnp_matches_reference;
             prop_edf_matches_reference;
