@@ -1,4 +1,4 @@
-module Time = Timebase.Time
+module Curve = Event_model.Curve
 module Count = Timebase.Count
 module Interval = Timebase.Interval
 module Stream = Event_model.Stream
@@ -12,13 +12,26 @@ let simultaneity s =
 
 let update_inner ~spread ~r_minus ~k stream label =
   let shift = spread + ((k - 1) * r_minus) in
-  let delta_min n =
-    Time.max
-      (Time.sub_clamped (Stream.delta_min stream n) (Time.of_int shift))
-      (Time.of_int ((n - 1) * r_minus))
+  let map_finite curve f =
+    Curve.table ~pointwise:true (fun ~n0 ~len ~dst ~pos ->
+      Curve.eval_range_into curve ~n0 ~len ~dst ~pos;
+      for i = 0 to len - 1 do
+        let v = dst.(pos + i) in
+        if v <> Curve.packed_inf then
+          dst.(pos + i) <- f (n0 + i) v
+      done)
   in
-  let delta_plus n = Time.add (Stream.delta_plus stream n) (Time.of_int shift) in
-  Stream.make ~name:(Printf.sprintf "upd(%s)" label) ~delta_min ~delta_plus
+  (* delta_min n = max (delta_min n - shift) ((n - 1) * r_minus),
+     delta_plus n = delta_plus n + shift *)
+  let delta_min =
+    map_finite (Stream.delta_min_curve stream) (fun n v ->
+      Int.max (Int.max 0 (v - shift)) ((n - 1) * r_minus))
+  in
+  let delta_plus =
+    map_finite (Stream.delta_plus_curve stream) (fun _ v -> v + shift)
+  in
+  Stream.of_curves ~name:(Printf.sprintf "upd(%s)" label) ~delta_min
+    ~delta_plus
 
 let apply_response ?simultaneity:k_override ~response h =
   match Model.rule h with

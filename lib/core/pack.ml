@@ -1,6 +1,7 @@
 module Time = Timebase.Time
 module Stream = Event_model.Stream
 module Combine = Event_model.Combine
+module Curve = Event_model.Curve
 
 type input = {
   label : string;
@@ -42,17 +43,32 @@ let build ~name ~inputs ~triggering =
         warn ~frame:name ~signal:i.label
           "outer delta_plus 2 is unbounded: eq. (7) degrades to the \
            trivial outer bound for this pending signal";
-      let delta_min n =
-        (* eq. (7): the first of n pending values may just miss a frame and
-           wait a full frame gap; the frames themselves are spaced at least
-           delta_min_out n apart. *)
-        Time.max
-          (Time.sub_clamped (Stream.delta_min i.stream n) frame_gap)
-          (Stream.delta_min outer n)
+      (* eq. (7): the first of n pending values may just miss a frame and
+         wait a full frame gap; the frames themselves are spaced at least
+         delta_min_out n apart.  An unbounded gap leaves the outer term. *)
+      let outer_min = Stream.delta_min_curve outer in
+      let delta_min =
+        match frame_gap with
+        | Time.Inf -> outer_min
+        | Time.Fin gap ->
+          let own = Stream.delta_min_curve i.stream in
+          Curve.table ~pointwise:true (fun ~n0 ~len ~dst ~pos ->
+            Curve.eval_range_into own ~n0 ~len ~dst ~pos;
+            let frames = Array.make len 0 in
+            Curve.eval_range_into outer_min ~n0 ~len ~dst:frames ~pos:0;
+            for j = 0 to len - 1 do
+              let v = dst.(pos + j) in
+              let v = if v = Curve.packed_inf then v else Int.max 0 (v - gap) in
+              dst.(pos + j) <- Int.max v frames.(j)
+            done)
       in
-      let delta_plus _ = Time.Inf (* eq. (8) *) in
+      (* eq. (8) *)
+      let delta_plus =
+        Curve.table ~pointwise:true (fun ~n0:_ ~len ~dst ~pos ->
+          Array.fill dst pos len Curve.packed_inf)
+      in
       let stream =
-        Stream.make
+        Stream.of_curves
           ~name:(Printf.sprintf "%s@%s" i.label name)
           ~delta_min ~delta_plus
       in

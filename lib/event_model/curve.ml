@@ -51,8 +51,15 @@ let stats_diff a b =
    [Closure] memoizes an arbitrary monotone function into a dense int
    array indexed directly by [n] (amortised O(1) append, cache-friendly,
    no boxing of the common finite case); probes beyond [dense_cap] spill
-   into a hash table so a single deep pseudo-inversion probe cannot
-   force a huge allocation.
+   into a hash table (allocated on the first such probe) so a single deep
+   pseudo-inversion probe cannot force a huge allocation.
+
+   [Table] is the derived-curve backend: a packed int buffer indexed by
+   [n], filled contiguously on demand by a range kernel that writes
+   packed values straight into it (the library's own operators: OR
+   merge, Θτ recurrence, inner update, pending stream, AND).  Pointwise
+   kernels fill contiguously only below [dense_cap] and evaluate deeper
+   probes one at a time into a spill memo, like the closure backend.
 
    [Periodic] is the compact backend: an explicit finite prefix
    (values at n = 2 .. len+1) plus a periodic tail — after the prefix,
@@ -62,45 +69,63 @@ let stats_diff a b =
    pseudo-inversion jumps directly into the right period instead of
    exponential search. *)
 
-type closure = {
-  mutable f : int -> Time.t;
-  mutable dense : int array;
-  spill : (int, Time.t) Hashtbl.t;
-  att : Metrics.attachment;  (* scopes active at creation *)
+(* Per-curve memo bookkeeping shared by the closure and table backends.
+   Memo hits are accumulated locally (one field bump: the hit path runs
+   millions of times per analysis and a registry update there costs more
+   than the memoized lookup itself) and flushed to [c_memo_hits] when
+   stats are read. *)
+type memo = {
+  att : Metrics.attachment;  (* scopes active at the curve's creation *)
   mutable pending_hits : int;
-      (* memo hits accumulated locally (one field bump: the hit path runs
-         millions of times per analysis and a registry update there costs
-         more than the memoized lookup itself) and flushed to
-         [c_memo_hits] when stats are read *)
+  mutable spill : (int, int) Hashtbl.t option;
+      (* packed values of deep probes, allocated on the first one *)
 }
 
-(* closures with unflushed hits; emptied by [flush_pending] *)
-let dirty_hits : closure list ref = ref []
+type closure = {
+  f : int -> Time.t;
+  mutable dense : int array;
+  c_memo : memo;
+}
+
+type kernel = n0:int -> len:int -> dst:int array -> pos:int -> unit
+
+type table = {
+  fill : kernel;
+  pointwise : bool;
+  mutable buf : int array;  (* packed values at n < filled *)
+  mutable filled : int;  (* >= 2: indices 0 and 1 hold 0 *)
+  t_memo : memo;
+}
+
+(* curves with unflushed hits; emptied by [flush_pending] *)
+let dirty_hits : memo list ref = ref []
 
 let flush_pending () =
   let dirty = !dirty_hits in
   dirty_hits := [];
   List.iter
-    (fun c ->
-      Metrics.add_attached c.att c_memo_hits c.pending_hits;
-      c.pending_hits <- 0)
+    (fun h ->
+      Metrics.add_attached h.att c_memo_hits h.pending_hits;
+      h.pending_hits <- 0)
     dirty
 
-(* First hit since the last flush: attached curves enrol in the dirty
+(* First hits since the last flush: attached curves enrol in the dirty
    list and defer (their hits are charged to the creation scopes when the
    flush happens); unattached ones must charge the scopes active *now*,
    so they pay the direct registry price on every hit and never enrol
    (pending stays 0). *)
-let[@inline never] count_hit_cold c =
-  if c.att == [] then Metrics.add_attached [] c_memo_hits 1
+let[@inline never] count_hits_cold h k =
+  if h.att == [] then Metrics.add_attached [] c_memo_hits k
   else begin
-    dirty_hits := c :: !dirty_hits;
-    c.pending_hits <- 1
+    dirty_hits := h :: !dirty_hits;
+    h.pending_hits <- k
   end
 
-let[@inline] count_hit c =
-  let p = c.pending_hits in
-  if p > 0 then c.pending_hits <- p + 1 else count_hit_cold c
+let[@inline] count_hits h k =
+  let p = h.pending_hits in
+  if p > 0 then h.pending_hits <- p + k else count_hits_cold h k
+
+let[@inline] count_hit h = count_hits h 1
 
 let stats_of read =
   flush_pending ();
@@ -136,17 +161,19 @@ type periodic = {
 
 type t =
   | Closure of closure
+  | Table of table
   | Periodic of periodic
   | Constant of Time.t
 
 let backend = function
   | Closure _ -> `Closure
+  | Table _ -> `Table
   | Periodic _ -> `Periodic
   | Constant _ -> `Constant
 
 let periodic_tail = function
   | Periodic p -> Some (Array.length p.prefix, p.period_events, p.period_time)
-  | Closure _ | Constant _ -> None
+  | Closure _ | Table _ | Constant _ -> None
 
 (* dense-array memo: [unset] marks a hole, [inf_code] encodes Time.Inf *)
 let dense_cap = 1 lsl 15
@@ -164,73 +191,97 @@ let decode v = if v = inf_code then Time.Inf else Time.Fin v
 
 let rec next_pow2 k n = if k > n then k else next_pow2 (k * 2) n
 
-let eval_closure c n =
-  if n < 0 || n >= dense_cap then begin
-    Metrics.add_attached c.att c_spill_probes 1;
-    match Hashtbl.find_opt c.spill n with
-    | Some v ->
-      count_hit c;
-      v
-    | None ->
-      Metrics.add_attached c.att c_closure_evals 1;
-      let v = c.f n in
-      Hashtbl.add c.spill n v;
-      v
-  end
+(* [arr] with room for index [n], grown to a power of two filled with
+   [init] *)
+let grown arr ~init n =
+  let len = Array.length arr in
+  if n < len then arr
   else begin
-    let len = Array.length c.dense in
-    if n >= len then begin
-      let grown = Array.make (Stdlib.max 64 (next_pow2 1 n)) unset in
-      Array.blit c.dense 0 grown 0 len;
-      c.dense <- grown
-    end;
-    let v = c.dense.(n) in
-    if v = unset then begin
-      Metrics.add_attached c.att c_closure_evals 1;
-      let t = c.f n in
-      c.dense.(n) <- encode t;
-      t
-    end
-    else begin
-      count_hit c;
-      decode v
-    end
+    let g = Array.make (Stdlib.max 64 (next_pow2 1 n)) init in
+    Array.blit arr 0 g 0 len;
+    g
   end
-
-let eval_periodic p n =
-  Metrics.add_attached p.p_att c_periodic_evals 1;
-  if n <= 1 then Time.zero
-  else begin
-    let i = n - 2 in
-    let len = Array.length p.prefix in
-    if i < len then Time.of_int p.prefix.(i)
-    else begin
-      let over = i - (len - 1) in
-      let steps = (over + p.period_events - 1) / p.period_events in
-      Time.of_int
-        (p.prefix.(i - (steps * p.period_events)) + (steps * p.period_time))
-    end
-  end
-
-let eval t n =
-  match t with
-  | Closure c -> eval_closure c n
-  | Periodic p -> eval_periodic p n
-  | Constant v -> v
 
 (* ------------------------------------------------------------------ *)
 (* Packed (int-encoded) evaluation.
 
-   The dense memo already stores times order-preservingly encoded as ints
-   ([Fin d] as [d], [Inf] as [max_int]); the packed API exposes that
-   encoding so hot loops can compare, add and batch time values without
-   allocating a [Time.t] per probe.  [packed_inf] compares greater than
-   every finite value, so [Stdlib.min] / [Stdlib.max] / [( < )] on packed
-   values agree with the [Time] operations as long as finite arithmetic
-   never overflows into [max_int] (time values in this codebase are far
-   below that). *)
+   The memos store times order-preservingly encoded as ints ([Fin d] as
+   [d], [Inf] as [max_int]); the packed API exposes that encoding so hot
+   loops can compare, add and batch time values without allocating a
+   [Time.t] per probe.  [packed_inf] compares greater than every finite
+   value, so [Stdlib.min] / [Stdlib.max] / [( < )] on packed values agree
+   with the [Time] operations as long as finite arithmetic never
+   overflows into [max_int] (time values in this codebase are far below
+   that). *)
 
 let packed_inf = inf_code
+
+(* A probe at [n >= dense_cap] (or [n < 0]): [compute n] on a miss,
+   memoised in the spill table. *)
+let spill_probe m n compute =
+  Metrics.add_attached m.att c_spill_probes 1;
+  let spill =
+    match m.spill with
+    | Some tbl -> tbl
+    | None ->
+      let tbl = Hashtbl.create 8 in
+      m.spill <- Some tbl;
+      tbl
+  in
+  match Hashtbl.find_opt spill n with
+  | Some v ->
+    count_hit m;
+    v
+  | None ->
+    Metrics.add_attached m.att c_closure_evals 1;
+    let v = compute n in
+    Hashtbl.add spill n v;
+    v
+
+let eval_closure_packed c n =
+  if n < 0 || n >= dense_cap then spill_probe c.c_memo n (fun n -> encode (c.f n))
+  else begin
+    c.dense <- grown c.dense ~init:unset n;
+    let v = c.dense.(n) in
+    if v = unset then begin
+      Metrics.add_attached c.c_memo.att c_closure_evals 1;
+      let e = encode (c.f n) in
+      c.dense.(n) <- e;
+      e
+    end
+    else begin
+      count_hit c.c_memo;
+      v
+    end
+  end
+
+(* Make indices [filled .. n] of a table valid with one kernel call. *)
+let fill_table tb n =
+  let from = tb.filled in
+  let len = n + 1 - from in
+  tb.buf <- grown tb.buf ~init:0 n;
+  tb.fill ~n0:from ~len ~dst:tb.buf ~pos:from;
+  Metrics.add_attached tb.t_memo.att c_closure_evals len;
+  tb.filled <- n + 1
+
+(* A pointwise probe at [n >= dense_cap]: one kernel call of length 1
+   into a scratch cell. *)
+let deep_table_packed tb n =
+  spill_probe tb.t_memo n (fun n ->
+    let cell = [| 0 |] in
+    tb.fill ~n0:n ~len:1 ~dst:cell ~pos:0;
+    cell.(0))
+
+let eval_table_packed tb n =
+  if n < tb.filled then begin
+    count_hit tb.t_memo;
+    if n <= 1 then 0 else tb.buf.(n)
+  end
+  else if tb.pointwise && n >= dense_cap then deep_table_packed tb n
+  else begin
+    fill_table tb n;
+    tb.buf.(n)
+  end
 
 (* O(1) compact-backend evaluation with no allocation and no per-probe
    metrics traffic (callers charge batch counters instead). *)
@@ -247,50 +298,23 @@ let[@inline] eval_periodic_packed p n =
     end
   end
 
-let eval_closure_packed c n =
-  if n < 0 || n >= dense_cap then begin
-    Metrics.add_attached c.att c_spill_probes 1;
-    match Hashtbl.find_opt c.spill n with
-    | Some v ->
-      count_hit c;
-      encode v
-    | None ->
-      Metrics.add_attached c.att c_closure_evals 1;
-      let v = c.f n in
-      Hashtbl.add c.spill n v;
-      encode v
-  end
-  else begin
-    let len = Array.length c.dense in
-    if n >= len then begin
-      let grown = Array.make (Stdlib.max 64 (next_pow2 1 n)) unset in
-      Array.blit c.dense 0 grown 0 len;
-      c.dense <- grown
-    end;
-    let v = c.dense.(n) in
-    if v = unset then begin
-      Metrics.add_attached c.att c_closure_evals 1;
-      let t = c.f n in
-      let e = encode t in
-      c.dense.(n) <- e;
-      e
-    end
-    else begin
-      count_hit c;
-      v
-    end
-  end
-
 let eval_packed t n =
   match t with
   | Closure c -> eval_closure_packed c n
+  | Table tb -> eval_table_packed tb n
   | Periodic p ->
     Metrics.add_attached p.p_att c_periodic_evals 1;
     eval_periodic_packed p n
   | Constant v -> encode v
 
+let eval t n =
+  match t with
+  | Constant v -> v
+  | Closure _ | Table _ | Periodic _ -> decode (eval_packed t n)
+
 let attachment_of = function
-  | Closure c -> c.att
+  | Closure c -> c.c_memo.att
+  | Table tb -> tb.t_memo.att
   | Periodic p -> p.p_att
   | Constant _ -> []
 
@@ -299,29 +323,68 @@ let[@inline] count_batch t len =
   Metrics.add_attached att c_batch_evals 1;
   Metrics.add_attached att c_batch_probe_count len
 
+(* [dst.(pos + i) <- eval (n0 + i)] for [i < len] on the compact
+   backend: one division locates [n0], then the walk steps along the
+   prefix and wraps back one period (adding [period_time]) at its end. *)
+let periodic_range_into p ~n0 ~len ~dst ~pos =
+  let plen = Array.length p.prefix in
+  let lead = Stdlib.min len (Stdlib.max 0 (2 - n0)) in
+  Array.fill dst pos lead 0;
+  if lead < len then begin
+    let i = n0 + lead - 2 in
+    let steps =
+      if i < plen then 0
+      else (i - (plen - 1) + p.period_events - 1) / p.period_events
+    in
+    let idx = ref (i - (steps * p.period_events))
+    and base = ref (steps * p.period_time) in
+    for k = pos + lead to pos + len - 1 do
+      dst.(k) <- p.prefix.(!idx) + !base;
+      if !idx = plen - 1 then begin
+        idx := plen - p.period_events;
+        base := !base + p.period_time
+      end
+      else incr idx
+    done
+  end
+
+(* Table range: fill what is missing (contiguously, or below [dense_cap]
+   for pointwise kernels, whose deeper cells are probed one at a time),
+   then copy; cells that were already filled count as memo hits. *)
+let table_range_into tb ~n0 ~len ~dst ~pos =
+  let hi = n0 + len - 1 in
+  let dense_hi = if tb.pointwise then Stdlib.min hi (dense_cap - 1) else hi in
+  (* cells n0 + lead .. dense_hi come from the buffer *)
+  let lead = Stdlib.min len (Stdlib.max 0 (2 - n0)) in
+  let dense_len = Stdlib.max 0 (dense_hi + 1 - (n0 + lead)) in
+  let hits = lead + Stdlib.max 0 (Stdlib.min dense_len (tb.filled - n0 - lead)) in
+  if hits > 0 then count_hits tb.t_memo hits;
+  Array.fill dst pos lead 0;
+  if dense_len > 0 then begin
+    if dense_hi >= tb.filled then fill_table tb dense_hi;
+    Array.blit tb.buf (n0 + lead) dst (pos + lead) dense_len
+  end;
+  for i = lead + dense_len to len - 1 do
+    dst.(pos + i) <- deep_table_packed tb (n0 + i)
+  done
+
 (* Fill [dst.(pos + i) <- eval t (n0 + i)] (packed) for [i < len].  One
    batch-counter bump covers the whole sweep; the compact backend pays no
-   per-probe metrics or allocation at all, the closure backend still
-   charges each memo miss so "work actually done" stays exact. *)
+   per-probe metrics or allocation at all, the memo backends still
+   charge each memo miss so "work actually done" stays exact. *)
 let eval_range_into t ~n0 ~len ~dst ~pos =
   if len < 0 || pos < 0 || pos + len > Array.length dst then
     invalid_arg "Curve.eval_range_into: bad range";
   if len > 0 then begin
     count_batch t len;
-    (match t with
-    | Periodic p ->
-      for i = 0 to len - 1 do
-        dst.(pos + i) <- eval_periodic_packed p (n0 + i)
-      done
+    match t with
+    | Periodic p -> periodic_range_into p ~n0 ~len ~dst ~pos
+    | Table tb -> table_range_into tb ~n0 ~len ~dst ~pos
     | Closure c ->
       for i = 0 to len - 1 do
         dst.(pos + i) <- eval_closure_packed c (n0 + i)
       done
-    | Constant v ->
-      let e = encode v in
-      for i = 0 to len - 1 do
-        dst.(pos + i) <- e
-      done)
+    | Constant v -> Array.fill dst pos len (encode v)
   end
 
 (* Batched probe sweep: one vectorised pass over an arbitrary (possibly
@@ -332,42 +395,28 @@ let eval_batch t probes =
   else begin
     count_batch t len;
     match t with
-    | Periodic p ->
-      Array.map (fun n -> eval_periodic_packed p n) probes
+    | Periodic p -> Array.map (fun n -> eval_periodic_packed p n) probes
+    | Table tb -> Array.map (fun n -> eval_table_packed tb n) probes
     | Closure c -> Array.map (fun n -> eval_closure_packed c n) probes
-    | Constant v ->
-      let e = encode v in
-      Array.make len e
+    | Constant v -> Array.make len (encode v)
   end
 
 (* ------------------------------------------------------------------ *)
 (* Constructors *)
 
-let make f =
-  Closure
-    {
-      f;
-      dense = [||];
-      spill = Hashtbl.create 8;
-      att = Metrics.attach ();
-      pending_hits = 0;
-    }
+let memo () = { att = Metrics.attach (); pending_hits = 0; spill = None }
 
-(* Self-referential memoization: [f] receives the memoized evaluator, so a
-   recurrence like delta'(n) = g (delta' (n-1)) costs O(n) total. *)
-let make_rec f =
-  let c =
+let make f = Closure { f; dense = [||]; c_memo = memo () }
+
+let table ?(pointwise = false) fill =
+  Table
     {
-      f = (fun _ -> Time.zero);
-      dense = [||];
-      spill = Hashtbl.create 8;
-      att = Metrics.attach ();
-      pending_hits = 0;
+      fill;
+      pointwise;
+      buf = [||];
+      filled = 2;
+      t_memo = memo ();
     }
-  in
-  let self n = eval_closure c n in
-  c.f <- (fun n -> f self n);
-  Closure c
 
 let constant v = Constant v
 
@@ -395,16 +444,17 @@ let periodic ~prefix ~period_events ~period_time =
      prefix boundary; checking two full periods past the prefix pins it
      down forever (eval (n + period_events) = eval n + period_time) *)
   for n = 2 to len + (2 * period_events) + 3 do
-    if Time.(eval_periodic t n < eval_periodic t (n - 1)) then
+    if eval_periodic_packed t n < eval_periodic_packed t (n - 1) then
       invalid_arg "Curve.periodic: recurrence breaks monotonicity"
   done;
   Periodic t
 
 let clamp_low t =
   match t with
-  | Periodic _ -> t (* already 0 for n <= 1 by construction *)
+  | Periodic _ | Table _ -> t (* already 0 for n <= 1 by construction *)
   | Constant v when Time.equal v Time.zero -> t
-  | _ -> make (fun n -> if n <= 1 then Time.zero else eval t n)
+  | Closure _ | Constant _ ->
+    make (fun n -> if n <= 1 then Time.zero else eval t n)
 
 (* ------------------------------------------------------------------ *)
 (* Pseudo-inversion searches *)
@@ -496,10 +546,11 @@ let count_lt t limit =
       raise (Unbounded "Curve.count_lt: infinite limit on a finite curve")
     | Time.Fin lim -> periodic_first p ~strict:false lim - 1
   end
-  | Closure _ | Constant _ ->
+  | Closure _ | Table _ | Constant _ ->
     (* largest n with eval n < limit = (first n >= 1 with eval n >= limit) - 1;
        0 when even eval 1 >= limit *)
-    let first_ge = first_satisfying ~lo:1 (fun n -> Time.(eval t n >= limit)) in
+    let limit = encode limit in
+    let first_ge = first_satisfying ~lo:1 (fun n -> eval_packed t n >= limit) in
     first_ge - 1
 
 let first_gt t ~offset limit =
@@ -515,8 +566,9 @@ let first_gt t ~offset limit =
         Stdlib.max 0 (m - offset)
       end
   end
-  | Closure _ | Constant _ ->
-    first_satisfying ~lo:0 (fun n -> Time.(eval t (n + offset) > limit))
+  | Closure _ | Table _ | Constant _ ->
+    let limit = encode limit in
+    first_satisfying ~lo:0 (fun n -> eval_packed t (n + offset) > limit)
 
 (* ------------------------------------------------------------------ *)
 (* Packed-limit searches: the same pseudo-inversions with an int limit
@@ -591,7 +643,7 @@ let count_lt_packed t ~lo ~limit =
     (* arithmetic location is already O(log period); the hint is not
        needed to stay cheap *)
     periodic_first_packed p ~strict:false limit - 1
-  | Closure _ | Constant _ ->
+  | Closure _ | Table _ | Constant _ ->
     let first_ge =
       first_satisfying ~lo (fun n -> eval_packed t n >= limit)
     in

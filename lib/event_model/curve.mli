@@ -14,14 +14,23 @@
     [~selfcheck] hook and [hem_tool --selfcheck] wire the audit into whole
     system analyses.
 
-    Two backends coexist.  The {e closure} backend memoizes an arbitrary
-    function into a dense array prefix (amortised O(1) append, spilling to
-    a hash table for very deep probes).  The {e compact periodic} backend
+    Three memo backends coexist.  The {e closure} backend ({!make})
+    memoizes an arbitrary function into a dense array prefix (amortised
+    O(1) append, spilling to a hash table, allocated on the first such
+    probe, for probes at [n >= 2{^15}]).  The {e table} backend ({!table})
+    holds the library's derived curves — OR merge, Θτ recurrence, inner
+    update, pending stream, AND — as a packed int buffer filled
+    contiguously by a range kernel, with no per-point closure call,
+    boxing or metrics bump.  The {e compact periodic} backend
     ({!periodic}) stores an explicit finite prefix plus a periodic tail
     [(period_events, period_time)], so standard event models and
     periodic-with-burst patterns evaluate in O(1) at any [n] and the
     pseudo-inversion searches jump directly into the right period instead
-    of running an exponential search.
+    of running an exponential search.  Streams built from arbitrary user
+    functions ([Event_model.Stream.make]: baselines, measured traces,
+    RTC conversions, shapers, propagation modes) stay on the closure
+    backend, because a contiguous fill of an expensive function would
+    evaluate points no search asks for.
 
     {b Domain locality.}  The memo tables (array prefixes, spill hash
     tables, inversion hint indices) are mutable and {e not} synchronised:
@@ -43,10 +52,26 @@ exception Unbounded of string
 val make : (int -> Timebase.Time.t) -> t
 (** [make f] memoizes [f].  [f] must be pure and monotone in [n]. *)
 
-val make_rec : ((int -> Timebase.Time.t) -> int -> Timebase.Time.t) -> t
-(** [make_rec f] builds a self-referential curve: [f self n] may call
-    [self] on indices strictly smaller than [n].  Used for recurrences such
-    as the task output model. *)
+val table :
+  ?pointwise:bool ->
+  (n0:int -> len:int -> dst:int array -> pos:int -> unit) ->
+  t
+(** [table fill] is the curve whose packed values (see {!packed_inf}) the
+    range kernel [fill] computes: [fill ~n0 ~len ~dst ~pos] stores the
+    values at [n0 .. n0 + len - 1] into [dst.(pos) .. dst.(pos + len - 1)].
+    Values at [n <= 1] are [0] and the kernel is only called with
+    [n0 >= 2].  Every filled cell counts as one [closure_evals].
+
+    By default the table fills contiguously to the deepest probe, and
+    each call continues the previous one: [pos = n0] and [dst.(m)]
+    already holds the value at [m] for every [m < n0], so a recurrence
+    may read its own earlier values.  With [~pointwise:true] the kernel
+    must compute every cell from [n0 + i] alone; the table then fills
+    contiguously only below [2{^15}] and evaluates deeper probes one cell
+    at a time ([len = 1], [dst] a scratch cell) into a spill memo, so an
+    exponential search keeps O(log n) deep evaluations.  The OR merge
+    and the Θτ recurrence are contiguous; the inner update, the pending
+    stream, AND and the Θτ [delta_plus] fallback are pointwise. *)
 
 val constant : Timebase.Time.t -> t
 
@@ -61,15 +86,15 @@ val periodic : prefix:int array -> period_events:int -> period_time:int -> t
     violated. *)
 
 val clamp_low : t -> t
-(** [clamp_low t] forces [eval _ n = 0] for [n <= 1] while preserving a
-    compact backend when [t] already satisfies the constraint. *)
+(** [clamp_low t] forces [eval _ n = 0] for [n <= 1]; periodic and table
+    curves already satisfy it and are returned as they are. *)
 
 val eval : t -> int -> Timebase.Time.t
 
 (** {1 Packed (batched, allocation-free) evaluation}
 
     The hot analysis loops — busy-window interference, the OR-combination
-    merge, the task output recurrence — probe curves millions of
+    merge, the table kernels — probe curves millions of
     times; boxing every result as a [Time.t] and bumping a metrics
     counter per probe dominates the arithmetic itself.  The packed API
     exposes the memo's own order-preserving int encoding: [Time.Fin d]
@@ -79,8 +104,8 @@ val eval : t -> int -> Timebase.Time.t
 
     Batched sweeps charge {e one} [curve.batch_evals] bump plus the probe
     count to [curve.batch_probe_count] instead of per-probe
-    [periodic_evals] traffic; closure-backend memo misses are still
-    charged individually (underlying work stays exactly counted). *)
+    [periodic_evals] traffic; closure- and table-backend memo misses are
+    still charged (underlying work stays exactly counted). *)
 
 val packed_inf : int
 (** Encoding of [Time.Inf]; strictly greater than every finite value. *)
@@ -110,7 +135,7 @@ val count_lt_packed : t -> lo:int -> limit:int -> int
     busy-window convergence loops).  No [Time.t] is allocated.
     @raise Unbounded as {!count_lt}. *)
 
-val backend : t -> [ `Closure | `Periodic | `Constant ]
+val backend : t -> [ `Closure | `Table | `Periodic | `Constant ]
 (** Which representation backs the curve (observability / tests). *)
 
 val periodic_tail : t -> (int * int * int) option
@@ -121,7 +146,7 @@ val periodic_tail : t -> (int * int * int) option
     the exact long-run rate of the curve ([period_time / period_events]
     time units per event), which exact analyses (e.g. the shaper's
     backlog-divergence test) and the verification layer rely on.  [None]
-    for closure- and constant-backed curves. *)
+    for closure-, table- and constant-backed curves. *)
 
 val search_cap : int
 (** Safety cap on closure-backend pseudo-inversion searches (indices
@@ -156,8 +181,9 @@ val first_gt : t -> offset:int -> Timebase.Time.t -> int
     observation points. *)
 
 type stats = {
-  closure_evals : int;  (** underlying closure invocations (memo misses) *)
-  memo_hits : int;  (** dense-array / spill memo hits *)
+  closure_evals : int;
+      (** memo misses: closure invocations and table cells filled *)
+  memo_hits : int;  (** reads served by a closure or table memo *)
   periodic_evals : int;  (** O(1) compact-backend evaluations *)
   searches : int;  (** pseudo-inversion queries *)
   search_steps : int;  (** probes across all searches *)

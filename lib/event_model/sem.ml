@@ -82,12 +82,19 @@ let fit ?(horizon = 256) s =
   let period =
     Stdlib.max 1 ((dmin_at horizon - dmin_at mid) / (horizon - mid))
   in
+  (* d / (n - 1) >= d_min whenever d >= d_min * (n - 1), so the division
+     only runs when it can lower d_min ([d_min <= small] keeps the
+     product from overflowing) *)
+  let small = max_int / horizon in
   let rec scan n jitter d_min =
     if n > horizon then jitter, d_min
     else
       let d = dmin_at n in
-      let jitter = Stdlib.max jitter (((n - 1) * period) - d) in
-      let d_min = Stdlib.min d_min (d / (n - 1)) in
+      let jitter = Int.max jitter (((n - 1) * period) - d) in
+      let d_min =
+        if d_min <= small && d >= d_min * (n - 1) then d_min
+        else Int.min d_min (d / (n - 1))
+      in
       scan (n + 1) jitter d_min
   in
   let jitter, d_min = scan 2 0 max_int in

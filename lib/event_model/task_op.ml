@@ -1,20 +1,28 @@
 module Time = Timebase.Time
 module Interval = Timebase.Interval
 
-(* Closure fallback for inputs without a periodic tail: the memoized
-   recurrence, evaluated on demand. *)
-let closure_delta_min ~r_minus ~spread stream =
-  Curve.make_rec (fun self n ->
-    if n <= 1 then Time.zero
-    else
-      Time.max
-        (Time.sub_clamped (Stream.delta_min stream n) (Time.of_int spread))
-        (Time.add (self (n - 1)) (Time.of_int r_minus)))
+(* Table fallbacks for inputs without a periodic tail: the recurrence
+   runs over the packed input, reading its own previous cell. *)
+let table_delta_min ~r_minus ~spread stream =
+  let input = Stream.delta_min_curve stream in
+  Curve.table (fun ~n0 ~len ~dst ~pos ->
+    Curve.eval_range_into input ~n0 ~len ~dst ~pos;
+    for i = pos to pos + len - 1 do
+      let v = dst.(i) and prev = dst.(i - 1) in
+      let arrival =
+        if v = Curve.packed_inf then v else Int.max 0 (v - spread)
+      in
+      let chain = if prev = Curve.packed_inf then prev else prev + r_minus in
+      dst.(i) <- Int.max arrival chain
+    done)
 
-let closure_delta_plus ~spread stream =
-  Curve.make (fun n ->
-    if n <= 1 then Time.zero
-    else Time.add (Stream.delta_plus stream n) (Time.of_int spread))
+let table_delta_plus ~spread stream =
+  let input = Stream.delta_plus_curve stream in
+  Curve.table ~pointwise:true (fun ~n0 ~len ~dst ~pos ->
+    Curve.eval_range_into input ~n0 ~len ~dst ~pos;
+    for i = pos to pos + len - 1 do
+      if dst.(i) <> Curve.packed_inf then dst.(i) <- dst.(i) + spread
+    done)
 
 (* ------------------------------------------------------------------ *)
 (* Compact construction.
@@ -35,8 +43,9 @@ let closure_delta_plus ~spread stream =
      [p0 = plen+1+pe] on, so [out (n+1) = out n + r] — tail [(1, r)].
    - [delta > 0]: the arrival term wins eventually — tail [(pe, pt)].
 
-   Rather than trusting the closed form, the constructor computes the
-   exact recurrence up to a candidate prefix end [p] and {e verifies} one
+   Rather than trusting the closed form, the constructor reads the exact
+   recurrence (the table fallback) up to a candidate prefix end [p] and
+   {e verifies} one
    full period beyond it ([out n = out (n - pe') + pt'] for
    [p < n <= p + pe]).  That check is a sound certificate: both the
    candidate curve and the true recurrence then shift additively
@@ -47,8 +56,8 @@ let closure_delta_plus ~spread stream =
    ([in n >= spread] from [n_c] on), hence the [n_c + pe] floor on [p];
    for the [(1, r)] tail the inequality direction suffices.  If the
    window check fails the prefix is extended; past a cap the constructor
-   falls back to the closure recurrence, so compactness is an optimisation,
-   never a change in semantics. *)
+   returns the table recurrence itself, already filled, so compactness is
+   an optimisation, never a change in semantics. *)
 
 let rec grow_to arr n =
   let len = Array.length !arr in
@@ -62,7 +71,7 @@ and grow_len len n =
   let rec go k = if k > n then k else go (k * 2) in
   go (Stdlib.max 64 len)
 
-let compact_delta_min ~r ~spread in_curve =
+let compact_delta_min ~r ~spread ~recurrence in_curve =
   match Curve.periodic_tail in_curve with
   | None -> None
   | Some (plen, pe, pt) ->
@@ -86,26 +95,13 @@ let compact_delta_min ~r ~spread in_curve =
             (Stdlib.max p0 (pe + 1))
             (if delta > 0 then n_c + pe else 2)
         in
-        let inv = ref [||] and out = ref [||] in
-        let filled = ref 0 in
-        (* make indices 0 .. n of both tables valid *)
+        let out = ref [||] and filled = ref 0 in
+        (* make indices 0 .. n of [out] valid *)
         let ensure n =
           if n >= !filled then begin
-            grow_to inv n;
             grow_to out n;
-            let n0 = !filled in
-            Curve.eval_range_into in_curve ~n0 ~len:(n + 1 - n0) ~dst:!inv
-              ~pos:n0;
-            let iv = !inv and ov = !out in
-            for k = n0 to n do
-              if k <= 1 then ov.(k) <- 0
-              else begin
-                let arrival = iv.(k) - spread in
-                let arrival = if arrival < 0 then 0 else arrival in
-                let chain = ov.(k - 1) + r in
-                ov.(k) <- (if arrival >= chain then arrival else chain)
-              end
-            done;
+            Curve.eval_range_into recurrence ~n0:!filled
+              ~len:(n + 1 - !filled) ~dst:!out ~pos:!filled;
             filled := n + 1
           end
         in
@@ -154,16 +150,18 @@ let output ?name ~response stream =
   let r_minus = Interval.lo response in
   let spread = Interval.width response in
   let delta_min =
+    let recurrence = table_delta_min ~r_minus ~spread stream in
     match
-      compact_delta_min ~r:r_minus ~spread (Stream.delta_min_curve stream)
+      compact_delta_min ~r:r_minus ~spread ~recurrence
+        (Stream.delta_min_curve stream)
     with
     | Some curve -> curve
-    | None -> closure_delta_min ~r_minus ~spread stream
+    | None -> recurrence
   in
   let delta_plus =
     match compact_delta_plus ~spread (Stream.delta_plus_curve stream) with
     | Some curve -> curve
-    | None -> closure_delta_plus ~spread stream
+    | None -> table_delta_plus ~spread stream
   in
   let name =
     match name with

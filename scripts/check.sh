@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Full verification: build + tests + a deterministic curve-work gate on
-# the flat analysis + the perf benchmark (which also
+# the flat and hierarchical analyses + the perf benchmark (which also
 # cross-checks incremental vs full engine outcomes and refreshes
 # BENCH_1.json), plus an observability smoke test, a guard on the
 # no-sink instrumentation overhead, a kernel no-regression gate vs the
@@ -21,30 +21,33 @@ timeout "${CHECK_TIMEOUT_S:-900}" dune build @runtest
 
 # --- deterministic work gate ------------------------------------------
 # Curve work is counted, not timed, so this gate is exact on any host.
-# The flat (SEM-baseline) analysis of the default system and of avionics
-# must not make more closure evaluations or memo lookups than recorded
-# when the OR-combination became one k-way merge and each task's
-# activation stream was memoised per dependency state.  Lower a budget
-# when a change cuts the work; never raise one to pass.
-# work_gate LABEL MAX_CLOSURE_EVALS MAX_MEMO_HITS [ANALYSE ARGS...]
+# The flat (SEM-baseline) and hierarchical analyses of the default
+# system and of avionics must not make more closure evaluations (memo
+# misses: closure calls and table cells filled) or memo hits (closure
+# and table reads) than recorded when the derived streams moved onto
+# packed table curves.  Lower a budget when a change cuts the work;
+# never raise one to pass.
+# work_gate LABEL MODE MAX_CLOSURE_EVALS MAX_MEMO_HITS [ANALYSE ARGS...]
 work_gate() {
-  local label=$1 max_evals=$2 max_hits=$3 work
-  shift 3
-  work=$(dune exec bin/hem_tool.exe -- analyse --mode flat --stats "$@" \
+  local label=$1 mode=$2 max_evals=$3 max_hits=$4 work
+  shift 4
+  work=$(dune exec bin/hem_tool.exe -- analyse --mode "$mode" --stats "$@" \
     | awk '/curve closure evals/ { print $4, $7 + 0 }')
-  if ! awk -v label="$label" -v work="$work" \
+  if ! awk -v label="$label" -v mode="$mode" -v work="$work" \
       -v max_evals="$max_evals" -v max_hits="$max_hits" 'BEGIN {
     split(work, w, " ");
-    printf "check: %s flat closure evals %d (budget %d), memo hits %d (budget %d)\n",
-      label, w[1], max_evals, w[2], max_hits;
+    printf "check: %s %s closure evals %d (budget %d), memo hits %d (budget %d)\n",
+      label, mode, w[1], max_evals, w[2], max_hits;
     exit !(w[1] != "" && w[1] <= max_evals && w[2] <= max_hits)
   }'; then
-    echo "check: $label flat analysis exceeds its curve work budget" >&2
+    echo "check: $label $mode analysis exceeds its curve work budget" >&2
     exit 1
   fi
 }
-work_gate "paper system" 1279 779
-work_gate avionics 1381 913 --file examples/specs/avionics.scm
+work_gate "paper system" flat 766 272
+work_gate avionics flat 866 413 --file examples/specs/avionics.scm
+work_gate "paper system" hem 11 40
+work_gate avionics hem 105 220 --file examples/specs/avionics.scm
 
 # ratio_guard LABEL REF OLD NEW TOL_PCT FAILURE: print the timing
 # comparison and fail the check with FAILURE unless

@@ -18,14 +18,20 @@ let test_eval_memoizes () =
   ignore (Curve.eval c 5);
   Alcotest.(check int) "computed once" 1 !calls
 
-let test_make_rec () =
-  (* delta(n) = delta(n-1) + n, a self-referential recurrence *)
+let test_table_recurrence () =
+  (* delta(n) = delta(n-1) + n from delta(1) = 0: a recurrence reading the
+     table's own previous cell *)
   let c =
-    Curve.make_rec (fun self n ->
-      if n <= 0 then Time.zero else Time.add (self (n - 1)) (Time.of_int n))
+    Curve.table (fun ~n0 ~len ~dst ~pos ->
+      for i = pos to pos + len - 1 do
+        dst.(i) <- dst.(i - 1) + (n0 + i - pos)
+      done)
   in
-  Alcotest.(check int) "triangular" 15 (Time.to_int (Curve.eval c 5));
-  Alcotest.(check int) "deep" (100 * 101 / 2) (Time.to_int (Curve.eval c 100))
+  Alcotest.(check bool) "table backend" true (Curve.backend c = `Table);
+  Alcotest.(check int) "triangular" 14 (Time.to_int (Curve.eval c 5));
+  Alcotest.(check int) "deep" ((100 * 101 / 2) - 1)
+    (Time.to_int (Curve.eval c 100));
+  Alcotest.(check int) "n <= 1" 0 (Time.to_int (Curve.eval c 1))
 
 let test_constant () =
   let c = Curve.constant (Time.of_int 9) in
@@ -213,6 +219,40 @@ let test_stats_attribution () =
   Alcotest.(check int) "one miss" 1 d2.Curve.closure_evals;
   Alcotest.(check int) "one hit" 1 d2.Curve.memo_hits
 
+(* Deep probes on a pointwise table stay pointwise: a signal with
+   delta_min = 0 everywhere, packed with a periodic one and unpacked
+   after a response with r- = 0, keeps delta_min = 0, so eta_plus 50
+   searches up to the cap and is infinite.  Filling the table
+   contiguously to the cap would allocate hundreds of megabytes; only
+   the part below 2^15 may be filled. *)
+let test_deep_probe_pointwise () =
+  let module Stream = Event_model.Stream in
+  let zero =
+    Stream.make ~name:"zero" ~delta_min:(fun _ -> Time.zero)
+      ~delta_plus:(fun _ -> Time.Inf)
+  in
+  let h =
+    Hem.Pack.pack
+      [
+        Hem.Pack.input "zero" zero;
+        Hem.Pack.input "p" (Stream.periodic ~name:"p" ~period:10);
+      ]
+    |> Hem.Inner_update.apply_response ~simultaneity:1
+         ~response:(Timebase.Interval.make ~lo:0 ~hi:5)
+  in
+  let unpacked = Hem.Deconstruct.unpack_label h "zero" in
+  Alcotest.(check bool) "table backend" true
+    (Curve.backend (Stream.delta_min_curve unpacked) = `Table);
+  let before = Gc.allocated_bytes () in
+  let eta = Stream.eta_plus unpacked 50 in
+  let allocated = Gc.allocated_bytes () -. before in
+  Alcotest.(check bool) "eta_plus 50 is infinite" true
+    (eta = Timebase.Count.Inf);
+  Alcotest.(check bool)
+    (Printf.sprintf "allocated %.1f MB, below 16 MB" (allocated /. 1e6))
+    true
+    (allocated < 16e6)
+
 (* property: count_lt matches brute force on random step curves *)
 let arb_steps = QCheck.(list_of_size (Gen.int_range 1 30) (int_range 0 20))
 
@@ -284,12 +324,24 @@ let prop_batch_periodic =
     (fun (period, jitter, d_min, probes) ->
       batch_agrees (periodic_curve_of (period, jitter, d_min)) probes)
 
+(* the compact walk from any [n0] (below 2, inside the prefix, deep in
+   the tail), on jittered and multi-event-period (burst) curves *)
 let prop_range_into =
   QCheck.Test.make ~name:"eval_range_into = scalar eval" ~count:200
-    (QCheck.quad (QCheck.int_range 1 300) (QCheck.int_range 0 600)
-       (QCheck.int_range 1 200) (QCheck.int_range 0 60))
-    (fun (period, jitter, n0, len) ->
-      let c = periodic_curve_of (period, jitter, 1) in
+    (QCheck.quad
+       (QCheck.pair (QCheck.int_range 1 300) (QCheck.int_range 1 5))
+       (QCheck.int_range 0 600)
+       (QCheck.oneof
+          [ QCheck.int_range (-3) 200; QCheck.int_range 30_000 40_000 ])
+       (QCheck.int_range 0 60))
+    (fun ((period, burst), jitter, n0, len) ->
+      let c =
+        if burst = 1 then periodic_curve_of (period, jitter, 1)
+        else
+          Event_model.Stream.delta_min_curve
+            (Event_model.Stream.periodic_burst ~name:"b" ~period:(period * burst)
+               ~burst ~d_min:(period / 2))
+      in
       let dst = Array.make (len + 3) (-1) in
       Curve.eval_range_into c ~n0 ~len ~dst ~pos:2;
       dst.(0) = -1
@@ -322,7 +374,7 @@ let () =
       ( "engine",
         [
           Alcotest.test_case "memoization" `Quick test_eval_memoizes;
-          Alcotest.test_case "make_rec" `Quick test_make_rec;
+          Alcotest.test_case "table recurrence" `Quick test_table_recurrence;
           Alcotest.test_case "constant" `Quick test_constant;
         ] );
       ( "search",
@@ -346,6 +398,11 @@ let () =
             test_periodic_search_beyond_cap;
           Alcotest.test_case "validation" `Quick test_periodic_validation;
           Alcotest.test_case "stats attribution" `Quick test_stats_attribution;
+        ] );
+      ( "table backend",
+        [
+          Alcotest.test_case "deep probe on a pointwise table" `Quick
+            test_deep_probe_pointwise;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

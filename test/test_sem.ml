@@ -145,6 +145,39 @@ let prop_fit_conservative =
       let fitted = Sem.fit ~horizon:64 s in
       Time.(Sem.delta_min fitted n <= Stream.delta_min s n))
 
+(* [Sem.fit] skips the division d / (n - 1) whenever it cannot lower
+   d_min; the fitted model must equal the plain scan over every sample *)
+let plain_fit ~horizon s =
+  let d n = Time.to_int (Stream.delta_min s n) in
+  let mid = Stdlib.max 2 (horizon / 2) in
+  let period = Stdlib.max 1 ((d horizon - d mid) / (horizon - mid)) in
+  let jitter = ref 0 and d_min = ref max_int in
+  for n = 2 to horizon do
+    jitter := Stdlib.max !jitter (((n - 1) * period) - d n);
+    d_min := Stdlib.min !d_min (d n / (n - 1))
+  done;
+  let d_min = Stdlib.min period (Stdlib.max 0 !d_min) in
+  Sem.make ~period ~jitter:!jitter ~d_min ()
+
+let prop_fit_equals_plain_scan =
+  let arb_input =
+    QCheck.(
+      triple (int_range 1 300) (int_range 0 600) (int_range 1 4))
+  in
+  QCheck.Test.make ~name:"fit = plain scan" ~count:100
+    (QCheck.pair (QCheck.list_of_size (QCheck.Gen.int_range 1 3) arb_input)
+       (QCheck.int_range 3 300))
+    (fun (inputs, horizon) ->
+      let stream (period, jitter, burst) =
+        if burst = 1 then
+          Stream.periodic_jitter ~name:"j" ~period ~jitter ~d_min:0 ()
+        else
+          Stream.periodic_burst ~name:"b" ~period:(period * burst) ~burst
+            ~d_min:(jitter mod period)
+      in
+      let s = Event_model.Combine.or_combine (List.map stream inputs) in
+      Sem.equal (Sem.fit ~horizon s) (plain_fit ~horizon s))
+
 let () =
   Alcotest.run "sem"
     [
@@ -169,5 +202,6 @@ let () =
             prop_closed_eta_plus_matches;
             prop_closed_eta_minus_matches;
             prop_fit_conservative;
+            prop_fit_equals_plain_scan;
           ] );
     ]
