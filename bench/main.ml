@@ -1,21 +1,22 @@
 (* Experiment harness: regenerates every table and figure of the paper's
    evaluation (section 6) plus the ablation and scaling experiments listed
-   in DESIGN.md, and runs Bechamel micro-benchmarks of the analysis.
+   in DESIGN.md.
 
    Usage:
      dune exec bench/main.exe            # all tables, figures, ablations
      dune exec bench/main.exe -- table3  # a single experiment
-     dune exec bench/main.exe -- perf    # Bechamel timing benches
      dune exec bench/main.exe -- explore # domain-pool scaling (BENCH_3.json)
-     dune exec bench/main.exe -- scale   # kernel timings + pool scaling (BENCH_6.json)
+     dune exec bench/main.exe -- scale   # pool scaling, network sweep (BENCH_6.json)
      dune exec bench/main.exe -- serve   # warm-session daemon storm (BENCH_serve.json)
      dune exec bench/main.exe -- propagation # per-mode tightness table (BENCH_9.json)
      dune exec bench/main.exe -- hybrid  # rtc/cpa/mixed backend table (BENCH_10.json)
    Experiments: tables table3 figure4 ablation-pending ablation-k scaling
    convergence baseline-models buffers cross-framework robustness validate
-   perf explore scale serve propagation hybrid
-   (perf, explore, scale, serve, propagation and hybrid are
-   timing/guarded runs, excluded from the no-argument sweep) *)
+   explore scale serve propagation hybrid
+   (explore, scale, serve, propagation and hybrid write BENCH_*.json
+   files and are excluded from the no-argument sweep).  The work budgets
+   and tightness claims behind these tables are tier-1 tests
+   (test/test_registry.ml), not checks here. *)
 
 module Time = Timebase.Time
 module Count = Timebase.Count
@@ -36,6 +37,15 @@ let ok = function
     exit 1
 
 let analyse_paper mode = ok (Engine.analyse ~mode (Paper.spec ()))
+
+(* Periodic simulator sources matching the paper system's Table 1. *)
+let paper_generators () =
+  [
+    "S1", Des.Gen.periodic ~period:250 ();
+    "S2", Des.Gen.periodic ~period:450 ();
+    "S3", Des.Gen.periodic ~period:Paper.s3_period ();
+    "S4", Des.Gen.periodic ~period:400 ();
+  ]
 
 (* Telemetry section of the BENCH_*.json files: run [f] once with
    latency histograms on (untimed, so the measured loops above stay
@@ -297,14 +307,7 @@ let buffers () =
     | Error e -> e
   in
   let spec = Paper.spec () in
-  let generators =
-    [
-      "S1", Des.Gen.periodic ~period:250 ();
-      "S2", Des.Gen.periodic ~period:450 ();
-      "S3", Des.Gen.periodic ~period:Paper.s3_period ();
-      "S4", Des.Gen.periodic ~period:400 ();
-    ]
-  in
+  let generators = paper_generators () in
   match Des.Simulator.run ~generators ~horizon:1_000_000 spec with
   | Error e -> Printf.printf "simulation failed: %s\n" e
   | Ok trace ->
@@ -374,14 +377,7 @@ let cross_framework () =
 let robustness () =
   banner "R1: signal delivery under injected frame loss (500k units)";
   let spec = Paper.spec () in
-  let generators =
-    [
-      "S1", Des.Gen.periodic ~period:250 ();
-      "S2", Des.Gen.periodic ~period:450 ();
-      "S3", Des.Gen.periodic ~period:Paper.s3_period ();
-      "S4", Des.Gen.periodic ~period:400 ();
-    ]
-  in
+  let generators = paper_generators () in
   Printf.printf "%-8s %14s %14s %16s\n" "loss" "sig1 (trig.)" "sig3 (pend.)"
     "max sig3 gap";
   List.iter
@@ -421,14 +417,7 @@ let validate () =
   banner "V1: simulation vs analysis (paper system)";
   let spec = Paper.spec () in
   let hem = analyse_paper Engine.Hierarchical in
-  let generators =
-    [
-      "S1", Des.Gen.periodic ~period:250 ();
-      "S2", Des.Gen.periodic ~period:450 ();
-      "S3", Des.Gen.periodic ~period:Paper.s3_period ();
-      "S4", Des.Gen.periodic ~period:400 ();
-    ]
-  in
+  let generators = paper_generators () in
   match Des.Simulator.run ~generators ~horizon:1_000_000 spec with
   | Error e -> Printf.printf "simulation failed: %s\n" e
   | Ok trace ->
@@ -443,184 +432,16 @@ let validate () =
       ("F1" :: "F2" :: Paper.cpu_tasks)
 
 (* ------------------------------------------------------------------ *)
-(* perf: incremental engine speedup + Bechamel micro-benchmarks        *)
-
-(* Wall-clock of the best of [runs] executions (discarding one warmup),
-   in milliseconds. *)
-let time_ms ?(runs = 5) f =
-  ignore (f ());
-  let best = ref infinity in
-  for _ = 1 to runs do
-    let t0 = Unix.gettimeofday () in
-    ignore (f ());
-    best := Stdlib.min !best (Unix.gettimeofday () -. t0)
-  done;
-  !best *. 1000.0
-
-let same_outcomes (a : Engine.result) (b : Engine.result) =
-  List.length a.outcomes = List.length b.outcomes
-  && List.for_all2
-       (fun (x : Engine.element_outcome) (y : Engine.element_outcome) ->
-         String.equal x.element y.element
-         && String.equal x.resource y.resource
-         &&
-         match x.outcome, y.outcome with
-         | Scheduling.Busy_window.Bounded i, Scheduling.Busy_window.Bounded j
-           ->
-           Interval.equal i j
-         | Scheduling.Busy_window.Unbounded _, Scheduling.Busy_window.Unbounded _
-           ->
-           true
-         | _ -> false)
-       a.outcomes b.outcomes
-
-let engine_speedup () =
-  banner "perf: incremental fixed-point engine vs full recompute (ms, best of 5)";
-  let cases =
-    [
-      "paper_hierarchical", Paper.spec (), Engine.Hierarchical;
-      "paper_flat_sem", Paper.spec (), Engine.Flat_sem;
-      "gateway_hierarchical", Scenarios.Gateway.spec (), Engine.Hierarchical;
-      "fan_in_8", Scenarios.Synthetic.fan_in ~signals:8 (), Engine.Hierarchical;
-      "chain_16", Scenarios.Synthetic.chain ~stages:16 (), Engine.Hierarchical;
-    ]
-  in
-  Printf.printf "%-22s %10s %10s %8s %6s %9s %9s\n" "system" "full" "incr"
-    "speedup" "iters" "analysed" "reused";
-  let rows =
-    List.map
-      (fun (name, spec, mode) ->
-        let inc = ok (Engine.analyse ~mode ~incremental:true spec) in
-        let full = ok (Engine.analyse ~mode ~incremental:false spec) in
-        if not (same_outcomes inc full) then begin
-          Printf.eprintf "%s: incremental and full outcomes differ!\n" name;
-          exit 1
-        end;
-        let t_inc =
-          time_ms (fun () -> Engine.analyse ~mode ~incremental:true spec)
-        in
-        let t_full =
-          time_ms (fun () -> Engine.analyse ~mode ~incremental:false spec)
-        in
-        let speedup = t_full /. t_inc in
-        Printf.printf "%-22s %9.3f %9.3f %7.2fx %6d %9d %9d\n" name t_full
-          t_inc speedup inc.Engine.iterations inc.Engine.stats.resources_analysed
-          inc.stats.resources_reused;
-        name, t_full, t_inc, speedup, inc)
-      cases
-  in
-  let best = List.fold_left (fun acc (_, _, _, s, _) -> Stdlib.max acc s) 0.0 rows in
-  Printf.printf "(identical outcomes in every case; best speedup %.2fx)\n" best;
-  let oc = open_out "BENCH_1.json" in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n  \"benchmark\": \"incremental engine vs full recompute\",\n";
-  Buffer.add_string buf "  \"unit\": \"ms, best of 5 runs\",\n  \"cases\": [\n";
-  List.iteri
-    (fun i (name, t_full, t_inc, speedup, (inc : Engine.result)) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"name\": %S, \"full_ms\": %.3f, \"incremental_ms\": %.3f, \
-            \"speedup\": %.2f, \"identical_outcomes\": true, \
-            \"iterations\": %d, \"resources_analysed\": %d, \
-            \"resources_reused\": %d, \"streams_invalidated\": %d, \
-            \"closure_evals\": %d, \"periodic_evals\": %d}%s\n"
-           name t_full t_inc speedup inc.Engine.iterations
-           inc.Engine.stats.resources_analysed inc.stats.resources_reused
-           inc.stats.streams_invalidated inc.stats.curve.closure_evals
-           inc.stats.curve.periodic_evals
-           (if i = List.length rows - 1 then "" else ",")))
-    rows;
-  let metrics =
-    metrics_json ~warm:(fun () ->
-        ignore (Engine.analyse ~mode:Engine.Hierarchical (Paper.spec ())))
-  in
-  Buffer.add_string buf
-    (Printf.sprintf "  ],\n  \"best_speedup\": %.2f,\n  \"metrics\": %s\n}\n"
-       best metrics);
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "wrote BENCH_1.json\n"
-
-let perf () =
-  engine_speedup ();
-  banner "perf: Bechamel micro-benchmarks (ns per run)";
-  let open Bechamel in
-  let spec = Paper.spec () in
-  let fresh_or () =
-    (* rebuilt each run so memoization does not short-circuit the work *)
-    let s =
-      Event_model.Combine.or_combine
-        [
-          Stream.periodic ~name:"a" ~period:250;
-          Stream.periodic ~name:"b" ~period:450;
-          Stream.periodic ~name:"c" ~period:700;
-        ]
-    in
-    Stream.delta_min s 64
-  in
-  let tests =
-    [
-      Test.make ~name:"table1+2: frame hierarchy construction"
-        (Staged.stage (fun () ->
-           Hem.Model.arity
-             (Comstack.Frame.hierarchy
-                (Comstack.Frame.make ~name:"F1" ~send_type:Comstack.Frame.Direct
-                   ~signals:
-                     [
-                       Comstack.Signal.triggering ~name:"s1"
-                         (Stream.periodic ~name:"s1" ~period:250);
-                       Comstack.Signal.pending ~name:"s3"
-                         (Stream.periodic ~name:"s3" ~period:1000);
-                     ]
-                   ~tx_time:(Interval.point 4) ~priority:1))));
-      Test.make ~name:"table3: full analysis, flat mode"
-        (Staged.stage (fun () ->
-           ignore (Engine.analyse ~mode:Engine.Flat_sem spec)));
-      Test.make ~name:"table3: full analysis, hierarchical mode"
-        (Staged.stage (fun () ->
-           ignore (Engine.analyse ~mode:Engine.Hierarchical spec)));
-      Test.make ~name:"figure4: eta+ series on fresh OR stream"
-        (Staged.stage (fun () -> ignore (fresh_or ())));
-      Test.make ~name:"validate: 100k-unit simulation"
-        (Staged.stage (fun () ->
-           ignore
-             (Des.Simulator.run
-                ~generators:
-                  [
-                    "S1", Des.Gen.periodic ~period:250 ();
-                    "S2", Des.Gen.periodic ~period:450 ();
-                    "S3", Des.Gen.periodic ~period:1000 ();
-                    "S4", Des.Gen.periodic ~period:400 ();
-                  ]
-                ~horizon:100_000 spec)));
-    ]
-  in
-  let grouped = Test.make_grouped ~name:"hem" tests in
-  let instances = Toolkit.Instance.[ monotonic_clock ] in
-  let cfg =
-    Benchmark.cfg ~limit:300 ~quota:(Bechamel.Time.second 0.5) ~stabilize:true ()
-  in
-  let raw = Benchmark.all cfg instances grouped in
-  let ols =
-    Analyze.ols ~r_square:true ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold (fun name o acc -> (name, o) :: acc) results []
-    |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-  in
-  List.iter
-    (fun (name, o) ->
-      let estimate =
-        match Analyze.OLS.estimates o with
-        | Some (e :: _) -> Printf.sprintf "%.0f ns/run" e
-        | Some [] | None -> "n/a"
-      in
-      Printf.printf "%-55s %s\n" name estimate)
-    rows
-
-(* ------------------------------------------------------------------ *)
 (* explore: domain-pool scaling on a design-space sweep (BENCH_3.json)  *)
+
+(* A sweep report rendered as CSV: byte equality across job counts is
+   the determinism check of the pool benches. *)
+let render_csv report =
+  let buf = Buffer.create 4096 in
+  let fmt = Format.formatter_of_buffer buf in
+  Explore.Render.csv fmt report;
+  Format.pp_print_flush fmt ();
+  Buffer.contents buf
 
 (* A >=200-variant sweep: the paper system over S3 period x T3 CET
    scale, plus synthetic fan-in systems over signal count x CET.  The
@@ -664,20 +485,13 @@ let explore_bench () =
   banner "explore: domain-pool scaling, 275-variant sweep (BENCH_3.json)";
   let cores = Domain.recommended_domain_count () in
   let job_counts = [ 1; 2; 4 ] in
-  let render report =
-    let buf = Buffer.create 4096 in
-    let fmt = Format.formatter_of_buffer buf in
-    Explore.Render.csv fmt report;
-    Format.pp_print_flush fmt ();
-    Buffer.contents buf
-  in
   Printf.printf "%-6s %10s %9s %8s %7s %6s\n" "jobs" "wall ms" "speedup"
     "variants" "unique" "hits";
   let runs =
     List.map
       (fun jobs ->
         let report = Explore.Driver.run ~jobs (explore_items ()) in
-        jobs, report, render report)
+        jobs, report, render_csv report)
       job_counts
   in
   let _, first_report, first_csv = List.hd runs in
@@ -733,74 +547,10 @@ let explore_bench () =
   Printf.printf "wrote BENCH_3.json\n"
 
 (* ------------------------------------------------------------------ *)
-(* scale: hot-path kernel timings + honest pool scaling (BENCH_6.json) *)
-
-(* Serial timing of the curve kernels: one from-scratch analysis per
-   case, wall time plus the curve-probe counters of that run.  The
-   kernels' agreement with the paper's equations is checked by
-   [Verify.Oracle.kernel_agreement], not here. *)
-let timed_case name spec mode =
-  let result = ok (Engine.analyse ~mode ~incremental:false spec) in
-  let t = time_ms (fun () -> Engine.analyse ~mode ~incremental:false spec) in
-  name, t, result.Engine.stats.curve
-
-(* Bytes allocated per call, measured over [iters] calls of [f] after a
-   warmup call: the periodic-tail fast paths must not allocate at all. *)
-let bytes_per_call ?(iters = 100_000) f =
-  ignore (Sys.opaque_identity (f ()));
-  let b0 = Gc.allocated_bytes () in
-  for _ = 1 to iters do
-    ignore (Sys.opaque_identity (f ()))
-  done;
-  let b1 = Gc.allocated_bytes () in
-  (b1 -. b0) /. float_of_int iters
+(* scale: pool scaling on a many-ECU sweep (BENCH_6.json)             *)
 
 let scale () =
-  banner "scale: curve kernels + allocation + pool scaling (BENCH_6.json)";
-  let module Curve = Event_model.Curve in
-  (* --- serial kernel timings ------------------------------------- *)
-  let cases =
-    [
-      timed_case "chain_16" (Scenarios.Synthetic.chain ~stages:16 ())
-        Engine.Hierarchical;
-      timed_case "paper_flat_sem" (Paper.spec ()) Engine.Flat_sem;
-      timed_case "paper_hierarchical" (Paper.spec ()) Engine.Hierarchical;
-      timed_case "network_8" (Scenarios.Synthetic.network ~seed:1 ~ecus:8 ())
-        Engine.Hierarchical;
-    ]
-  in
-  Printf.printf "%-20s %10s %12s %12s %12s\n" "system" "ms" "per.evals"
-    "batch.evals" "batch.probes";
-  List.iter
-    (fun (name, t, (c : Curve.stats)) ->
-      Printf.printf "%-20s %10.3f %12d %12d %12d\n" name t
-        c.Curve.periodic_evals c.Curve.batch_evals c.Curve.batch_probe_count)
-    cases;
-  (* --- allocation-free fast paths -------------------------------- *)
-  let periodic_curve =
-    Stream.delta_min_curve
-      (Stream.periodic_jitter ~name:"alloc-probe" ~period:250 ~jitter:400 ())
-  in
-  let packed_eval =
-    bytes_per_call (fun () -> Curve.eval_packed periodic_curve 1013)
-  in
-  let legacy_eval =
-    bytes_per_call (fun () -> Curve.eval periodic_curve 1013)
-  in
-  let packed_count =
-    bytes_per_call (fun () ->
-      Curve.count_lt_packed periodic_curve ~lo:1 ~limit:100_000)
-  in
-  banner "scale: allocation per call on the periodic tail (bytes)";
-  Printf.printf "  eval_packed      %8.2f\n" packed_eval;
-  Printf.printf "  eval (boxed)     %8.2f\n" legacy_eval;
-  Printf.printf "  count_lt_packed  %8.2f\n" packed_count;
-  if packed_eval > 1.0 || packed_count > 1.0 then begin
-    Printf.eprintf "scale: packed periodic fast path allocates!\n";
-    exit 1
-  end;
-  (* --- pool scaling on a many-ECU sweep --------------------------- *)
-  banner "scale: pool scaling, synthetic network sweep";
+  banner "scale: pool scaling, synthetic network sweep (BENCH_6.json)";
   let items () =
     List.concat_map
       (fun ecus ->
@@ -815,13 +565,6 @@ let scale () =
   in
   let cores = Domain.recommended_domain_count () in
   let job_counts = [ 1; 2; 4 ] in
-  let render report =
-    let buf = Buffer.create 4096 in
-    let fmt = Format.formatter_of_buffer buf in
-    Explore.Render.csv fmt report;
-    Format.pp_print_flush fmt ();
-    Buffer.contents buf
-  in
   (* one untimed pass to warm page cache / allocator before measuring *)
   ignore (Explore.Driver.run ~jobs:1 (items ()));
   (* a single sweep is ~tens of ms, well inside container timing jitter;
@@ -843,7 +586,7 @@ let scale () =
     List.map
       (fun jobs ->
         let report = Hashtbl.find best jobs in
-        jobs, report, render report)
+        jobs, report, render_csv report)
       job_counts
   in
   let _, first_report, first_csv = List.hd runs in
@@ -874,23 +617,8 @@ let scale () =
   let oc = open_out "BENCH_6.json" in
   let buf = Buffer.create 2048 in
   Buffer.add_string buf
-    "{\n  \"benchmark\": \"hot-path curve kernels + explore pool scaling\",\n";
-  Buffer.add_string buf "  \"unit\": \"ms, best of 5 runs\",\n  \"kernels\": [\n";
-  List.iteri
-    (fun i (name, t, (c : Curve.stats)) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "    {\"name\": %S, \"ms\": %.3f, \"periodic_evals\": %d, \
-            \"batch_evals\": %d, \"batch_probe_count\": %d}%s\n"
-           name t c.Curve.periodic_evals c.Curve.batch_evals
-           c.Curve.batch_probe_count
-           (if i = List.length cases - 1 then "" else ",")))
-    cases;
-  Buffer.add_string buf
-    (Printf.sprintf
-       "  ],\n  \"allocation_bytes_per_call\": {\"eval_packed\": %.2f, \
-        \"eval_boxed\": %.2f, \"count_lt_packed\": %.2f},\n"
-       packed_eval legacy_eval packed_count);
+    "{\n  \"benchmark\": \"explore pool scaling\",\n  \"unit\": \"ms, best of 5 \
+     rounds\",\n";
   Buffer.add_string buf
     (Printf.sprintf
        "  \"pool\": {\"cores\": %d, \"sweep_items\": %d, \
@@ -1304,53 +1032,41 @@ let serve_bench () =
 (* propagation: per-mode output-model tightness table (BENCH_9.json)   *)
 
 module Prop = Event_model.Propagation
+module Oracle = Verify.Oracle
 
-(* Force one propagation mode on the whole system: spec-wide default
-   set, per-task overrides cleared — the same normalisation the
-   propagation oracle applies. *)
-let forced_propagation mode (spec : Spec.t) =
-  let spec =
-    {
-      spec with
-      Spec.tasks =
-        List.map
-          (fun (t : Spec.task) -> { t with Spec.propagation = None })
-          spec.Spec.tasks;
-    }
-  in
-  Spec.with_propagation mode spec
+(* The systems of the propagation and backend tables. *)
+let table_systems () =
+  List.map
+    (fun name -> name, Scenarios.Registry.find name ())
+    [ "paper"; "gateway"; "avionics"; "fan_in_8"; "chain_12"; "network_8" ]
+
+(* Worst-case response bound per element, [None] when unbounded. *)
+let hi_map (r : Engine.result) =
+  List.map
+    (fun (o : Engine.element_outcome) ->
+      ( o.Engine.element,
+        match o.Engine.outcome with
+        | Scheduling.Busy_window.Bounded i -> Some (Interval.hi i)
+        | Scheduling.Busy_window.Unbounded _ -> None ))
+    r.Engine.outcomes
+
+let sum_hi hs =
+  List.fold_left
+    (fun acc (_, h) -> match h with Some h -> acc + h | None -> acc)
+    0 hs
 
 let propagation_bench () =
   banner "propagation: per-mode output-model tightness (BENCH_9.json)";
-  let systems =
-    [
-      "paper", Paper.spec ();
-      "gateway", Scenarios.Gateway.spec ();
-      "avionics", Scenarios.Avionics.spec ();
-      "fan_in_8", Scenarios.Synthetic.fan_in ~signals:8 ();
-      "chain_12", Scenarios.Synthetic.chain ~stages:12 ();
-      "network_8", Scenarios.Synthetic.network ();
-    ]
-  in
-  let hi_map (r : Engine.result) =
-    List.map
-      (fun (o : Engine.element_outcome) ->
-        ( o.Engine.element,
-          match o.Engine.outcome with
-          | Scheduling.Busy_window.Bounded i -> Some (Interval.hi i)
-          | Scheduling.Busy_window.Unbounded _ -> None ))
-      r.Engine.outcomes
-  in
   let mode_names = List.map Prop.mode_name Prop.all_modes in
   Printf.printf "%-12s %10s" "system" "flat";
   List.iter (fun m -> Printf.printf " %13s" m) mode_names;
   Printf.printf "   (sum of bounded R+ over elements)\n";
-  let violations = ref 0 in
   let rows =
     List.map
       (fun (name, spec) ->
         let flat =
-          ok (Engine.analyse ~mode:Engine.Flat_sem ~incremental:false spec)
+          hi_map
+            (ok (Engine.analyse ~mode:Engine.Flat_sem ~incremental:false spec))
         in
         let per_mode =
           List.map
@@ -1359,84 +1075,29 @@ let propagation_bench () =
                 hi_map
                   (ok
                      (Engine.analyse ~mode:Engine.Hierarchical
-                        ~incremental:false (forced_propagation m spec))) ))
+                        ~incremental:false (Oracle.forced_mode m spec))) ))
             Prop.all_modes
         in
         let theta = List.assoc Prop.Theta_tau per_mode in
-        let optimal = List.assoc Prop.Optimal per_mode in
-        (* optimal must be pointwise at least as tight as every mode *)
-        List.iter
-          (fun (m, hs) ->
-            List.iter
-              (fun (element, h) ->
-                match List.assoc_opt element optimal, h with
-                | Some (Some o), Some h when o > h ->
-                  incr violations;
-                  Printf.eprintf
-                    "%s/%s: optimal %d looser than %s %d\n" name element o
-                    (Prop.mode_name m) h
-                | Some None, Some h ->
-                  incr violations;
-                  Printf.eprintf
-                    "%s/%s: optimal unbounded, %s bounded at %d\n" name
-                    element (Prop.mode_name m) h
-                | _ -> ())
-              hs)
-          per_mode;
         let strict =
           List.exists
             (fun (element, o) ->
               match o, List.assoc_opt element theta with
               | Some o, Some (Some t) -> o < t
               | _ -> false)
-            optimal
+            (List.assoc Prop.Optimal per_mode)
         in
-        let total hs =
-          List.fold_left
-            (fun acc (_, h) -> match h with Some h -> acc + h | None -> acc)
-            0 hs
-        in
-        Printf.printf "%-12s %10d" name (total (hi_map flat));
-        List.iter
-          (fun (_, hs) -> Printf.printf " %13d" (total hs))
-          per_mode;
+        Printf.printf "%-12s %10d" name (sum_hi flat);
+        List.iter (fun (_, hs) -> Printf.printf " %13d" (sum_hi hs)) per_mode;
         Printf.printf "%s\n" (if strict then "   < theta_tau" else "");
-        name, hi_map flat, per_mode, strict)
-      systems
+        name, flat, per_mode, strict)
+      (table_systems ())
   in
   let strict_wins =
     List.filter_map (fun (n, _, _, s) -> if s then Some n else None) rows
   in
-  if !violations > 0 then begin
-    Printf.eprintf "propagation: %d pointwise-dominance violations\n"
-      !violations;
-    exit 1
-  end;
-  if strict_wins = [] then begin
-    Printf.eprintf
-      "propagation: optimal never strictly tighter than theta_tau\n";
-    exit 1
-  end;
-  Printf.printf "(optimal pointwise <= every mode; strictly tighter than \
-                 theta_tau on: %s)\n"
+  Printf.printf "(optimal strictly tighter than theta_tau on: %s)\n"
     (String.concat ", " strict_wins);
-  (* kernel-path timing of the same cases BENCH_1.json reports, so the
-     check gate can compare the two files from one machine *)
-  let kernel_cases =
-    [
-      "paper_flat_sem", Paper.spec (), Engine.Flat_sem;
-      "chain_16", Scenarios.Synthetic.chain ~stages:16 (), Engine.Hierarchical;
-    ]
-  in
-  let kernel =
-    List.map
-      (fun (name, spec, mode) ->
-        name, time_ms (fun () -> Engine.analyse ~mode ~incremental:false spec))
-      kernel_cases
-  in
-  List.iter
-    (fun (name, t) -> Printf.printf "kernel %-16s %8.3f ms\n" name t)
-    kernel;
   let oc = open_out "BENCH_9.json" in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
@@ -1468,9 +1129,7 @@ let propagation_bench () =
         elements;
       Buffer.add_string buf "     ],\n";
       Buffer.add_string buf
-        (Printf.sprintf
-           "     \"optimal_pointwise_le\": true, \
-            \"optimal_strictly_tighter_than_theta\": %b}%s\n"
+        (Printf.sprintf "     \"optimal_strictly_tighter_than_theta\": %b}%s\n"
            strict
            (if i = List.length rows - 1 then "" else ",")))
     rows;
@@ -1479,20 +1138,13 @@ let propagation_bench () =
     (Printf.sprintf "  \"strict_win_systems\": [%s],\n"
        (String.concat ", "
           (List.map (fun n -> Printf.sprintf "%S" n) strict_wins)));
-  Buffer.add_string buf "  \"kernel\": [\n";
-  List.iteri
-    (fun i (name, t) ->
-      Buffer.add_string buf
-        (Printf.sprintf "    {\"name\": %S, \"full_ms\": %.3f}%s\n" name t
-           (if i = List.length kernel - 1 then "" else ",")))
-    kernel;
   let metrics =
     metrics_json ~warm:(fun () ->
         ignore
           (Engine.analyse ~mode:Engine.Hierarchical
-             (forced_propagation Prop.Optimal (Paper.spec ()))))
+             (Oracle.forced_mode Prop.Optimal (Paper.spec ()))))
   in
-  Buffer.add_string buf (Printf.sprintf "  ],\n  \"metrics\": %s\n}\n" metrics);
+  Buffer.add_string buf (Printf.sprintf "  \"metrics\": %s\n}\n" metrics);
   output_string oc (Buffer.contents buf);
   close_out oc;
   Printf.printf "wrote BENCH_9.json\n"
@@ -1500,63 +1152,29 @@ let propagation_bench () =
 (* ------------------------------------------------------------------ *)
 (* hybrid: rtc vs cpa vs mixed backend tightness/runtime (BENCH_10)    *)
 
-(* Force every resource onto one local-analysis backend; EDF resources
-   stay on [Cpa] (no RTC service model for dynamic deadlines, and
-   [Spec.validate] rejects the combination). *)
-let forced_backend b (spec : Spec.t) =
-  {
-    spec with
-    Spec.resources =
-      List.map
-        (fun (r : Spec.resource) ->
-          if r.Spec.scheduler = Spec.Edf then { r with Spec.backend = Spec.Cpa }
-          else { r with Spec.backend = b })
-        spec.Spec.resources;
-  }
-
-(* Alternate backends resource by resource, so every multi-resource
-   system carries at least one RTC and one CPA resource in one graph —
-   the coupling the hybrid fixed point has to route curves across. *)
-let mixed_backend (spec : Spec.t) =
-  {
-    spec with
-    Spec.resources =
-      List.mapi
-        (fun i (r : Spec.resource) ->
-          if r.Spec.scheduler = Spec.Edf || i mod 2 = 1 then
-            { r with Spec.backend = Spec.Cpa }
-          else { r with Spec.backend = Spec.Rtc })
-        spec.Spec.resources;
-  }
+(* Wall-clock of the best of [runs] executions (discarding one warmup),
+   in milliseconds.  Reported, never gated: a timing ratio on a shared
+   host cannot tell a regression from noise. *)
+let time_ms ?(runs = 5) f =
+  ignore (f ());
+  let best = ref infinity in
+  for _ = 1 to runs do
+    let t0 = Unix.gettimeofday () in
+    ignore (f ());
+    best := Stdlib.min !best (Unix.gettimeofday () -. t0)
+  done;
+  !best *. 1000.0
 
 let hybrid_bench () =
   banner "hybrid: rtc vs cpa vs mixed backends (BENCH_10.json)";
-  let systems =
-    [
-      "paper", Paper.spec ();
-      "gateway", Scenarios.Gateway.spec ();
-      "avionics", Scenarios.Avionics.spec ();
-      "fan_in_8", Scenarios.Synthetic.fan_in ~signals:8 ();
-      "chain_12", Scenarios.Synthetic.chain ~stages:12 ();
-      "network_8", Scenarios.Synthetic.network ();
-    ]
-  in
   let backends =
     [
-      "cpa", forced_backend Spec.Cpa;
-      "rtc", forced_backend Spec.Rtc;
-      "mixed", mixed_backend;
+      "cpa", Oracle.forced_backend Spec.Cpa;
+      "rtc", Oracle.forced_backend Spec.Rtc;
+      "mixed", Oracle.mixed_backend;
     ]
   in
-  let hi_map (r : Engine.result) =
-    List.map
-      (fun (o : Engine.element_outcome) ->
-        ( o.Engine.element,
-          match o.Engine.outcome with
-          | Scheduling.Busy_window.Bounded i -> Some (Interval.hi i)
-          | Scheduling.Busy_window.Unbounded _ -> None ))
-      r.Engine.outcomes
-  in
+  let bounded hs = List.length (List.filter (fun (_, h) -> h <> None) hs) in
   Printf.printf "%-12s %8s %12s %10s %8s\n" "system" "backend" "sum R+"
     "bounded" "ms";
   let rows =
@@ -1566,147 +1184,46 @@ let hybrid_bench () =
           List.map
             (fun (bname, force) ->
               let spec = force spec in
-              let ms =
-                time_ms (fun () ->
-                    Engine.analyse ~mode:Engine.Hierarchical ~incremental:false
-                      spec)
+              let analyse () =
+                Engine.analyse ~mode:Engine.Hierarchical ~incremental:false spec
               in
-              let r =
-                ok
-                  (Engine.analyse ~mode:Engine.Hierarchical ~incremental:false
-                     spec)
-              in
+              let ms = time_ms analyse in
+              let r = ok (analyse ()) in
               let hs = hi_map r in
-              let bounded =
-                List.length (List.filter (fun (_, h) -> h <> None) hs)
-              in
-              let sum =
-                List.fold_left
-                  (fun acc (_, h) ->
-                    match h with Some h -> acc + h | None -> acc)
-                  0 hs
-              in
-              Printf.printf "%-12s %8s %12d %7d/%-2d %8.3f\n" name bname sum
-                bounded (List.length hs) ms;
-              bname, hs, bounded, sum, ms, Engine.status_name r.Engine.status)
+              Printf.printf "%-12s %8s %12d %7d/%-2d %8.3f\n" name bname
+                (sum_hi hs) (bounded hs) (List.length hs) ms;
+              bname, (hs, ms, Engine.status_name r.Engine.status))
             backends
         in
         name, per_backend)
-      systems
+      (table_systems ())
   in
-  (* Boundedness drift report: an element bounded under pure CPA may
-     legitimately go unbounded under the conservative curve backend
-     (long chains accumulate conversion jitter until the in-horizon
-     arrival estimate exceeds the certified service rate), but the count
-     is recorded so a regression in the conversion layer shows up as a
-     jump here. *)
-  let unbounded_regressions = ref 0 in
-  List.iter
-    (fun (name, per_backend) ->
-      let find b =
-        let _, hs, _, _, _, _ =
-          List.find (fun (n, _, _, _, _, _) -> n = b) per_backend
+  (* Boundedness drift: an element bounded under pure CPA may go
+     unbounded under the conservative curve backend (long chains
+     accumulate conversion jitter until the in-horizon arrival estimate
+     exceeds the certified service rate); the count is recorded so a
+     regression in the conversion layer shows up as a jump here. *)
+  let regressions =
+    List.fold_left
+      (fun acc (name, per_backend) ->
+        let hs b =
+          let hs, _, _ = List.assoc b per_backend in
+          hs
         in
-        hs
-      in
-      let cpa = find "cpa" in
-      List.iter
-        (fun b ->
-          List.iter
-            (fun (element, h) ->
-              match h, List.assoc_opt element (find b) with
-              | Some _, Some None ->
-                incr unbounded_regressions;
-                Printf.eprintf "%s/%s: bounded under cpa, unbounded under %s\n"
-                  name element b
-              | _ -> ())
-            cpa)
-        [ "rtc"; "mixed" ])
-    rows;
-  if !unbounded_regressions > 0 then
-    Printf.printf "(%d element(s) bounded under cpa lose boundedness on the \
-                   curve backend)\n"
-      !unbounded_regressions;
-  (* pure-backend agreement on the paper system: the reference system is
-     jitter-free periodic with point execution intervals, where the RTC
-     fixed-priority service chain and the CPA busy window are the same
-     recurrence — per-element worst-case bounds must be equal *)
-  let paper_backends = List.assoc "paper" rows in
-  let paper_hs b =
-    let _, hs, _, _, _, _ =
-      List.find (fun (n, _, _, _, _, _) -> n = b) paper_backends
-    in
-    hs
+        List.fold_left
+          (fun acc b ->
+            List.fold_left
+              (fun acc (element, h) ->
+                match h, List.assoc_opt element (hs b) with
+                | Some _, Some None ->
+                  Printf.printf "%s/%s: bounded under cpa, unbounded under %s\n"
+                    name element b;
+                  acc + 1
+                | _ -> acc)
+              acc (hs "cpa"))
+          acc [ "rtc"; "mixed" ])
+      0 rows
   in
-  let pure_agreement =
-    List.for_all
-      (fun (element, cpa) -> List.assoc_opt element (paper_hs "rtc") = Some cpa)
-      (paper_hs "cpa")
-  in
-  if not pure_agreement then begin
-    Printf.eprintf "hybrid: rtc and cpa bounds differ on the paper system\n";
-    exit 1
-  end;
-  (* one DES trace of the paper system (backend-independent): every
-     backend's analytic bounds must dominate the observed responses *)
-  let paper_spec = Paper.spec () in
-  let generators =
-    [
-      "S1", Des.Gen.periodic ~period:250 ();
-      "S2", Des.Gen.periodic ~period:450 ();
-      "S3", Des.Gen.periodic ~period:Paper.s3_period ();
-      "S4", Des.Gen.periodic ~period:400 ();
-    ]
-  in
-  let dominance =
-    match Des.Simulator.run ~generators ~horizon:1_000_000 paper_spec with
-    | Error e ->
-      Printf.eprintf "hybrid: simulation failed: %s\n" e;
-      exit 1
-    | Ok trace ->
-      List.map
-        (fun (bname, _) ->
-          let sound =
-            List.for_all
-              (fun (element, h) ->
-                match h, Des.Trace.worst_response trace element with
-                | Some bound, Some observed ->
-                  if observed > bound then begin
-                    Printf.eprintf "hybrid: %s bound %d below observed %d (%s)\n"
-                      element bound observed bname;
-                    false
-                  end
-                  else true
-                | _ -> true)
-              (paper_hs bname)
-          in
-          bname, sound)
-        backends
-  in
-  if List.exists (fun (_, sound) -> not sound) dominance then begin
-    Printf.eprintf "hybrid: analytic bounds below DES observations\n";
-    exit 1
-  end;
-  Printf.printf
-    "(pure rtc = pure cpa on paper; all backends dominate DES over 1e6)\n";
-  (* pure-CPA kernel timings of the BENCH_1 cases: the backend plumbing
-     must be pay-for-use, so check.sh can require these to sit within
-     tolerance of the perf run's numbers *)
-  let kernel_cases =
-    [
-      "paper_flat_sem", Paper.spec (), Engine.Flat_sem;
-      "chain_16", Scenarios.Synthetic.chain ~stages:16 (), Engine.Hierarchical;
-    ]
-  in
-  let kernel =
-    List.map
-      (fun (name, spec, mode) ->
-        name, time_ms (fun () -> Engine.analyse ~mode ~incremental:false spec))
-      kernel_cases
-  in
-  List.iter
-    (fun (name, t) -> Printf.printf "kernel %-16s %8.3f ms\n" name t)
-    kernel;
   let oc = open_out "BENCH_10.json" in
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
@@ -1717,12 +1234,12 @@ let hybrid_bench () =
       Buffer.add_string buf (Printf.sprintf "    {\"name\": %S,\n" name);
       Buffer.add_string buf "     \"backends\": [\n";
       List.iteri
-        (fun j (bname, hs, bounded, sum, ms, status) ->
+        (fun j (bname, (hs, ms, status)) ->
           Buffer.add_string buf
             (Printf.sprintf
                "       {\"backend\": %S, \"sum_hi\": %d, \"bounded\": %d, \
                 \"elements\": %d, \"ms\": %.3f, \"status\": %S}%s\n"
-               bname sum bounded (List.length hs) ms status
+               bname (sum_hi hs) (bounded hs) (List.length hs) ms status
                (if j = List.length per_backend - 1 then "" else ",")))
         per_backend;
       Buffer.add_string buf
@@ -1731,30 +1248,14 @@ let hybrid_bench () =
     rows;
   Buffer.add_string buf "  ],\n";
   Buffer.add_string buf
-    (Printf.sprintf "  \"boundedness_regressions\": %d,\n"
-       !unbounded_regressions);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"paper_pure_agreement\": %b,\n" pure_agreement);
-  Buffer.add_string buf
-    (Printf.sprintf "  \"paper_dominance\": {%s},\n"
-       (String.concat ", "
-          (List.map
-             (fun (b, sound) -> Printf.sprintf "%S: %b" b sound)
-             dominance)));
-  Buffer.add_string buf "  \"kernel\": [\n";
-  List.iteri
-    (fun i (name, t) ->
-      Buffer.add_string buf
-        (Printf.sprintf "    {\"name\": %S, \"full_ms\": %.3f}%s\n" name t
-           (if i = List.length kernel - 1 then "" else ",")))
-    kernel;
+    (Printf.sprintf "  \"boundedness_regressions\": %d,\n" regressions);
   let metrics =
     metrics_json ~warm:(fun () ->
         ignore
           (Engine.analyse ~mode:Engine.Hierarchical
-             (forced_backend Spec.Rtc (Paper.spec ()))))
+             (Oracle.forced_backend Spec.Rtc (Paper.spec ()))))
   in
-  Buffer.add_string buf (Printf.sprintf "  ],\n  \"metrics\": %s\n}\n" metrics);
+  Buffer.add_string buf (Printf.sprintf "  \"metrics\": %s\n}\n" metrics);
   output_string oc (Buffer.contents buf);
   close_out oc;
   Printf.printf "wrote BENCH_10.json\n"
@@ -1775,7 +1276,6 @@ let experiments =
     "cross-framework", cross_framework;
     "robustness", robustness;
     "validate", validate;
-    "perf", perf;
     "explore", explore_bench;
     "scale", scale;
     "serve", serve_bench;
@@ -1786,12 +1286,13 @@ let experiments =
 let () =
   match Array.to_list Sys.argv with
   | [] | _ :: [] ->
-    (* everything except the timing benches, which are opt-in *)
+    (* everything except the benches that write BENCH_*.json files *)
     List.iter
       (fun (name, run) ->
         if
-          name <> "perf" && name <> "explore" && name <> "scale"
-          && name <> "serve" && name <> "propagation" && name <> "hybrid"
+          not
+            (List.mem name
+               [ "explore"; "scale"; "serve"; "propagation"; "hybrid" ])
         then run ())
       experiments
   | _ :: names ->

@@ -691,6 +691,21 @@ let forced_backend backend spec =
         spec.Spec.resources;
   }
 
+(* Alternate backends resource by resource, so every multi-resource
+   system carries at least one RTC and one CPA resource in one graph —
+   the coupling the hybrid fixed point has to route curves across. *)
+let mixed_backend spec =
+  {
+    spec with
+    Spec.resources =
+      List.mapi
+        (fun i (r : Spec.resource) ->
+          if r.Spec.scheduler = Spec.Edf || i mod 2 = 1 then
+            { r with Spec.backend = Spec.Cpa }
+          else { r with Spec.backend = Spec.Rtc })
+        spec.Spec.resources;
+  }
+
 let roundtrip_ns = [ 2; 3; 4; 5; 8; 13; 21; 34; 64 ]
 
 (* Round trip every source stream through the conversion boundary:

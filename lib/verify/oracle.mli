@@ -65,6 +65,25 @@ val passed : report -> bool
 
 val pp_report : Format.formatter -> report -> unit
 
+(** {1 Forcing a system onto one configuration} *)
+
+val forced_mode :
+  Event_model.Propagation.mode -> Cpa_system.Spec.t -> Cpa_system.Spec.t
+(** [forced_mode m spec] sets [m] as the spec-wide propagation mode and
+    clears every per-task override, so the analysis is a pure
+    single-mode run. *)
+
+val forced_backend :
+  Cpa_system.Spec.backend -> Cpa_system.Spec.t -> Cpa_system.Spec.t
+(** [forced_backend b spec] puts every resource on backend [b]; EDF
+    resources stay on [Cpa] (the curve backend has no service model for
+    dynamic deadlines, and [Spec.validate] rejects the combination). *)
+
+val mixed_backend : Cpa_system.Spec.t -> Cpa_system.Spec.t
+(** Alternates backends resource by resource in declaration order (even
+    positions [Rtc], odd [Cpa]; EDF always [Cpa]), so every
+    multi-resource system couples RTC and CPA resources in one graph. *)
+
 (** {1 Individual oracles} *)
 
 val backend_agreement : unit -> check list

@@ -368,6 +368,30 @@ let prop_count_lt_packed_hint =
           got = expected)
         limits)
 
+(* Minor-heap words allocated per call of [f] over [iters] calls, after
+   one warmup call. *)
+let minor_words_per_call ?(iters = 100_000) f =
+  ignore (Sys.opaque_identity (f ()));
+  let w0 = Gc.minor_words () in
+  for _ = 1 to iters do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int iters
+
+(* The packed fast paths on a periodic-jitter tail must not allocate:
+   they run once per busy-window probe. *)
+let test_packed_paths_allocation_free () =
+  let c =
+    Event_model.Stream.delta_min_curve
+      (Event_model.Stream.periodic_jitter ~name:"alloc-probe" ~period:250
+         ~jitter:400 ())
+  in
+  Alcotest.(check (float 0.0)) "eval_packed words per call" 0.0
+    (minor_words_per_call (fun () -> Curve.eval_packed c 1013));
+  Alcotest.(check (float 0.0)) "count_lt_packed words per call" 0.0
+    (minor_words_per_call (fun () ->
+         Curve.count_lt_packed c ~lo:1 ~limit:100_000))
+
 let () =
   Alcotest.run "curve"
     [
@@ -398,6 +422,8 @@ let () =
             test_periodic_search_beyond_cap;
           Alcotest.test_case "validation" `Quick test_periodic_validation;
           Alcotest.test_case "stats attribution" `Quick test_stats_attribution;
+          Alcotest.test_case "packed paths allocation-free" `Quick
+            test_packed_paths_allocation_free;
         ] );
       ( "table backend",
         [

@@ -41,13 +41,13 @@ let modes =
   ]
 
 let scenarios =
-  [
-    "paper", Scenarios.Paper_system.spec ();
-    "gateway", Scenarios.Gateway.spec ();
-    "avionics", Scenarios.Avionics.spec ();
-    "fan_in_6", Scenarios.Synthetic.fan_in ~signals:6 ();
-    "chain_8", Scenarios.Synthetic.chain ~stages:8 ();
-  ]
+  List.map
+    (fun (e : Scenarios.Registry.entry) -> e.name, e.spec ())
+    Scenarios.Registry.all
+  @ [
+      "fan_in_6", Scenarios.Synthetic.fan_in ~signals:6 ();
+      "chain_8", Scenarios.Synthetic.chain ~stages:8 ();
+    ]
 
 let check_equivalent mode_name mode scenario_name spec =
   let inc = ok (Engine.analyse ~mode ~incremental:true spec) in

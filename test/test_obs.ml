@@ -260,6 +260,34 @@ let test_disabled_path_silent () =
   Alcotest.(check int) "nothing buffered from the unsinked run" 0
     (List.length events)
 
+(* Minor-heap words allocated per call of [f] over [iters] calls, after
+   one warmup call. *)
+let minor_words_per_call ?(iters = 100_000) f =
+  ignore (Sys.opaque_identity (f ()));
+  let w0 = Gc.minor_words () in
+  for _ = 1 to iters do
+    ignore (Sys.opaque_identity (f ()))
+  done;
+  (Gc.minor_words () -. w0) /. float_of_int iters
+
+let span_body () = 17
+
+(* trace.mli's contract: with no sink installed every probe is a no-op
+   that allocates nothing, so instrumented hot paths cost nothing. *)
+let test_disabled_path_allocation_free () =
+  Alcotest.(check bool) "no sink installed" false (Obs.Trace.enabled ());
+  List.iter
+    (fun (probe, f) ->
+      Alcotest.(check (float 0.0)) (probe ^ " words per call") 0.0
+        (minor_words_per_call f))
+    [
+      "span_begin", (fun () -> Obs.Trace.span_begin "ghost");
+      "span_end", (fun () -> Obs.Trace.span_end "ghost");
+      "with_span", (fun () -> ignore (Obs.Trace.with_span "ghost" span_body));
+      "counter", (fun () -> Obs.Trace.counter "ghost" 42);
+      "instant", (fun () -> Obs.Trace.instant "ghost");
+    ]
+
 let test_spans_level_drops_counters () =
   let _, events =
     with_memory_sink ~level:Obs.Sink.Spans (fun () ->
@@ -775,6 +803,8 @@ let () =
             test_iteration_spans_all_modes;
           Alcotest.test_case "disabled path is silent" `Quick
             test_disabled_path_silent;
+          Alcotest.test_case "disabled path allocates nothing" `Quick
+            test_disabled_path_allocation_free;
           Alcotest.test_case "spans level drops counters" `Quick
             test_spans_level_drops_counters;
           Alcotest.test_case "clock is monotonic" `Quick test_clock_monotonic;
