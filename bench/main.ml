@@ -831,7 +831,6 @@ let serve_bench () =
         | Error _ -> exit 1
       in
       let spec = Cpa_system.Spec_file.to_spec d in
-      ignore (Spec.digest spec);
       (match Engine.warm spec with
       | Ok (_, r) -> ignore (outcomes_str r.Engine.outcomes)
       | Error _ ->

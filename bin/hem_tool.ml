@@ -1343,8 +1343,9 @@ let client_cmd =
   in
   let analyse_cmd =
     session_op "analyse"
-      ~doc:"Full outcomes of the session's current system (single-flight \
-            deduplicated across identical concurrent requests)."
+      ~doc:"Full outcomes of the session's current system: a read-back \
+            of its warm fixed point, or a rebuild after a degraded or \
+            overloaded run."
       (fun session -> Protocol.Analyse { session })
   in
   let metrics_cmd =

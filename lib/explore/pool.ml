@@ -265,33 +265,6 @@ let map ?jobs ?oversubscribe ?label f n =
 module Service = struct
   let c_jobs = Obs.Metrics.counter "explore.pool.service.jobs"
   let c_rejected = Obs.Metrics.counter "explore.pool.service.rejected"
-  let c_scratch_cleared = Obs.Metrics.counter "explore.pool.service.scratch_cleared"
-
-  (* Domain-local scratch: memo storage owned by one worker domain.
-     Sessions pin all their jobs to one worker, so entries keyed by a
-     session-prefixed string are written and read by a single domain
-     with no synchronisation — the same locality contract as the curve
-     memo tables.  The flip side of keeping such state out of the
-     session record is that dropping the session does not drop the
-     scratch: owners must clear their prefix (via {!clear_scratch})
-     when a session closes or is evicted, or the worker accumulates
-     entries no live session can ever address again. *)
-  let scratch_key : (string, string) Hashtbl.t Domain.DLS.key =
-    Domain.DLS.new_key (fun () -> Hashtbl.create 32)
-
-  let scratch () = Domain.DLS.get scratch_key
-
-  let scratch_drop_prefix prefix =
-    let tbl = Domain.DLS.get scratch_key in
-    let doomed =
-      Hashtbl.fold
-        (fun k _ acc ->
-          if String.starts_with ~prefix k then k :: acc else acc)
-        tbl []
-    in
-    List.iter (Hashtbl.remove tbl) doomed;
-    let n = List.length doomed in
-    if n > 0 then Obs.Metrics.add c_scratch_cleared n
 
   (* One mailbox per worker: jobs are pinned, never stolen.  The pin is
      the point — a serving session's cached streams carry unsynchronised
@@ -368,11 +341,6 @@ module Service = struct
     Mutex.unlock box.m_lock;
     Obs.Metrics.incr (if accepted then c_jobs else c_rejected);
     accepted
-
-  let clear_scratch t ~worker ~prefix =
-    if worker < 0 || worker >= Array.length t.boxes then
-      invalid_arg "Pool.Service.clear_scratch: worker out of range";
-    submit t ~worker (fun () -> scratch_drop_prefix prefix)
 
   let depth t ~worker =
     if worker < 0 || worker >= Array.length t.boxes then

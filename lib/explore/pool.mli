@@ -156,23 +156,6 @@ module Service : sig
       admission-control signal.
       @raise Invalid_argument when [worker] is outside [0 .. jobs-1]. *)
 
-  val scratch : unit -> (string, string) Hashtbl.t
-  (** The calling {e domain}'s scratch table ({!Domain.DLS}-backed).
-      Jobs running on a worker see that worker's private table; entries
-      are never shared or stolen, so no synchronisation is needed.  By
-      convention entries belonging to one pinned owner (a serving
-      session) use keys prefixed with its id, so {!clear_scratch} can
-      drop them when the owner goes away. *)
-
-  val clear_scratch : t -> worker:int -> prefix:string -> bool
-  (** Submit a job to worker [worker] removing every scratch entry whose
-      key starts with [prefix] — mailbox ordering guarantees the clear
-      runs after any in-flight jobs of the departing owner.  Cleared
-      entries are counted in [explore.pool.service.scratch_cleared].
-      Returns [false] when the service is shutting down (worker scratch
-      dies with its domain, so nothing leaks).
-      @raise Invalid_argument when [worker] is outside [0 .. jobs-1]. *)
-
   val shutdown : t -> unit
   (** Stop accepting jobs, let every worker drain its mailbox, and join
       all worker domains.  Idempotent in effect but must only be called

@@ -184,7 +184,7 @@ let analyse ?horizon ~policy items =
   match horizon with
   | Some h -> run h
   | None ->
-    (* Escalating horizon: curve operations are quadratic in the sampled
+    (* Escalating horizon: curve operations are near-linear in the sampled
        range, so start small and only grow (towards the certified-tail
        target) while some outcome is still unbounded — a short horizon
        is sound at every step, it can only be looser.  Most systems

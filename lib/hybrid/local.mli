@@ -54,6 +54,6 @@ val analyse : ?horizon:int -> policy:policy -> item list -> outcome list
     outcomes with a reason.  When [horizon] is omitted the sampling
     range escalates geometrically from 256 up to {!default_horizon},
     stopping at the first round that bounds every item: curve
-    operations are quadratic in the horizon and any horizon is sound
+    operations are near-linear in the horizon and any horizon is sound
     (a shorter one can only be looser), so well-dimensioned systems pay
     the small-range cost only. *)

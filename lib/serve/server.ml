@@ -99,9 +99,6 @@ type t = {
   cfg : config;
   service : Pool.Service.t;
   table : Session.table;
-  (* single-flight dedup of identical analyses: values are pure data
-     (status name, iterations, outcomes) *)
-  cache : (string * int * Engine.element_outcome list) Explore.Cache.t;
   stopping : bool Atomic.t;
   stop_w : Unix.file_descr;
   guards_lock : Mutex.t;
@@ -138,35 +135,23 @@ let mode_of_name = function
   | "flat_sem" | "flat-sem" -> Some Engine.Flat_sem
   | _ -> None
 
-exception Analysis_error of Guard.Error.t
-exception Analysis_degraded of Engine.result
-
-(* the digest is advertised only when already known (load hashes the
-   upload; edits invalidate) — forcing a re-hash per reply would cost
-   more than the incremental analysis itself *)
-let session_header (s : Session.t) =
-  ("session", Json.Str s.id)
-  :: (if String.equal s.digest "" then []
-      else [ "digest", Json.Str s.digest ])
-
 let handle_load t (s : Session.t) ~id ~mode ~guard =
   let mode = Option.value mode ~default:t.cfg.mode in
-  s.digest <- Spec.digest s.spec;
   match Engine.warm ~mode ~guard s.spec with
   | Error e ->
-    ignore (Session.remove t.table s.id);
+    Session.remove t.table s.id;
     Protocol.fail ~id e
   | Ok (w, r) ->
     s.warm <- Some w;
     s.last_outcomes <- r.outcomes;
     let body =
       Json.Obj
-        (session_header s
-        @ [ "mode", Json.Str (Engine.mode_name mode);
-            "status", Json.Str (Engine.status_name r.status);
-            "iterations", Json.Int r.iterations;
-            "outcomes", outcomes_json r.outcomes;
-            "stats", stats_json r.stats ])
+        [ "session", Json.Str s.id;
+          "mode", Json.Str (Engine.mode_name mode);
+          "status", Json.Str (Engine.status_name r.status);
+          "iterations", Json.Int r.iterations;
+          "outcomes", outcomes_json r.outcomes;
+          "stats", stats_json r.stats ]
     in
     result_reply ~id body r
 
@@ -205,10 +190,6 @@ let handle_edit (s : Session.t) ~id ~edits ~guard =
       | Ok r ->
         s.spec <- new_spec;
         s.edit_count <- s.edit_count + List.length edits;
-        (* invalidate, don't re-hash: hashing the whole spec costs more
-           than the incremental update; Session.content_digest recomputes
-           on demand when the analyse cache next needs the address *)
-        s.digest <- "";
         s.last_outcomes <- r.outcomes;
         let changed =
           Engine.delta_outcomes ~before ~after:r.outcomes
@@ -227,91 +208,36 @@ let handle_edit (s : Session.t) ~id ~edits ~guard =
         in
         let body =
           Json.Obj
-            (session_header s
-            @ [ "status", Json.Str (Engine.status_name r.status);
-                "iterations", Json.Int r.iterations;
-                "changed", outcomes_json changed;
-                "removed", Json.Arr removed;
-                "stale", Json.Arr (List.map (fun n -> Json.Str n) stale);
-                "stats", stats_json r.stats ])
+            [ "session", Json.Str s.id;
+              "status", Json.Str (Engine.status_name r.status);
+              "iterations", Json.Int r.iterations;
+              "changed", outcomes_json changed;
+              "removed", Json.Arr removed;
+              "stale", Json.Arr (List.map (fun n -> Json.Str n) stale);
+              "stats", stats_json r.stats ]
         in
         result_reply ~id body r
     end
   end
 
-let handle_analyse t (s : Session.t) ~id ~guard =
+(* The warm context is the session's only cache: on a converged session
+   this is a read-back of the fixed point; after a degraded or overloaded
+   run it rebuilds under this request's guard. *)
+let handle_analyse (s : Session.t) ~id ~guard =
   match s.warm with
   | None -> unknown_session ~id s.id
   | Some w -> begin
-    let key =
-      Engine.mode_name (Engine.warm_mode w) ^ ":" ^ Session.content_digest s
-    in
-    let analyse_reply ~hit ~status ~iterations outcomes =
-      Protocol.ok ~id
-        (Json.Obj
-           (session_header s
-           @ [ "status", Json.Str status;
-               "iterations", Json.Int iterations;
-               "cache-hit", Json.Bool hit;
-               "outcomes", outcomes ]))
-    in
-    (* Second memo layer under the cross-session single-flight cache: the
-       fully rendered result, in the pinned worker's domain-local scratch,
-       keyed by session so eviction can clear exactly this session's
-       entries (see the table's [on_evict]).  We always run on the pinned
-       worker here, so the table is ours alone. *)
-    let scratch = Pool.Service.scratch () in
-    let skey = s.id ^ ":" ^ key in
-    let replayed =
-      match Hashtbl.find_opt scratch skey with
-      | None -> None
-      | Some rendered -> begin
-        match Json.of_string rendered with
-        | Ok (Json.Obj [ ("status", Json.Str status);
-                         ("iterations", Json.Int iterations);
-                         ("outcomes", outcomes) ]) ->
-          Some (analyse_reply ~hit:true ~status ~iterations outcomes)
-        | Ok _ | Error _ ->
-          (* unreadable entry: drop it and recompute *)
-          Hashtbl.remove scratch skey;
-          None
-      end
-    in
-    match replayed with
-    | Some reply -> reply
-    | None -> begin
-      match
-        Explore.Cache.find_or_compute t.cache ~key (fun () ->
-          match Engine.warm_update ~guard w ~spec:s.spec ~stale:[] with
-          | Error e -> raise (Analysis_error e)
-          | Ok r -> begin
-            match r.status with
-            | Engine.Degraded _ -> raise (Analysis_degraded r)
-            | Engine.Converged | Engine.Overloaded ->
-              Engine.status_name r.status, r.iterations, r.outcomes
-          end)
-      with
-      | (status, iterations, outcomes), hit ->
-        let outcomes = outcomes_json outcomes in
-        Hashtbl.replace scratch skey
-          (Json.to_string
-             (Json.Obj
-                [ "status", Json.Str status;
-                  "iterations", Json.Int iterations;
-                  "outcomes", outcomes ]));
-        analyse_reply ~hit ~status ~iterations outcomes
-      | exception Analysis_error e -> Protocol.fail ~id e
-      | exception Analysis_degraded r ->
-        let body =
-          Json.Obj
-            (session_header s
-            @ [ "status", Json.Str (Engine.status_name r.status);
-                "iterations", Json.Int r.iterations;
-                "cache-hit", Json.Bool false;
-                "outcomes", outcomes_json r.outcomes ])
-        in
-        result_reply ~id body r
-    end
+    match Engine.warm_update ~guard w ~spec:s.spec ~stale:[] with
+    | Error e -> Protocol.fail ~id e
+    | Ok r ->
+      let body =
+        Json.Obj
+          [ "session", Json.Str s.id;
+            "status", Json.Str (Engine.status_name r.status);
+            "iterations", Json.Int r.iterations;
+            "outcomes", outcomes_json r.outcomes ]
+      in
+      result_reply ~id body r
   end
 
 let handle_metrics t (s : Session.t) ~id =
@@ -329,16 +255,16 @@ let handle_metrics t (s : Session.t) ~id =
   in
   Protocol.ok ~id
     (Json.Obj
-       (session_header s
-       @ [ "requests", Json.Int s.requests;
-           "edits", Json.Int s.edit_count;
-           "sessions", Json.Int (Session.count t.table);
-           "evictions", Json.Int (Session.evictions t.table);
-           "counters", counters;
-           "process", process ]))
+       [ "session", Json.Str s.id;
+         "requests", Json.Int s.requests;
+         "edits", Json.Int s.edit_count;
+         "sessions", Json.Int (Session.count t.table);
+         "evictions", Json.Int (Session.evictions t.table);
+         "counters", counters;
+         "process", process ])
 
 let handle_close t (s : Session.t) ~id =
-  ignore (Session.remove t.table s.id);
+  Session.remove t.table s.id;
   Protocol.ok ~id (Json.Obj [ "closed", Json.Bool true ])
 
 (* ------------------------------------------------------------------ *)
@@ -474,16 +400,12 @@ let handle_request t (req : Protocol.request) =
             | None -> spec
             | Some m -> Spec.with_propagation m spec
           in
-          match Session.register t.table ~base ~spec ~digest:"" with
+          match Session.register t.table ~spec with
           | Error reason -> admission_reject ~id ("admission: " ^ reason)
-          | Ok s -> begin
-            match Session.checkout t.table s.id with
-            | None -> unknown_session ~id s.id
-            | Some s ->
-              dispatch t s ~id (fun () ->
-                with_request_guard t req (fun guard ->
-                  handle_load t s ~id ~mode ~guard))
-          end
+          | Ok s ->
+            dispatch t s ~id (fun () ->
+              with_request_guard t req (fun guard ->
+                handle_load t s ~id ~mode ~guard))
         end
       end
     end
@@ -494,7 +416,7 @@ let handle_request t (req : Protocol.request) =
     | Protocol.Analyse { session } ->
       dispatch_to_session t ~id ~session (fun s ->
         with_request_guard t req (fun guard ->
-          handle_analyse t s ~id ~guard))
+          handle_analyse s ~id ~guard))
     | Protocol.Metrics { session } ->
       dispatch_to_session t ~id ~session (fun s -> handle_metrics t s ~id)
     | Protocol.Close { session } ->
@@ -590,17 +512,8 @@ let run cfg =
       (* pin against the service's clamped worker count, not the
          requested one, or sessions land on non-existent workers *)
       table =
-        Session.table
-          (* a departing session's reply memos live in its pinned
-             worker's scratch; clear them there (mailbox ordering runs
-             the clear after any in-flight jobs of the session) *)
-          ~on_evict:(fun s ->
-            ignore
-              (Pool.Service.clear_scratch service ~worker:s.Session.worker
-                 ~prefix:(s.Session.id ^ ":")))
-          ~max_sessions:cfg.max_sessions
+        Session.table ~max_sessions:cfg.max_sessions
           ~jobs:(Pool.Service.jobs service) ();
-      cache = Explore.Cache.create ();
       stopping = Atomic.make false;
       stop_w;
       guards_lock = Mutex.create ();

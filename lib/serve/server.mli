@@ -16,10 +16,11 @@
     degrades the analysis and the reply carries status [3] plus the
     structured reason.
 
-    {b Single-flight.}  [analyse] results are deduplicated through an
-    {!Explore.Cache} keyed on [mode:digest]: concurrent identical
-    requests (same system, any session) compute once; only converged /
-    overloaded results are published (degraded ones are transient).
+    {b One cache per session.}  A session's warm {!Engine} context is
+    its only analysis cache.  [analyse] on a converged session reads the
+    fixed point back; after a degraded or overloaded run it rebuilds
+    under the request's guard.  Nothing is shared between sessions, so
+    an evicted or closed session leaves no state behind.
 
     {b Drain.}  On SIGTERM / SIGINT / a [shutdown] request the daemon
     stops accepting, rejects new requests, lets in-flight work finish —

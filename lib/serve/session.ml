@@ -1,17 +1,14 @@
 module Engine = Cpa_system.Engine
 module Spec = Cpa_system.Spec
-module Spec_file = Cpa_system.Spec_file
 
 type t = {
   id : string;
   worker : int;
   scope : Obs.Metrics.scope;
-  base : Spec_file.t;
   mutable edit_count : int;
   mutable spec : Spec.t;
   mutable warm : Engine.warm option;
   mutable last_outcomes : Engine.element_outcome list;
-  mutable digest : string;
   mutable last_used : float;
   mutable inflight : int;
   mutable requests : int;
@@ -22,7 +19,6 @@ type table = {
   sessions : (string, t) Hashtbl.t;
   max_sessions : int;
   jobs : int;
-  on_evict : t -> unit;
   mutable next_id : int;
   mutable evicted : int;
 }
@@ -30,7 +26,7 @@ type table = {
 let c_opened = Obs.Metrics.counter "serve.sessions.opened"
 let c_evicted = Obs.Metrics.counter "serve.sessions.evicted"
 
-let table ?(on_evict = fun _ -> ()) ~max_sessions ~jobs () =
+let table ~max_sessions ~jobs () =
   if max_sessions < 1 then invalid_arg "Session.table: max_sessions < 1";
   if jobs < 1 then invalid_arg "Session.table: jobs < 1";
   {
@@ -38,7 +34,6 @@ let table ?(on_evict = fun _ -> ()) ~max_sessions ~jobs () =
     sessions = Hashtbl.create 16;
     max_sessions;
     jobs;
-    on_evict;
     next_id = 1;
     evicted = 0;
   }
@@ -63,57 +58,41 @@ let evict_lru tbl =
       tbl.sessions None
   in
   match victim with
-  | None -> None
+  | None -> ()
   | Some s ->
     Hashtbl.remove tbl.sessions s.id;
     tbl.evicted <- tbl.evicted + 1;
-    Obs.Metrics.incr c_evicted;
-    Some s
+    Obs.Metrics.incr c_evicted
 
-let register tbl ~base ~spec ~digest =
-  let result, victim =
-    locked tbl (fun () ->
-      let victim =
-        if Hashtbl.length tbl.sessions >= tbl.max_sessions then
-          evict_lru tbl
-        else None
+(* the new session is inserted already checked out, in the same critical
+   section: a concurrent register cannot evict it before its warming job
+   is dispatched *)
+let register tbl ~spec =
+  locked tbl (fun () ->
+    if Hashtbl.length tbl.sessions >= tbl.max_sessions then evict_lru tbl;
+    if Hashtbl.length tbl.sessions >= tbl.max_sessions then
+      Error "session table full and every session is busy"
+    else begin
+      let id = Printf.sprintf "s-%d" tbl.next_id in
+      tbl.next_id <- tbl.next_id + 1;
+      let s =
+        {
+          id;
+          worker = pin_worker tbl id;
+          scope = Obs.Metrics.scope ("serve.session:" ^ id);
+          edit_count = 0;
+          spec;
+          warm = None;
+          last_outcomes = [];
+          last_used = Unix.gettimeofday ();
+          inflight = 1;
+          requests = 1;
+        }
       in
-      if Hashtbl.length tbl.sessions >= tbl.max_sessions then
-        Error "session table full and every session is busy", victim
-      else begin
-        let id = Printf.sprintf "s-%d" tbl.next_id in
-        tbl.next_id <- tbl.next_id + 1;
-        let s =
-          {
-            id;
-            worker = pin_worker tbl id;
-            scope = Obs.Metrics.scope ("serve.session:" ^ id);
-            base;
-            edit_count = 0;
-            spec;
-            warm = None;
-            last_outcomes = [];
-            digest;
-            last_used = Unix.gettimeofday ();
-            inflight = 0;
-            requests = 0;
-          }
-        in
-        Hashtbl.replace tbl.sessions id s;
-        Obs.Metrics.incr c_opened;
-        Ok s, victim
-      end)
-  in
-  (* fire outside the table lock: the handler typically submits a
-     scratch-clear job to the victim's pinned worker *)
-  (match victim with Some v -> tbl.on_evict v | None -> ());
-  result
-
-let content_digest s =
-  if String.equal s.digest "" then s.digest <- Spec.digest s.spec;
-  s.digest
-
-let find tbl id = locked tbl (fun () -> Hashtbl.find_opt tbl.sessions id)
+      Hashtbl.replace tbl.sessions id s;
+      Obs.Metrics.incr c_opened;
+      Ok s
+    end)
 
 let checkout tbl id =
   locked tbl (fun () ->
@@ -128,26 +107,6 @@ let checkout tbl id =
 let checkin tbl s =
   locked tbl (fun () -> s.inflight <- Stdlib.max 0 (s.inflight - 1))
 
-let remove tbl id =
-  let removed =
-    locked tbl (fun () ->
-      match Hashtbl.find_opt tbl.sessions id with
-      | None -> None
-      | Some s ->
-        Hashtbl.remove tbl.sessions id;
-        Some s)
-  in
-  match removed with
-  | None -> false
-  | Some s ->
-    tbl.on_evict s;
-    true
-
+let remove tbl id = locked tbl (fun () -> Hashtbl.remove tbl.sessions id)
 let count tbl = locked tbl (fun () -> Hashtbl.length tbl.sessions)
-
-let ids tbl =
-  locked tbl (fun () ->
-    Hashtbl.fold (fun id _ acc -> id :: acc) tbl.sessions []
-    |> List.sort String.compare)
-
 let evictions tbl = locked tbl (fun () -> tbl.evicted)

@@ -9,6 +9,7 @@ module Json = Explore.Wire.Json
 module Engine = Cpa_system.Engine
 module Protocol = Serve.Protocol
 module Client = Serve.Client
+module Session = Serve.Session
 module Paper = Scenarios.Paper_system
 
 let read_file path =
@@ -151,6 +152,32 @@ let warm_matches_cold () =
     "read-back repeats the fixed point" (outcomes_text cold0) (outcomes_text r);
   Alcotest.(check int) "read-back analyses nothing" 0
     r.Engine.stats.Engine.resources_analysed
+
+(* Session.register hands the new session back already checked out:
+   a second register cannot evict it while its load is in flight *)
+let register_checks_out () =
+  let spec = Paper.spec () in
+  let tbl = Session.table ~max_sessions:1 ~jobs:1 () in
+  let register what =
+    match Session.register tbl ~spec with
+    | Ok s -> s
+    | Error e -> Alcotest.failf "%s: %s" what e
+  in
+  let s1 = register "register 1" in
+  Alcotest.(check int) "registered in flight" 1 s1.Session.inflight;
+  (match Session.register tbl ~spec with
+  | Ok _ -> Alcotest.fail "register evicted an in-flight session"
+  | Error e ->
+    Alcotest.(check string) "every session is busy"
+      "session table full and every session is busy" e);
+  Alcotest.(check int) "nothing evicted" 0 (Session.evictions tbl);
+  Session.checkin tbl s1;
+  let s2 = register "register 2" in
+  Alcotest.(check bool) "fresh session" true
+    (not (String.equal s1.Session.id s2.Session.id));
+  Alcotest.(check int) "idle session evicted" 1 (Session.evictions tbl);
+  Alcotest.(check bool) "evicted id unknown" true
+    (Option.is_none (Session.checkout tbl s1.Session.id))
 
 (* ------------------------------------------------------------------ *)
 (* An in-process daemon on a temporary Unix socket *)
@@ -426,11 +453,9 @@ let protocol_fuzz () =
     Client.close c)
 
 (* ------------------------------------------------------------------ *)
-(* LRU eviction clears the victim's pinned-worker scratch: reloading
-   the same spec after an eviction must reply byte-identically to the
-   first load's analyse (modulo session id / process snapshot /
-   cache-hit — the cross-session analysis cache legitimately survives
-   eviction; the per-session scratch must not) *)
+(* LRU eviction takes the victim's state with it: reloading the same
+   spec after an eviction must reply byte-identically to the first
+   load's analyse (modulo session id / process snapshot) *)
 
 let int_field what body key =
   match Json.member key body with
@@ -444,12 +469,11 @@ let evict_stable (r : Protocol.reply) =
     Json.to_string
       (Json.Obj
          (List.filter
-            (fun (k, _) ->
-              k <> "session" && k <> "process" && k <> "cache-hit")
+            (fun (k, _) -> k <> "session" && k <> "process")
             fields))
   | j -> Json.to_string j
 
-let evicted_session_scratch_cleared () =
+let eviction_then_reload () =
   let spec_text = read_file "paper_gateway.scm" in
   with_server ~max_sessions:1 (fun path ->
     let c = connect_retry path in
@@ -462,9 +486,9 @@ let evicted_session_scratch_cleared () =
     let s1 = session_of "load 1" load1 in
     let a1 = reply_exn "analyse 1" (Client.analyse c ~session:s1) in
     Alcotest.(check int) "analyse 1 ok" 0 (Client.exit_code a1);
-    (* re-analyse: replayed from the pinned worker's scratch *)
+    (* re-analyse: a read-back of the session's warm fixed point *)
     let a1' = reply_exn "analyse 1 again" (Client.analyse c ~session:s1) in
-    Alcotest.(check string) "scratch replay is byte-identical"
+    Alcotest.(check string) "read-back is byte-identical"
       (evict_stable a1) (evict_stable a1');
     (* the table holds one session: loading again evicts s1 *)
     let load2 = reply_exn "load 2" (Client.load c ~spec:spec_text) in
@@ -483,30 +507,41 @@ let evicted_session_scratch_cleared () =
     in
     Alcotest.(check int) "evicted session faults" 1 (Client.exit_code r);
     (* the reloaded session's analyse is byte-identical to the first
-       round — in particular it did not replay s1's scratch entries *)
+       round *)
     let a2 = reply_exn "analyse 2" (Client.analyse c ~session:s2) in
     Alcotest.(check string) "evict-then-reload analyse byte-identical"
       (evict_stable a1) (evict_stable a2);
-    (* the eviction's scratch clear ran on the pinned worker and found
-       s1's memoised reply there (submitted asynchronously at evict
-       time, so poll briefly) *)
-    let cleared =
-      Obs.Metrics.counter "explore.pool.service.scratch_cleared"
-    in
-    let rec wait n =
-      if Obs.Metrics.total cleared > 0 then true
-      else if n = 0 then false
-      else begin
-        Thread.delay 0.05;
-        wait (n - 1)
-      end
-    in
-    Alcotest.(check bool) "worker scratch was cleared" true (wait 100);
     ignore (reply_exn "close 2" (Client.close_session c ~session:s2));
     Client.close c)
 
 (* ------------------------------------------------------------------ *)
 (* End-to-end: load / edit / analyse on the daemon matches offline *)
+
+(* the daemon's rendering of an offline result's outcomes *)
+let offline_outcomes (r : Engine.result) =
+  let rendered (o : Engine.element_outcome) =
+    match o.Engine.outcome with
+    | Scheduling.Busy_window.Bounded iv ->
+      Json.to_string
+        (Json.Obj
+           [
+             "element", Json.Str o.Engine.element;
+             "resource", Json.Str o.Engine.resource;
+             "outcome", Json.Str "bounded";
+             "lo", Json.Int (Timebase.Interval.lo iv);
+             "hi", Json.Int (Timebase.Interval.hi iv);
+           ])
+    | Scheduling.Busy_window.Unbounded reason ->
+      Json.to_string
+        (Json.Obj
+           [
+             "element", Json.Str o.Engine.element;
+             "resource", Json.Str o.Engine.resource;
+             "outcome", Json.Str "unbounded";
+             "reason", Json.Str reason;
+           ])
+  in
+  "[" ^ String.concat "," (List.map rendered r.Engine.outcomes) ^ "]"
 
 let daemon_matches_offline () =
   let spec_text = read_file "paper_gateway.scm" in
@@ -525,31 +560,7 @@ let daemon_matches_offline () =
       | Some id -> id
       | None -> Alcotest.fail "no session id"
     in
-    let rendered (o : Engine.element_outcome) =
-      match o.Engine.outcome with
-      | Scheduling.Busy_window.Bounded iv ->
-        Json.to_string
-          (Json.Obj
-             [
-               "element", Json.Str o.Engine.element;
-               "resource", Json.Str o.Engine.resource;
-               "outcome", Json.Str "bounded";
-               "lo", Json.Int (Timebase.Interval.lo iv);
-               "hi", Json.Int (Timebase.Interval.hi iv);
-             ])
-      | Scheduling.Busy_window.Unbounded reason ->
-        Json.to_string
-          (Json.Obj
-             [
-               "element", Json.Str o.Engine.element;
-               "resource", Json.Str o.Engine.resource;
-               "outcome", Json.Str "unbounded";
-               "reason", Json.Str reason;
-             ])
-    in
-    let expected =
-      "[" ^ String.concat "," (List.map rendered offline.Engine.outcomes) ^ "]"
-    in
+    let expected = offline_outcomes offline in
     (match Json.member "outcomes" load.Protocol.body with
     | Some j ->
       Alcotest.(check string) "daemon outcomes = offline engine" expected
@@ -559,6 +570,52 @@ let daemon_matches_offline () =
     (match Json.member "outcomes" a.Protocol.body with
     | Some j ->
       Alcotest.(check string) "analyse outcomes = offline engine" expected
+        (Json.to_string j)
+    | None -> Alcotest.fail "analyse reply has no outcomes");
+    ignore (reply_exn "close" (Client.close_session c ~session));
+    Client.close c)
+
+(* A degraded edit poisons the warm context; the next analyse on the
+   paper system, with no budget, is the rebuild branch and must match
+   the offline engine on the edited spec *)
+let degraded_edit_then_analyse () =
+  let spec_text = read_file "paper_gateway.scm" in
+  let spec =
+    match Cpa_system.Spec_file.parse spec_text with
+    | Ok d -> Cpa_system.Spec_file.to_spec d
+    | Error e -> Alcotest.failf "spec parse: %s" e
+  in
+  let edit = Space.Cet_scale { task = "t3"; percent = 150 } in
+  let edited = Space.apply spec edit in
+  let expected = offline_outcomes (ok_exn "offline" (Engine.analyse edited)) in
+  with_server (fun path ->
+    let c = connect_retry path in
+    let load = reply_exn "load" (Client.load c ~spec:spec_text) in
+    let session =
+      match Client.session_id load with
+      | Some id -> id
+      | None -> Alcotest.fail "no session id"
+    in
+    Alcotest.(check bool) "the edit moves the bounds" true
+      (Json.member "outcomes" load.Protocol.body
+       |> Option.map Json.to_string <> Some expected);
+    let e = reply_exn "edit" (Client.edit ~budget:1 c ~session [ edit ]) in
+    Alcotest.(check int) "budget-tripped edit degrades" 3 (Client.exit_code e);
+    (* a tripped run widens every bound it could not finish to
+       unbounded, never to an optimistic value *)
+    Alcotest.(check bool) "degraded edit widens bounds" true
+      (match Json.member "changed" e.Protocol.body with
+       | Some (Json.Arr (_ :: _ as changed)) ->
+         List.for_all
+           (fun o -> Json.member "outcome" o = Some (Json.Str "unbounded"))
+           changed
+       | _ -> false);
+    let a = reply_exn "analyse" (Client.analyse c ~session) in
+    Alcotest.(check int) "analyse after a degraded edit converges" 0
+      (Client.exit_code a);
+    (match Json.member "outcomes" a.Protocol.body with
+    | Some j ->
+      Alcotest.(check string) "rebuilt outcomes = offline engine" expected
         (Json.to_string j)
     | None -> Alcotest.fail "analyse reply has no outcomes");
     ignore (reply_exn "close" (Client.close_session c ~session));
@@ -574,6 +631,9 @@ let () =
       ( "warm sessions",
         [ Alcotest.test_case "warm updates = cold analysis" `Quick
             warm_matches_cold ] );
+      ( "session table",
+        [ Alcotest.test_case "register returns the session checked out"
+            `Quick register_checks_out ] );
       ( "daemon",
         [
           Alcotest.test_case "outcomes match the offline engine" `Quick
@@ -581,7 +641,9 @@ let () =
           Alcotest.test_case "interleaved sessions are scope-exact" `Quick
             interleaved_sessions_scope_exact;
           Alcotest.test_case "protocol fuzz" `Quick protocol_fuzz;
-          Alcotest.test_case "eviction clears pinned-worker scratch" `Quick
-            evicted_session_scratch_cleared;
+          Alcotest.test_case "eviction then reload is byte-identical" `Quick
+            eviction_then_reload;
+          Alcotest.test_case "degraded edit, then analyse rebuilds" `Quick
+            degraded_edit_then_analyse;
         ] );
     ]
