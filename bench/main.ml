@@ -38,15 +38,6 @@ let ok = function
 
 let analyse_paper mode = ok (Engine.analyse ~mode (Paper.spec ()))
 
-(* Periodic simulator sources matching the paper system's Table 1. *)
-let paper_generators () =
-  [
-    "S1", Des.Gen.periodic ~period:250 ();
-    "S2", Des.Gen.periodic ~period:450 ();
-    "S3", Des.Gen.periodic ~period:Paper.s3_period ();
-    "S4", Des.Gen.periodic ~period:400 ();
-  ]
-
 (* Telemetry section of the BENCH_*.json files: run [f] once with
    latency histograms on (untimed, so the measured loops above stay
    comparable across revisions), then snapshot counters + histograms.
@@ -307,7 +298,7 @@ let buffers () =
     | Error e -> e
   in
   let spec = Paper.spec () in
-  let generators = paper_generators () in
+  let generators = Paper.generators () in
   match Des.Simulator.run ~generators ~horizon:1_000_000 spec with
   | Error e -> Printf.printf "simulation failed: %s\n" e
   | Ok trace ->
@@ -326,47 +317,40 @@ let buffers () =
 let cross_framework () =
   banner "B3: busy-window CPA vs real-time calculus (SPP CPU of Table 3)";
   (* the CPU side of the paper's system, with the hierarchical activation
-     streams, analysed by both frameworks *)
+     streams, analysed by both frameworks; the RTC side is the local
+     analysis the engine runs for a resource declared [rtc] *)
   let hem = analyse_paper Engine.Hierarchical in
-  let unpacked signal =
-    hem.Engine.resolve (Spec.From_signal { frame = "F1"; signal })
+  let items =
+    List.filter_map
+      (fun (k : Spec.task) ->
+        if List.mem k.task_name Paper.cpu_tasks then
+          Some
+            {
+              Hybrid.Local.name = k.task_name;
+              cet = k.cet;
+              priority = k.priority;
+              service = None;
+              activation = hem.Engine.resolve k.activation;
+            }
+        else None)
+      (Paper.spec ()).Spec.tasks
   in
-  let horizon = 4000 in
-  let tasks =
-    [ "T1", "sig1", 24; "T2", "sig2", 32; "T3", "sig3", 40 ]
-  in
-  let rtc_results =
-    Rtc.Gpc.fixed_priority_chain
-      ~service:(Rtc.Workload.service_full ~horizon)
-      (List.map
-         (fun (name, signal, wcet) ->
-           {
-             Rtc.Gpc.name;
-             arrival_upper =
-               Rtc.Workload.arrival_upper ~horizon ~wcet (unpacked signal);
-           })
-         tasks)
-  in
-  Printf.printf "%-6s %18s %12s %12s\n" "task" "busy window R+" "RTC delay"
-    "RTC backlog";
+  let rtc_results = Hybrid.Local.analyse ~policy:Hybrid.Local.Spp items in
+  Printf.printf "%-6s %18s %12s\n" "task" "busy window R+" "RTC delay";
   List.iter
-    (fun (name, _, _) ->
+    (fun (o : Hybrid.Local.outcome) ->
       let bw =
-        match Engine.response hem name with
+        match Engine.response hem o.name with
         | Some r -> string_of_int (Interval.hi r)
         | None -> "-"
       in
-      let result = List.assoc name rtc_results in
       let delay =
-        match result.Rtc.Gpc.delay with
-        | Some d -> string_of_int d
-        | None -> "unbounded"
+        match o.response with
+        | Scheduling.Busy_window.Bounded r -> string_of_int (Interval.hi r)
+        | Scheduling.Busy_window.Unbounded _ -> "unbounded"
       in
-      Printf.printf "%-6s %18s %12s %12s\n" name bw delay
-        (match result.Rtc.Gpc.backlog with
-         | Some b -> string_of_int b
-         | None -> "unbounded"))
-    tasks;
+      Printf.printf "%-6s %18s %12s\n" o.name bw delay)
+    rtc_results;
   Printf.printf
     "(both frameworks bound the same system; small differences stem from\n\
     \ the numeric curve horizon and the remaining-service abstraction)\n"
@@ -377,7 +361,7 @@ let cross_framework () =
 let robustness () =
   banner "R1: signal delivery under injected frame loss (500k units)";
   let spec = Paper.spec () in
-  let generators = paper_generators () in
+  let generators = Paper.generators () in
   Printf.printf "%-8s %14s %14s %16s\n" "loss" "sig1 (trig.)" "sig3 (pend.)"
     "max sig3 gap";
   List.iter
@@ -417,7 +401,7 @@ let validate () =
   banner "V1: simulation vs analysis (paper system)";
   let spec = Paper.spec () in
   let hem = analyse_paper Engine.Hierarchical in
-  let generators = paper_generators () in
+  let generators = Paper.generators () in
   match Des.Simulator.run ~generators ~horizon:1_000_000 spec with
   | Error e -> Printf.printf "simulation failed: %s\n" e
   | Ok trace ->

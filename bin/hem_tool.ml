@@ -423,7 +423,7 @@ let profile_cmd =
     let sink, events = Obs.Sink.memory ~capacity:(1 lsl 21) () in
     Obs.Sink.install ~level:Obs.Sink.Spans sink;
     with_metrics metrics @@ fun () ->
-    let t0 = Unix.gettimeofday () in
+    let t0 = Obs.Clock.now_us () in
     (* The explicit root span covers the whole analysis call — spec
        validation, context setup and result assembly included — so the
        tree's self times partition the measured wall window instead of
@@ -437,7 +437,7 @@ let profile_cmd =
         Obs.Sink.uninstall ();
         exit_guard_err e
     in
-    let wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
+    let wall_ms = (Obs.Clock.now_us () -. t0) /. 1000.0 in
     Obs.Sink.uninstall ();
     let profile = Obs.Profile.of_events (events ()) in
     Format.printf "%a@." (Obs.Profile.pp_top ~n:top) profile;
@@ -747,14 +747,7 @@ let explore_cmd =
 let simulate_cmd =
   let run horizon seed s3_period =
     let spec = Paper.spec ~s3_period () in
-    let generators =
-      [
-        "S1", Des.Gen.periodic ~period:250 ();
-        "S2", Des.Gen.periodic ~period:450 ();
-        "S3", Des.Gen.periodic ~period:s3_period ();
-        "S4", Des.Gen.periodic ~period:400 ();
-      ]
-    in
+    let generators = Paper.generators ~s3_period () in
     match Des.Simulator.run ~seed ~generators ~horizon spec with
     | Error e -> exit_err e
     | Ok trace ->
@@ -834,13 +827,7 @@ let export_cmd =
        for the default, and periodic-from-description for files *)
     let generators =
       match file with
-      | None ->
-        [
-          "S1", Des.Gen.periodic ~period:250 ();
-          "S2", Des.Gen.periodic ~period:450 ();
-          "S3", Des.Gen.periodic ~period:Paper.s3_period ();
-          "S4", Des.Gen.periodic ~period:400 ();
-        ]
+      | None -> Paper.generators ()
       | Some path -> begin
         match Cpa_system.Spec_file.parse (read_file path) with
         | Error e -> exit_err e
@@ -914,14 +901,7 @@ let export_cmd =
 let gantt_cmd =
   let run from_time width =
     let spec = Paper.spec () in
-    let generators =
-      [
-        "S1", Des.Gen.periodic ~period:250 ();
-        "S2", Des.Gen.periodic ~period:450 ();
-        "S3", Des.Gen.periodic ~period:Paper.s3_period ();
-        "S4", Des.Gen.periodic ~period:400 ();
-      ]
-    in
+    let generators = Paper.generators () in
     match
       Des.Simulator.run ~generators ~horizon:(from_time + width + 1000) spec
     with
@@ -961,8 +941,8 @@ let headroom_cmd =
     List.iter
       (fun task ->
         let headroom mode =
-          (* the pool-parallel multisection returns exactly what the
-             serial Sensitivity bisection would (monotone predicate) *)
+          (* a monotone predicate: the threshold is the same at every
+             job count *)
           match
             Explore.Sensitivity.max_cet_scale ~jobs ~mode
               ~build:(fun () -> Paper.spec ~s3_period ())
@@ -1067,15 +1047,7 @@ let verify_cmd =
       checkpoint ();
       let spec, is_paper = load_spec ~s3_period file in
       let generators =
-        if is_paper then
-          Some
-            [
-              "S1", Des.Gen.periodic ~period:250 ();
-              "S2", Des.Gen.periodic ~period:450 ();
-              "S3", Des.Gen.periodic ~period:s3_period ();
-              "S4", Des.Gen.periodic ~period:400 ();
-            ]
-        else None
+        if is_paper then Some (Paper.generators ~s3_period ()) else None
       in
       Format.printf "@.-- system oracles --@.";
       checkpoint ();

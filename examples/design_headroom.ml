@@ -8,11 +8,13 @@
 
 module Interval = Timebase.Interval
 module Engine = Cpa_system.Engine
-module Sensitivity = Cpa_system.Sensitivity
+module Sensitivity = Explore.Sensitivity
 module Paper = Scenarios.Paper_system
 
 let headroom mode task =
-  match Sensitivity.max_cet_scale ~mode (Paper.spec ()) ~task with
+  match
+    Sensitivity.max_cet_scale ~mode ~build:(fun () -> Paper.spec ()) ~task ()
+  with
   | Some pct -> Printf.sprintf "%d%%" pct
   | None -> "none"
 

@@ -97,10 +97,15 @@ type table = {
   t_memo : memo;
 }
 
-(* curves with unflushed hits; emptied by [flush_pending] *)
-let dirty_hits : memo list ref = ref []
+(* Curves with unflushed hits, one list per domain (like the scope stack
+   of [Metrics]); emptied by [flush_pending] on the domain that filled
+   it.  A shared list would let one domain's flush drop another's
+   enrolled curves, whose hits would then never be counted. *)
+let dirty_key : memo list ref Domain.DLS.key =
+  Domain.DLS.new_key (fun () -> ref [])
 
 let flush_pending () =
+  let dirty_hits = Domain.DLS.get dirty_key in
   let dirty = !dirty_hits in
   dirty_hits := [];
   List.iter
@@ -117,6 +122,7 @@ let flush_pending () =
 let[@inline never] count_hits_cold h k =
   if h.att == [] then Metrics.add_attached [] c_memo_hits k
   else begin
+    let dirty_hits = Domain.DLS.get dirty_key in
     dirty_hits := h :: !dirty_hits;
     h.pending_hits <- k
   end

@@ -46,7 +46,7 @@ let run ?jobs ?(modes = Summary.default_modes) ?(guard = Guard.none) items =
   in
   let cache : (Summary.t, string) result Cache.t = Cache.create () in
   let items = Array.of_list items in
-  let t0 = Unix.gettimeofday () in
+  let t0 = Obs.Clock.now_us () in
   let outcome, workers =
     Pool.map_guarded ~jobs ~label:"explore" ~guard
       (fun i ->
@@ -65,7 +65,7 @@ let run ?jobs ?(modes = Summary.default_modes) ?(guard = Guard.none) items =
     | Pool.Complete rows -> rows, None
     | Pool.Interrupted { completed; reason; _ } -> completed, Some reason
   in
-  let wall_ms = (Unix.gettimeofday () -. t0) *. 1000.0 in
+  let wall_ms = (Obs.Clock.now_us () -. t0) /. 1000.0 in
   (* Which worker won the single-flight race is schedule-dependent, so
      the per-row hit flag is normalised on the merged order: the first
      occurrence of a digest is the miss, every later one the hit.  This

@@ -31,8 +31,6 @@ let effective_jobs ?(oversubscribe = false) jobs =
   if oversubscribe then jobs
   else Stdlib.max 1 (Stdlib.min jobs (Domain.recommended_domain_count ()))
 
-let now_us () = Unix.gettimeofday () *. 1e6
-
 (* ------------------------------------------------------------------ *)
 (* One worker: claims items one at a time off the shared counter, in
    globally ascending order, checking the guard and firing the injection
@@ -70,9 +68,10 @@ let worker ~label ~queue ~n ~f ~results ~errors ~guard ~stop w =
              match hist with
              | None -> f i
              | Some h ->
-               let t0 = now_us () in
+               let t0 = Obs.Clock.now_ns () in
                let v = f i in
-               Obs.Hist.record h (int_of_float ((now_us () -. t0) *. 1e3));
+               Obs.Hist.record h
+                 (Int64.to_int (Int64.sub (Obs.Clock.now_ns ()) t0));
                v
            with
           | v -> results.(i) <- Some v
@@ -82,10 +81,10 @@ let worker ~label ~queue ~n ~f ~results ~errors ~guard ~stop w =
           ignore (Atomic.compare_and_set stop None (Some r))
       end
   in
-  let t_begin = now_us () in
+  let t_begin = Obs.Clock.now_us () in
   Obs.Metrics.in_scope scope (fun () ->
     match drain () with () -> () | exception e -> crash := Some e);
-  let t_end = now_us () in
+  let t_end = Obs.Clock.now_us () in
   ( { worker = w; tasks = !tasks; busy_us = t_end -. t_begin; idle_us = 0.0;
       counters = Obs.Metrics.snapshot scope },
     t_begin,

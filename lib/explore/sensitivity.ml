@@ -5,8 +5,33 @@ let schedulable ?mode spec =
   | Ok result -> result.Engine.converged
   | Error _ -> false
 
+type verdict =
+  | Margin of int
+  | No_margin
+  | Non_monotone of {
+      lo_feasible : bool;
+      hi_feasible : bool;
+    }
+  | Empty_interval of {
+      lo : int;
+      hi : int;
+    }
+
+let pp_verdict ppf = function
+  | Margin x -> Format.fprintf ppf "margin %d" x
+  | No_margin -> Format.pp_print_string ppf "no margin"
+  | Non_monotone { lo_feasible; hi_feasible } ->
+    Format.fprintf ppf "non-monotone feasibility (lo %s, hi %s)"
+      (if lo_feasible then "feasible" else "infeasible")
+      (if hi_feasible then "feasible" else "infeasible")
+  | Empty_interval { lo; hi } ->
+    Format.fprintf ppf "empty interval [%d, %d]" lo hi
+
+let label = "explore.sensitivity"
+
 (* [k] interior probe points of the open interval (lo, hi), distinct and
-   ascending; fewer when the interval is narrow. *)
+   ascending; fewer when the interval is narrow.  With [k = 1] this is
+   the bisection midpoint. *)
 let probe_points ~lo ~hi k =
   let width = hi - lo in
   let rec collect acc j =
@@ -18,42 +43,34 @@ let probe_points ~lo ~hi k =
   in
   collect [] k
 
-module Sens = Cpa_system.Sensitivity
-
 (* Largest x in [lo, hi] with [good x], for a monotone predicate (true
    then false), evaluating up to [jobs] probes per round in parallel.
    Parallel evaluation of a monotone predicate cannot change the answer,
-   only the bracket-shrinking rate, so this matches serial bisection
-   exactly.  Like [Sensitivity.search_max], both endpoints are probed
-   first (in parallel) so degenerate searches — empty interval, nothing
-   feasible, or endpoint feasibility contradicting monotonicity — return
-   a structured verdict instead of a conflated [None] or an inverted
-   bracket. *)
-let multisect_max ~jobs ~label ~lo ~hi good : Sens.verdict =
-  if lo > hi then Sens.Empty_interval { lo; hi }
+   only the bracket-shrinking rate.  Both endpoints are probed first (in
+   parallel) so degenerate searches — empty interval, nothing feasible,
+   or endpoint feasibility contradicting monotonicity — return a
+   structured verdict instead of an inverted bracket. *)
+let search_max ~jobs ~lo ~hi good =
+  if lo > hi then Empty_interval { lo; hi }
   else
     let endpoints =
       if hi = lo then
         let g = good lo in
         [ g; g ]
-      else
-        Pool.map ~jobs ~label (fun i -> good (if i = 0 then lo else hi)) 2
+      else Pool.map ~jobs ~label (fun i -> good (if i = 0 then lo else hi)) 2
     in
     match endpoints with
-    | [ false; false ] -> Sens.No_margin
-    | [ false; true ] ->
-      Sens.Non_monotone { lo_feasible = false; hi_feasible = true }
-    | [ true; true ] -> Sens.Margin hi
+    | [ false; false ] -> No_margin
+    | [ false; true ] -> Non_monotone { lo_feasible = false; hi_feasible = true }
+    | [ true; true ] -> Margin hi
     | [ true; false ] ->
       let rec search lo hi =
         (* invariant: good lo, not (good hi) *)
-        if hi - lo <= 1 then Sens.Margin lo
+        if hi - lo <= 1 then Margin lo
         else begin
-          let points = probe_points ~lo ~hi jobs in
-          let points = Array.of_list points in
+          let points = Array.of_list (probe_points ~lo ~hi jobs) in
           let verdicts =
-            Pool.map ~jobs ~label
-              (fun i -> good points.(i))
+            Pool.map ~jobs ~label (fun i -> good points.(i))
               (Array.length points)
           in
           (* tightest bracket: the largest good probe and smallest bad one *)
@@ -69,39 +86,34 @@ let multisect_max ~jobs ~label ~lo ~hi good : Sens.verdict =
       search lo hi
     | _ -> assert false
 
-let max_cet_scale_verdict ?jobs ?mode ?(limit_percent = 10_000) ~build ~task
-    () =
-  let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
+(* Smallest good x: the largest good -x, with the verdict mapped back
+   (the endpoints swap under negation). *)
+let search_min ~jobs ~lo ~hi good =
+  match search_max ~jobs ~lo:(-hi) ~hi:(-lo) (fun neg -> good (-neg)) with
+  | Margin neg -> Margin (-neg)
+  | No_margin -> No_margin
+  | Non_monotone { lo_feasible; hi_feasible } ->
+    Non_monotone { lo_feasible = hi_feasible; hi_feasible = lo_feasible }
+  | Empty_interval _ -> Empty_interval { lo; hi }
+
+let margin = function
+  | Margin p -> Some p
+  | No_margin | Non_monotone _ | Empty_interval _ -> None
+
+let max_cet_scale_verdict ?(jobs = Pool.default_jobs ()) ?mode
+    ?(limit_percent = 10_000) ~build ~task () =
   let good percent =
-    schedulable ?mode
-      (Cpa_system.Sensitivity.scale_cet (build ()) ~task ~percent)
+    schedulable ?mode (Space.scale_cet (build ()) ~task ~percent)
   in
-  multisect_max ~jobs ~label:"explore.sensitivity" ~lo:100 ~hi:limit_percent
-    good
+  search_max ~jobs ~lo:100 ~hi:limit_percent good
 
 let max_cet_scale ?jobs ?mode ?limit_percent ~build ~task () =
-  match max_cet_scale_verdict ?jobs ?mode ?limit_percent ~build ~task () with
-  | Sens.Margin p -> Some p
-  | Sens.No_margin | Sens.Non_monotone _ | Sens.Empty_interval _ -> None
+  margin (max_cet_scale_verdict ?jobs ?mode ?limit_percent ~build ~task ())
 
-let min_source_period_verdict ?jobs ?mode ~rebuild ~lo ~hi () =
-  let jobs = match jobs with Some j -> j | None -> Pool.default_jobs () in
-  let good period = schedulable ?mode (rebuild period) in
-  (* smallest good period: multisect_max on the negated axis, with the
-     verdict mapped back (endpoints swap under negation) *)
-  match
-    multisect_max ~jobs ~label:"explore.sensitivity" ~lo:(-hi) ~hi:(-lo)
-      (fun neg -> good (-neg))
-  with
-  | Sens.Margin neg -> Sens.Margin (-neg)
-  | Sens.No_margin -> Sens.No_margin
-  | Sens.Non_monotone { lo_feasible; hi_feasible } ->
-    Sens.Non_monotone
-      { lo_feasible = hi_feasible; hi_feasible = lo_feasible }
-  | Sens.Empty_interval _ -> Sens.Empty_interval { lo; hi }
+let min_source_period_verdict ?(jobs = Pool.default_jobs ()) ?mode ~rebuild
+    ~lo ~hi () =
+  search_min ~jobs ~lo ~hi (fun period -> schedulable ?mode (rebuild period))
 
 let min_source_period ?jobs ?mode ~rebuild ~lo ~hi () =
   if lo > hi then invalid_arg "Sensitivity.min_source_period: lo > hi";
-  match min_source_period_verdict ?jobs ?mode ~rebuild ~lo ~hi () with
-  | Sens.Margin p -> Some p
-  | Sens.No_margin | Sens.Non_monotone _ | Sens.Empty_interval _ -> None
+  margin (min_source_period_verdict ?jobs ?mode ~rebuild ~lo ~hi ())

@@ -1,30 +1,53 @@
-(** Pool-parallel sensitivity searches.
+(** Sensitivity analysis on top of the global engine.
 
-    The serial [Cpa_system.Sensitivity] bisections evaluate one probe per
-    round; these re-implementations evaluate [jobs] probes per round on
-    the domain {!Pool} (multisection), shrinking the bracket by a factor
-    of [jobs + 1] instead of [2] while returning the {e same} answer: for
-    a monotone schedulability predicate the largest/smallest feasible
-    value is unique, so the result is independent of [jobs] — asserted by
-    the test suite against the serial implementation.
+    Answers "how much slack does this design have": the largest scaling
+    of a task's execution time, or the smallest period of a source, for
+    which the system still converges to bounded response times.  Both
+    searches exploit that schedulability is monotone in the varied
+    parameter and multisect on it: each round evaluates [jobs] probes on
+    the domain {!Pool}, shrinking the bracket by a factor of [jobs + 1].
+    For a monotone predicate the threshold is unique, so the answer is
+    independent of [jobs]; with [jobs = 1] the search is a plain
+    bisection.
 
-    Both searches take spec {e builders} rather than specs: probes run on
+    The analyses take spec {e builders} rather than specs: probes run on
     worker domains, and each must construct its spec (and curves)
     domain-locally — passing a pre-built spec here would share curve memo
     tables across domains (see {!Pool} and [Event_model.Curve]). *)
 
-val multisect_max :
-  jobs:int ->
-  label:string ->
-  lo:int ->
-  hi:int ->
-  (int -> bool) ->
-  Cpa_system.Sensitivity.verdict
-(** The parallel counterpart of [Cpa_system.Sensitivity.search_max]:
-    both endpoints are probed (in parallel) first, so degenerate
-    searches return the same structured verdicts as the serial
-    implementation ([No_margin], [Non_monotone], [Empty_interval])
-    instead of looping or conflating them with a missing margin. *)
+val schedulable : ?mode:Cpa_system.Engine.mode -> Cpa_system.Spec.t -> bool
+(** True iff the analysis converges with bounded responses everywhere. *)
+
+(** Structured outcome of a margin search.  [Margin x] is the genuine
+    threshold; the other cases are degenerate searches: infeasible across
+    the whole interval ([No_margin]), feasibility not monotone at the
+    endpoints ([Non_monotone] — the bracketing invariant would not hold),
+    or an inverted/empty interval ([Empty_interval]). *)
+type verdict =
+  | Margin of int
+  | No_margin
+  | Non_monotone of {
+      lo_feasible : bool;
+      hi_feasible : bool;
+    }
+  | Empty_interval of {
+      lo : int;
+      hi : int;
+    }
+
+val pp_verdict : Format.formatter -> verdict -> unit
+
+val search_max : jobs:int -> lo:int -> hi:int -> (int -> bool) -> verdict
+(** Largest [x] in [\[lo, hi\]] with [good x], for [good] monotone
+    (feasible prefix, then infeasible).  Both endpoints are probed (in
+    parallel) first, so degenerate inputs yield the structured verdicts
+    above instead of looping or inverting the interval.  [good] runs on
+    worker domains. *)
+
+val search_min : jobs:int -> lo:int -> hi:int -> (int -> bool) -> verdict
+(** Smallest [x] in [\[lo, hi\]] with [good x], for [good] monotone
+    (infeasible prefix, then feasible): {!search_max} on the negated
+    axis, with the verdict mapped back. *)
 
 val max_cet_scale_verdict :
   ?jobs:int ->
@@ -33,7 +56,7 @@ val max_cet_scale_verdict :
   build:(unit -> Cpa_system.Spec.t) ->
   task:string ->
   unit ->
-  Cpa_system.Sensitivity.verdict
+  verdict
 
 val min_source_period_verdict :
   ?jobs:int ->
@@ -42,7 +65,7 @@ val min_source_period_verdict :
   lo:int ->
   hi:int ->
   unit ->
-  Cpa_system.Sensitivity.verdict
+  verdict
 
 val max_cet_scale :
   ?jobs:int ->
@@ -52,10 +75,11 @@ val max_cet_scale :
   task:string ->
   unit ->
   int option
-(** Same contract as [Cpa_system.Sensitivity.max_cet_scale] on
-    [build ()]: the largest percentage (up to [limit_percent], default
-    [10_000]) keeping the system schedulable, [None] when it is not
-    schedulable even at 100 %. *)
+(** The largest percentage (searched up to [limit_percent], default
+    [10_000]) such that scaling the task's execution time to it (see
+    {!Space.scale_cet}) keeps [build ()] schedulable; [None] if the
+    system is not schedulable even at the task's current size (100 %).
+    [jobs] defaults to {!Pool.default_jobs}. *)
 
 val min_source_period :
   ?jobs:int ->
@@ -65,6 +89,8 @@ val min_source_period :
   hi:int ->
   unit ->
   int option
-(** Same contract as [Cpa_system.Sensitivity.min_source_period];
-    [rebuild] must be safe to call from worker domains (build streams
-    afresh, capture no mutable state). *)
+(** The smallest period in [\[lo, hi\]] for which [rebuild period] is
+    schedulable, assuming schedulability is monotone in the period;
+    [None] if even [hi] overloads.  [rebuild] must be safe to call from
+    worker domains (build streams afresh, capture no mutable state).
+    @raise Invalid_argument when [lo > hi]. *)

@@ -86,6 +86,13 @@ let update_task spec ~task f =
   if not !found then raise Not_found;
   { spec with tasks }
 
+let scale_cet spec ~task ~percent =
+  if percent < 1 then invalid_arg "Space.scale_cet: percent < 1";
+  let scale v = Stdlib.max 1 ((v * percent + 99) / 100) in
+  update_task spec ~task (fun (k : Spec.task) ->
+    let lo = scale (Interval.lo k.cet) and hi = scale (Interval.hi k.cet) in
+    { k with cet = Interval.make ~lo ~hi })
+
 let update_frame spec ~frame f =
   let found = ref false in
   let frames =
@@ -231,8 +238,7 @@ let apply spec = function
   | Source_jitter { source; period; jitter; d_min } ->
     replace_source spec ~source
       (Stream.periodic_jitter ~name:source ~period ~jitter ~d_min ())
-  | Cet_scale { task; percent } ->
-    Cpa_system.Sensitivity.scale_cet spec ~task ~percent
+  | Cet_scale { task; percent } -> scale_cet spec ~task ~percent
   | Task_priority { task; priority } ->
     update_task spec ~task (fun k -> { k with priority })
   | Frame_priority { frame; priority } ->

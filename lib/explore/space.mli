@@ -58,6 +58,13 @@ val edit_label : edit -> string
 (** Compact human-readable rendering, e.g. ["S3.period=500"],
     ["T3.cet=150%"], ["layout=sig1+sig2|sig3"]. *)
 
+val scale_cet : Spec.t -> task:string -> percent:int -> Spec.t
+(** The [Cet_scale] edit: a copy of the system with the named task's
+    execution-time interval scaled to [percent]/100 (rounded up, floored
+    at 1).
+    @raise Not_found for an unknown task name.
+    @raise Invalid_argument when [percent < 1]. *)
+
 val apply : Spec.t -> edit -> Spec.t
 (** @raise Not_found when the edit names an unknown element.
     @raise Invalid_argument for malformed packings (wrong signal set,

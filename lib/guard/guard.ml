@@ -5,7 +5,7 @@ type t = {
   is_active : bool;
   cancelled : bool Atomic.t;
   rel_deadline_ms : float;  (* as requested, for reporting; infinity = none *)
-  deadline_us : float;  (* absolute wall-clock trip point *)
+  deadline_us : float;  (* absolute trip point on [Obs.Clock] *)
   budget_limit : int;  (* as requested; max_int = none *)
   budget_left : int Atomic.t;
   tripped : Error.t option Atomic.t;  (* sticky first trip *)
@@ -22,8 +22,6 @@ let none =
     tripped = Atomic.make None;
   }
 
-let now_us () = Unix.gettimeofday () *. 1e6
-
 let create ?deadline_ms ?budget () =
   let rel_deadline_ms = Option.value deadline_ms ~default:infinity in
   let budget_limit = Option.value budget ~default:max_int in
@@ -33,7 +31,7 @@ let create ?deadline_ms ?budget () =
     rel_deadline_ms;
     deadline_us =
       (if rel_deadline_ms = infinity then infinity
-       else now_us () +. (rel_deadline_ms *. 1e3));
+       else Obs.Clock.now_us () +. (rel_deadline_ms *. 1e3));
     budget_limit;
     budget_left = Atomic.make budget_limit;
     tripped = Atomic.make None;
@@ -75,7 +73,7 @@ let poll g =
       if Atomic.get g.cancelled then Some (record_trip g Error.Cancelled)
       else if Atomic.get g.budget_left <= 0 then
         Some (record_trip g (Error.Budget_exhausted { budget = g.budget_limit }))
-      else if now_us () > g.deadline_us then
+      else if Obs.Clock.now_us () > g.deadline_us then
         Some
           (record_trip g
              (Error.Deadline_exceeded { deadline_ms = g.rel_deadline_ms }))
@@ -97,7 +95,7 @@ let consumed g =
 
 let slack_ms g =
   if g.deadline_us = infinity then None
-  else Some ((g.deadline_us -. now_us ()) /. 1e3)
+  else Some ((g.deadline_us -. Obs.Clock.now_us ()) /. 1e3)
 
 let h_slack = Obs.Hist.hist "guard.deadline_slack_us"
 let h_consumed = Obs.Hist.hist "guard.budget_consumed"
@@ -105,7 +103,7 @@ let h_consumed = Obs.Hist.hist "guard.budget_consumed"
 let observe_completion g =
   if g.is_active && Obs.Hist.enabled () then begin
     if g.deadline_us <> infinity then begin
-      let slack_us = g.deadline_us -. now_us () in
+      let slack_us = g.deadline_us -. Obs.Clock.now_us () in
       Obs.Hist.record h_slack
         (int_of_float (if slack_us < 0.0 then 0.0 else slack_us))
     end;

@@ -174,25 +174,22 @@ let bounded r =
   | Busy_window.Bounded _ -> true
   | Busy_window.Unbounded _ -> false
 
-let analyse ?horizon ~policy items =
+(* Escalating horizon: curve operations are near-linear in the sampled
+   range, so start small and only grow (towards the certified-tail
+   target) while some outcome is still unbounded — a short horizon is
+   sound at every step, it can only be looser.  Most systems bound every
+   item in the first round. *)
+let analyse ~policy items =
   let run horizon =
     match policy with
     | Spp -> analyse_static ~horizon ~blocking:false items
     | Spnp -> analyse_static ~horizon ~blocking:true items
     | Tdma | Round_robin -> analyse_slotted ~horizon items
   in
-  match horizon with
-  | Some h -> run h
-  | None ->
-    (* Escalating horizon: curve operations are near-linear in the sampled
-       range, so start small and only grow (towards the certified-tail
-       target) while some outcome is still unbounded — a short horizon
-       is sound at every step, it can only be looser.  Most systems
-       bound every item in the first round. *)
-    let target = default_horizon policy items in
-    let rec go h =
-      let results = run h in
-      if h >= target || List.for_all bounded results then results
-      else go (Stdlib.min target (4 * h))
-    in
-    go (Stdlib.min target 256)
+  let target = default_horizon policy items in
+  let rec go h =
+    let results = run h in
+    if h >= target || List.for_all bounded results then results
+    else go (Stdlib.min target (4 * h))
+  in
+  go (Stdlib.min target 256)

@@ -48,11 +48,11 @@ val default_horizon : policy -> item list -> int
     slot-based policies) several full cycles; clamped to
     [\[128, 4096\]]. *)
 
-val analyse : ?horizon:int -> policy:policy -> item list -> outcome list
+val analyse : policy:policy -> item list -> outcome list
 (** Analyse every item of one resource, in input order.  Never raises
     for unbounded arrivals or overload — those yield [Unbounded]
-    outcomes with a reason.  When [horizon] is omitted the sampling
-    range escalates geometrically from 256 up to {!default_horizon},
+    outcomes with a reason.  The sampling range escalates
+    geometrically from 256 up to {!default_horizon},
     stopping at the first round that bounds every item: curve
     operations are near-linear in the horizon and any horizon is sound
     (a shorter one can only be looser), so well-dimensioned systems pay

@@ -1,6 +1,6 @@
 let enabled = Sink.enabled
 
-let clock : (unit -> float) ref = ref (fun () -> Unix.gettimeofday () *. 1e6)
+let clock : (unit -> float) ref = ref Clock.now_us
 
 let last_ts = ref neg_infinity
 

@@ -19,10 +19,10 @@ val enabled : unit -> bool
 
 val now_us : unit -> float
 (** Monotonic timestamp in microseconds: the pluggable clock (default
-    [Unix.gettimeofday], scaled) clamped to be non-decreasing. *)
+    {!Clock.now_us}) clamped to be non-decreasing. *)
 
 val set_clock : (unit -> float) -> unit
-(** Replaces the wall clock; the replacement must return microseconds.
+(** Replaces the clock; the replacement must return microseconds.
     Useful for deterministic tests. *)
 
 val span_begin : ?attrs:Event.attr list -> string -> unit

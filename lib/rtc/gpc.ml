@@ -1,8 +1,6 @@
 type result = {
   delay : int option;
-  backlog : int option;
   output_upper : Curve.t option;
-  remaining_lower : Curve.t;
 }
 
 let rec gcd a b = if b = 0 then a else gcd b (a mod b)
@@ -49,7 +47,6 @@ let remaining_service ~arrival_upper ~service_lower =
 let process ~arrival_upper ~service_lower =
   {
     delay = Curve.horizontal_deviation ~upper:arrival_upper ~lower:service_lower;
-    backlog = Curve.vertical_deviation ~upper:arrival_upper ~lower:service_lower;
     output_upper =
       (* alpha (/) beta directly against the lower service curve; an
          overloaded component (arrival rate > service rate) has no
@@ -58,19 +55,4 @@ let process ~arrival_upper ~service_lower =
       (match Curve.min_plus_deconv arrival_upper service_lower with
        | c -> Some c
        | exception Curve.Unstable _ -> None);
-    remaining_lower = remaining_service ~arrival_upper ~service_lower;
   }
-
-type fp_task = {
-  name : string;
-  arrival_upper : Curve.t;
-}
-
-let fixed_priority_chain ~service tasks =
-  let rec chain beta acc = function
-    | [] -> List.rev acc
-    | task :: rest ->
-      let result = process ~arrival_upper:task.arrival_upper ~service_lower:beta in
-      chain result.remaining_lower ((task.name, result) :: acc) rest
-  in
-  chain service [] tasks

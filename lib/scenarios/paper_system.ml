@@ -51,6 +51,14 @@ let spec ?(s3_period = s3_period) () =
       ]
     ~frames:[ f1; f2 ] ()
 
+let generators ?(s3_period = s3_period) () =
+  [
+    "S1", Des.Gen.periodic ~period:250 ();
+    "S2", Des.Gen.periodic ~period:450 ();
+    "S3", Des.Gen.periodic ~period:s3_period ();
+    "S4", Des.Gen.periodic ~period:400 ();
+  ]
+
 let cpu_tasks = [ "T1"; "T2"; "T3" ]
 
 let frames = [ "F1"; "F2" ]

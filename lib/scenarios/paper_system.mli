@@ -19,6 +19,10 @@ val spec : ?s3_period:int -> unit -> Cpa_system.Spec.t
     {!s3_period} and parameterizes the pending source for ablation
     sweeps. *)
 
+val generators : ?s3_period:int -> unit -> (string * Des.Gen.t) list
+(** Matching simulator generators: the four sources strictly periodic at
+    their Table 1 periods, [s3_period] as for {!spec}. *)
+
 val cpu_tasks : string list
 (** [\["T1"; "T2"; "T3"\]] — the elements of Table 3. *)
 

@@ -215,6 +215,8 @@ val warm_update :
     else is served from cache, bit-identical to a from-scratch run.
     With [stale = \[\]] and an unchanged spec this is a read-back: every
     resource reports as reused and the result repeats the fixed point.
+    [spec] is validated unless it is physically the session's current
+    spec ({!warm_spec}), which was validated when it was installed.
 
     If a previous run of this session did not converge (degraded,
     overloaded, or errored), the cached state is not a valid baseline;

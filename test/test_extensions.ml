@@ -13,7 +13,7 @@ module Spp = Scheduling.Spp
 module Spnp = Scheduling.Spnp
 module Spec = Cpa_system.Spec
 module Engine = Cpa_system.Engine
-module Sensitivity = Cpa_system.Sensitivity
+module Sensitivity = Explore.Sensitivity
 
 let task ~name ~cet ~priority ~period ?(jitter = 0) () =
   Rt_task.make ~name ~cet:(Interval.point cet) ~priority
@@ -170,14 +170,7 @@ let test_spnp_backlog_paper_frame () =
 let test_backlog_observed_within_bound () =
   (* paper system: analytic queue bounds dominate simulated depths *)
   let spec = Scenarios.Paper_system.spec () in
-  let generators =
-    [
-      "S1", Des.Gen.periodic ~period:250 ();
-      "S2", Des.Gen.periodic ~period:450 ();
-      "S3", Des.Gen.periodic ~period:1000 ();
-      "S4", Des.Gen.periodic ~period:400 ();
-    ]
-  in
+  let generators = Scenarios.Paper_system.generators () in
   match Des.Simulator.run ~generators ~horizon:500_000 spec with
   | Error e -> Alcotest.failf "simulation failed: %s" e
   | Ok trace ->
@@ -345,26 +338,28 @@ let test_sensitivity_schedulable () =
 
 let test_scale_cet () =
   let spec = Scenarios.Paper_system.spec () in
-  let scaled = Sensitivity.scale_cet spec ~task:"T3" ~percent:200 in
+  let scaled = Explore.Space.scale_cet spec ~task:"T3" ~percent:200 in
   let t3 =
     List.find (fun (k : Spec.task) -> k.task_name = "T3") scaled.Spec.tasks
   in
   Alcotest.(check int) "doubled" 80 (Interval.hi t3.Spec.cet);
   Alcotest.(check bool) "unknown task" true
-    (match Sensitivity.scale_cet spec ~task:"nope" ~percent:150 with
+    (match Explore.Space.scale_cet spec ~task:"nope" ~percent:150 with
      | _ -> false
      | exception Not_found -> true)
 
 let test_max_cet_scale () =
   let spec = Scenarios.Paper_system.spec () in
-  match Sensitivity.max_cet_scale spec ~task:"T3" with
+  match
+    Sensitivity.max_cet_scale ~build:Scenarios.Paper_system.spec ~task:"T3" ()
+  with
   | None -> Alcotest.fail "system should start schedulable"
   | Some pct ->
     Alcotest.(check bool) "has headroom" true (pct > 100);
     (* the bound is tight: one step beyond must fail *)
     Alcotest.(check bool) "tight" false
       (Sensitivity.schedulable
-         (Sensitivity.scale_cet spec ~task:"T3" ~percent:(pct + 1)))
+         (Explore.Space.scale_cet spec ~task:"T3" ~percent:(pct + 1)))
 
 let test_min_source_period () =
   let rebuild period = Scenarios.Paper_system.spec ~s3_period:period () in

@@ -8,7 +8,7 @@ module Interval = Timebase.Interval
 module Engine = Cpa_system.Engine
 module Spec = Cpa_system.Spec
 module Report = Cpa_system.Report
-module Sens = Cpa_system.Sensitivity
+module Sens = Explore.Sensitivity
 module Pool = Explore.Pool
 module Driver = Explore.Driver
 module Render = Explore.Render
@@ -26,14 +26,6 @@ let reason =
 
 let verdict =
   Alcotest.testable Sens.pp_verdict (fun a b -> a = b)
-
-let paper_generators s3_period =
-  [
-    "S1", Des.Gen.periodic ~period:250 ();
-    "S2", Des.Gen.periodic ~period:450 ();
-    "S3", Des.Gen.periodic ~period:s3_period ();
-    "S4", Des.Gen.periodic ~period:400 ();
-  ]
 
 (* ------------------------------------------------------------------ *)
 (* guard tokens *)
@@ -250,7 +242,7 @@ let test_engine_budget_degrades_soundly () =
           (Printf.sprintf "%s: %s" c.Verify.Oracle.name c.Verify.Oracle.detail)
           true c.Verify.Oracle.ok)
       (Verify.Oracle.simulation_dominance ~horizon:100_000
-         ~generators:(paper_generators Paper.s3_period)
+         ~generators:(Paper.generators ())
          ~tag:"degraded" degraded spec)
 
 let test_engine_deadline_all_widened () =
@@ -338,48 +330,58 @@ let test_driver_interrupted_deterministic () =
 (* sensitivity: degenerate intervals get structured verdicts *)
 
 let test_search_degenerate_serial () =
+  (* one probe per round: the plain bisection *)
+  let search_max = Sens.search_max ~jobs:1
+  and search_min = Sens.search_min ~jobs:1 in
   Alcotest.check verdict "empty interval"
     (Sens.Empty_interval { lo = 5; hi = 3 })
-    (Sens.search_max ~lo:5 ~hi:3 (fun _ -> true));
+    (search_max ~lo:5 ~hi:3 (fun _ -> true));
   Alcotest.check verdict "both infeasible" Sens.No_margin
-    (Sens.search_max ~lo:0 ~hi:10 (fun _ -> false));
+    (search_max ~lo:0 ~hi:10 (fun _ -> false));
   Alcotest.check verdict "both feasible" (Sens.Margin 10)
-    (Sens.search_max ~lo:0 ~hi:10 (fun _ -> true));
+    (search_max ~lo:0 ~hi:10 (fun _ -> true));
   Alcotest.check verdict "non-monotone endpoints"
     (Sens.Non_monotone { lo_feasible = false; hi_feasible = true })
-    (Sens.search_max ~lo:0 ~hi:10 (fun x -> x >= 5));
+    (search_max ~lo:0 ~hi:10 (fun x -> x >= 5));
   Alcotest.check verdict "regular bisection" (Sens.Margin 7)
-    (Sens.search_max ~lo:0 ~hi:10 (fun x -> x <= 7));
+    (search_max ~lo:0 ~hi:10 (fun x -> x <= 7));
   Alcotest.check verdict "single point feasible" (Sens.Margin 4)
-    (Sens.search_max ~lo:4 ~hi:4 (fun _ -> true));
+    (search_max ~lo:4 ~hi:4 (fun _ -> true));
   (* the min-side search mirrors the same verdicts *)
   Alcotest.check verdict "min: both infeasible" Sens.No_margin
-    (Sens.search_min ~lo:0 ~hi:10 (fun _ -> false));
+    (search_min ~lo:0 ~hi:10 (fun _ -> false));
   Alcotest.check verdict "min: regular" (Sens.Margin 3)
-    (Sens.search_min ~lo:0 ~hi:10 (fun x -> x >= 3));
+    (search_min ~lo:0 ~hi:10 (fun x -> x >= 3));
   Alcotest.check verdict "min: non-monotone"
     (Sens.Non_monotone { lo_feasible = true; hi_feasible = false })
-    (Sens.search_min ~lo:0 ~hi:10 (fun x -> x <= 5))
+    (search_min ~lo:0 ~hi:10 (fun x -> x <= 5))
 
 let test_search_degenerate_parallel () =
-  (* the pool-parallel multisection returns the same structured verdicts *)
+  (* the multisection returns the same structured verdicts at every job
+     count, on both sides: the min side is the max side negated *)
   List.iter
     (fun jobs ->
       let tag s = Printf.sprintf "jobs=%d: %s" jobs s in
       Alcotest.check verdict (tag "empty interval")
         (Sens.Empty_interval { lo = 9; hi = 2 })
-        (Explore.Sensitivity.multisect_max ~jobs ~label:"t" ~lo:9 ~hi:2
-           (fun _ -> true));
+        (Sens.search_max ~jobs ~lo:9 ~hi:2 (fun _ -> true));
       Alcotest.check verdict (tag "both infeasible") Sens.No_margin
-        (Explore.Sensitivity.multisect_max ~jobs ~label:"t" ~lo:0 ~hi:10
-           (fun _ -> false));
+        (Sens.search_max ~jobs ~lo:0 ~hi:10 (fun _ -> false));
       Alcotest.check verdict (tag "non-monotone")
         (Sens.Non_monotone { lo_feasible = false; hi_feasible = true })
-        (Explore.Sensitivity.multisect_max ~jobs ~label:"t" ~lo:0 ~hi:10
-           (fun x -> x >= 5));
+        (Sens.search_max ~jobs ~lo:0 ~hi:10 (fun x -> x >= 5));
       Alcotest.check verdict (tag "regular") (Sens.Margin 7)
-        (Explore.Sensitivity.multisect_max ~jobs ~label:"t" ~lo:0 ~hi:10
-           (fun x -> x <= 7)))
+        (Sens.search_max ~jobs ~lo:0 ~hi:10 (fun x -> x <= 7));
+      Alcotest.check verdict (tag "min: empty interval")
+        (Sens.Empty_interval { lo = 9; hi = 2 })
+        (Sens.search_min ~jobs ~lo:9 ~hi:2 (fun _ -> true));
+      Alcotest.check verdict (tag "min: both infeasible") Sens.No_margin
+        (Sens.search_min ~jobs ~lo:0 ~hi:10 (fun _ -> false));
+      Alcotest.check verdict (tag "min: non-monotone")
+        (Sens.Non_monotone { lo_feasible = true; hi_feasible = false })
+        (Sens.search_min ~jobs ~lo:0 ~hi:10 (fun x -> x <= 5));
+      Alcotest.check verdict (tag "min: regular") (Sens.Margin 3)
+        (Sens.search_min ~jobs ~lo:0 ~hi:10 (fun x -> x >= 3)))
     [ 1; 3 ]
 
 let test_sensitivity_overloaded_no_margin () =
@@ -397,9 +399,9 @@ let test_sensitivity_overloaded_no_margin () =
       ()
   in
   Alcotest.check verdict "serial" Sens.No_margin
-    (Sens.max_cet_scale_verdict (build ()) ~task:"hog");
+    (Sens.max_cet_scale_verdict ~jobs:1 ~build ~task:"hog" ());
   Alcotest.check verdict "parallel" Sens.No_margin
-    (Explore.Sensitivity.max_cet_scale_verdict ~jobs:2 ~build ~task:"hog" ())
+    (Sens.max_cet_scale_verdict ~jobs:2 ~build ~task:"hog" ())
 
 let () =
   Alcotest.run "guard"

@@ -200,16 +200,9 @@ let test_paper_bounded () =
     backends
 
 let test_des_dominance () =
-  let generators =
-    [
-      "S1", Des.Gen.periodic ~period:250 ();
-      "S2", Des.Gen.periodic ~period:450 ();
-      "S3", Des.Gen.periodic ~period:Scenarios.Paper_system.s3_period ();
-      "S4", Des.Gen.periodic ~period:400 ();
-    ]
-  in
   match
-    Des.Simulator.run ~generators ~horizon:1_000_000
+    Des.Simulator.run ~generators:(Scenarios.Paper_system.generators ())
+      ~horizon:1_000_000
       (Registry.find "paper" ())
   with
   | Error e -> Alcotest.fail e
@@ -263,6 +256,39 @@ let test_bounded_floors () =
         [ "rtc"; "mixed" ])
     bounded_floors
 
+(* ------------------------------------------------------------------ *)
+(* counters under domains *)
+
+(* Two domains analysing every system at once must each count their
+   curve work exactly as a serial run does: pending memo hits are
+   flushed by the domain that recorded them, never lost to (or zeroed
+   by) a flush on another domain. *)
+let test_curve_counters_two_domains () =
+  let runs =
+    List.concat_map
+      (fun (e : Registry.entry) ->
+        [ e, Engine.Flat_sem; e, Engine.Hierarchical ])
+      Registry.all
+  in
+  let curve ((e : Registry.entry), mode) =
+    (analyse ~mode (e.spec ())).stats.curve
+  in
+  let serial = List.map curve runs in
+  let differing () =
+    let n = ref 0 in
+    for _ = 1 to 30 do
+      List.iter2
+        (fun run expected -> if curve run <> expected then incr n)
+        runs serial
+    done;
+    !n
+  in
+  let other = Domain.spawn differing in
+  let here = differing () in
+  Alcotest.(check int) "analyses whose curve counters differ from a serial run"
+    0
+    (here + Domain.join other)
+
 let () =
   Alcotest.run "registry"
     [
@@ -283,5 +309,10 @@ let () =
             test_boundedness_regressions;
           Alcotest.test_case "rtc and mixed bounded floors" `Quick
             test_bounded_floors;
+        ] );
+      ( "domains",
+        [
+          Alcotest.test_case "curve counters match a serial run" `Quick
+            test_curve_counters_two_domains;
         ] );
     ]

@@ -1,7 +1,7 @@
 (* Tests for the real-time-calculus substrate: numeric curves, (min,+)
    operations, greedy processing components, and cross-validation of the
-   RTC fixed-priority chain against the busy-window analysis and the
-   simulator. *)
+   RTC static-priority local analysis against the busy-window analysis
+   and the simulator. *)
 
 module Interval = Timebase.Interval
 module Stream = Event_model.Stream
@@ -109,11 +109,12 @@ let test_gpc_single () =
   let beta = Workload.service_full ~horizon:200 in
   let result = Gpc.process ~arrival_upper:alpha ~service_lower:beta in
   Alcotest.(check (option int)) "delay = wcet" (Some 4) result.Gpc.delay;
-  Alcotest.(check (option int)) "backlog = wcet" (Some 4) result.Gpc.backlog;
+  Alcotest.(check (option int)) "backlog = wcet" (Some 4)
+    (Curve.vertical_deviation ~upper:alpha ~lower:beta);
   (* remaining service over one period: best split is s = 9 just before
      the next closed-window arrival: 9 - 4 = 5 *)
-  Alcotest.(check int) "remaining over one period" 5
-    (Curve.eval result.Gpc.remaining_lower 10)
+  let remaining = Gpc.remaining_service ~arrival_upper:alpha ~service_lower:beta in
+  Alcotest.(check int) "remaining over one period" 5 (Curve.eval remaining 10)
 
 let test_gpc_overload_no_delay_bound () =
   let stream = Stream.periodic ~name:"p" ~period:10 in
@@ -122,28 +123,39 @@ let test_gpc_overload_no_delay_bound () =
   let result = Gpc.process ~arrival_upper:alpha ~service_lower:beta in
   Alcotest.(check (option int)) "unbounded" None result.Gpc.delay
 
+(* One static-priority resource through the RTC local analysis the
+   engine runs: [(name, period, wcet, priority)] periodic tasks, each
+   element's delay bound ([max_int] when unbounded). *)
+let spp_delays tasks =
+  let items =
+    List.map
+      (fun (name, period, wcet, priority) ->
+        {
+          Hybrid.Local.name;
+          cet = Interval.point wcet;
+          priority;
+          service = None;
+          activation = Stream.periodic ~name:(name ^ ".act") ~period;
+        })
+      tasks
+  in
+  List.map
+    (fun (o : Hybrid.Local.outcome) ->
+      ( o.name,
+        match o.response with
+        | Scheduling.Busy_window.Bounded r -> Interval.hi r
+        | Scheduling.Busy_window.Unbounded _ -> max_int ))
+    (Hybrid.Local.analyse ~policy:Hybrid.Local.Spp items)
+
 let test_fp_chain_vs_busy_window () =
   (* the textbook RM set: C = (1, 2, 3), T = (4, 6, 13); busy-window
      R = (1, 3, 10); RTC delay bounds must be sound (>= simulated = same
      pattern) and are close to the busy-window results *)
-  let horizon = 400 in
-  let arrival period wcet =
-    Workload.arrival_upper ~horizon ~wcet
-      (Stream.periodic ~name:"s" ~period)
-  in
-  let results =
-    Gpc.fixed_priority_chain
-      ~service:(Workload.service_full ~horizon)
-      [
-        { Gpc.name = "t1"; arrival_upper = arrival 4 1 };
-        { Gpc.name = "t2"; arrival_upper = arrival 6 2 };
-        { Gpc.name = "t3"; arrival_upper = arrival 13 3 };
-      ]
-  in
+  let results = spp_delays [ "t1", 4, 1, 1; "t2", 6, 2, 2; "t3", 13, 3, 3 ] in
   let delay name =
     match List.assoc name results with
-    | { Gpc.delay = Some d; _ } -> d
-    | { Gpc.delay = None; _ } -> Alcotest.failf "unbounded %s" name
+    | d when d = max_int -> Alcotest.failf "unbounded %s" name
+    | d -> d
   in
   Alcotest.(check int) "t1" 1 (delay "t1");
   Alcotest.(check int) "t2" 3 (delay "t2");
@@ -213,22 +225,12 @@ let test_tdma_delay_matches_busy_window () =
     cases
 
 let test_fp_chain_order_matters () =
-  let horizon = 300 in
-  let arrival period wcet =
-    Workload.arrival_upper ~horizon ~wcet (Stream.periodic ~name:"s" ~period)
+  let light_delay ~light_priority =
+    List.assoc "light"
+      (spp_delays [ "heavy", 10, 5, 2; "light", 50, 2, light_priority ])
   in
-  let chain order =
-    Gpc.fixed_priority_chain ~service:(Workload.service_full ~horizon) order
-  in
-  let heavy = { Gpc.name = "heavy"; arrival_upper = arrival 10 5 } in
-  let light = { Gpc.name = "light"; arrival_upper = arrival 50 2 } in
-  let delay results name =
-    match List.assoc name results with
-    | { Gpc.delay = Some d; _ } -> d
-    | { Gpc.delay = None; _ } -> max_int
-  in
-  let light_last = delay (chain [ heavy; light ]) "light" in
-  let light_first = delay (chain [ light; heavy ]) "light" in
+  let light_last = light_delay ~light_priority:3 in
+  let light_first = light_delay ~light_priority:1 in
   Alcotest.(check bool) "lower priority waits longer" true
     (light_last > light_first)
 

@@ -1,101 +1,100 @@
-(* Sensitivity searches: the serial bisections of Cpa_system.Sensitivity
-   and their pool-parallel multisection re-implementation in
-   Explore.Sensitivity must return identical answers at every job count
-   (monotone predicate => unique threshold), and the answers must be
-   genuine thresholds: feasible at the result, infeasible one step
-   beyond. *)
+(* Sensitivity searches: Explore.Sensitivity's multisection must return
+   the answer of its one-probe-per-round bisection (jobs = 1) at every
+   job count (monotone predicate => unique threshold), and the answers
+   must be genuine thresholds: feasible at the result, infeasible one
+   step beyond. *)
 
 module Spec = Cpa_system.Spec
 module Engine = Cpa_system.Engine
-module Serial = Cpa_system.Sensitivity
-module Parallel = Explore.Sensitivity
+module Sens = Explore.Sensitivity
 module Paper = Scenarios.Paper_system
+
+let scale_cet = Explore.Space.scale_cet
+let paper () = Paper.spec ()
 
 let limit = 4_000
 
 let test_schedulable () =
   Alcotest.(check bool) "paper system schedulable" true
-    (Serial.schedulable (Paper.spec ()));
+    (Sens.schedulable (Paper.spec ()));
   Alcotest.(check bool) "overloaded when T3 blown up" false
-    (Serial.schedulable
-       (Serial.scale_cet (Paper.spec ()) ~task:"T3" ~percent:limit))
+    (Sens.schedulable
+       (scale_cet (Paper.spec ()) ~task:"T3" ~percent:limit))
 
 let test_max_cet_scale_is_threshold () =
   match
-    Serial.max_cet_scale ~limit_percent:limit (Paper.spec ()) ~task:"T3"
+    Sens.max_cet_scale ~jobs:1 ~limit_percent:limit ~build:paper ~task:"T3" ()
   with
   | None -> Alcotest.fail "expected a feasible scale"
   | Some best ->
     Alcotest.(check bool) "at least current size" true (best >= 100);
     Alcotest.(check bool) "strictly below the limit" true (best < limit);
     Alcotest.(check bool) "feasible at the result" true
-      (Serial.schedulable
-         (Serial.scale_cet (Paper.spec ()) ~task:"T3" ~percent:best));
+      (Sens.schedulable
+         (scale_cet (Paper.spec ()) ~task:"T3" ~percent:best));
     Alcotest.(check bool) "infeasible one step beyond" false
-      (Serial.schedulable
-         (Serial.scale_cet (Paper.spec ()) ~task:"T3" ~percent:(best + 1)))
+      (Sens.schedulable
+         (scale_cet (Paper.spec ()) ~task:"T3" ~percent:(best + 1)))
 
 let test_parallel_cet_agrees_with_serial () =
   let serial =
-    Serial.max_cet_scale ~limit_percent:limit (Paper.spec ()) ~task:"T3"
+    Sens.max_cet_scale ~jobs:1 ~limit_percent:limit ~build:paper ~task:"T3" ()
   in
   List.iter
     (fun jobs ->
       Alcotest.(check (option int))
         (Printf.sprintf "jobs=%d" jobs)
         serial
-        (Parallel.max_cet_scale ~jobs ~limit_percent:limit
-           ~build:(fun () -> Paper.spec ())
+        (Sens.max_cet_scale ~jobs ~limit_percent:limit ~build:paper
            ~task:"T3" ()))
-    [ 1; 3 ]
+    [ 2; 3 ]
 
 let test_parallel_cet_unschedulable_base () =
   (* a system already infeasible at 100 % must report None *)
-  let build () = Serial.scale_cet (Paper.spec ()) ~task:"T3" ~percent:limit in
+  let build () = scale_cet (Paper.spec ()) ~task:"T3" ~percent:limit in
   Alcotest.(check (option int)) "None when infeasible at 100%" None
-    (Parallel.max_cet_scale ~jobs:2 ~limit_percent:200 ~build ~task:"T3" ())
+    (Sens.max_cet_scale ~jobs:2 ~limit_percent:200 ~build ~task:"T3" ())
 
 let test_min_source_period_agrees () =
   let rebuild period = Paper.spec ~s3_period:period () in
-  let serial = Serial.min_source_period ~rebuild ~lo:10 ~hi:2000 () in
+  let serial = Sens.min_source_period ~jobs:1 ~rebuild ~lo:10 ~hi:2000 () in
   (match serial with
   | None -> Alcotest.fail "expected a feasible period"
   | Some p ->
     Alcotest.(check bool) "feasible at the result" true
-      (Serial.schedulable (rebuild p));
+      (Sens.schedulable (rebuild p));
     if p > 10 then
       Alcotest.(check bool) "infeasible one step below" false
-        (Serial.schedulable (rebuild (p - 1))));
+        (Sens.schedulable (rebuild (p - 1))));
   List.iter
     (fun jobs ->
       Alcotest.(check (option int))
         (Printf.sprintf "jobs=%d" jobs)
         serial
-        (Parallel.min_source_period ~jobs ~rebuild ~lo:10 ~hi:2000 ()))
-    [ 1; 3 ]
+        (Sens.min_source_period ~jobs ~rebuild ~lo:10 ~hi:2000 ()))
+    [ 2; 3 ]
 
 let test_min_source_period_all_infeasible () =
   (* with T3 blown up no period in the range helps *)
   let rebuild period =
-    Serial.scale_cet (Paper.spec ~s3_period:period ()) ~task:"T3"
+    scale_cet (Paper.spec ~s3_period:period ()) ~task:"T3"
       ~percent:limit
   in
   Alcotest.(check (option int)) "serial" None
-    (Serial.min_source_period ~rebuild ~lo:100 ~hi:400 ());
+    (Sens.min_source_period ~jobs:1 ~rebuild ~lo:100 ~hi:400 ());
   Alcotest.(check (option int)) "parallel" None
-    (Parallel.min_source_period ~jobs:2 ~rebuild ~lo:100 ~hi:400 ())
+    (Sens.min_source_period ~jobs:2 ~rebuild ~lo:100 ~hi:400 ())
 
 let test_flat_mode_agrees () =
   (* mode threading: the flat analysis has a different (smaller)
-     threshold, and serial and parallel still agree on it *)
+     threshold, and jobs 1 and 3 still agree on it *)
   let serial =
-    Serial.max_cet_scale ~mode:Engine.Flat_sem ~limit_percent:limit
-      (Paper.spec ()) ~task:"T1"
+    Sens.max_cet_scale ~jobs:1 ~mode:Engine.Flat_sem ~limit_percent:limit
+      ~build:paper ~task:"T1" ()
   in
   Alcotest.(check (option int)) "flat mode, jobs=3" serial
-    (Parallel.max_cet_scale ~jobs:3 ~mode:Engine.Flat_sem ~limit_percent:limit
-       ~build:(fun () -> Paper.spec ())
-       ~task:"T1" ())
+    (Sens.max_cet_scale ~jobs:3 ~mode:Engine.Flat_sem ~limit_percent:limit
+       ~build:paper ~task:"T1" ())
 
 let () =
   Alcotest.run "sensitivity"

@@ -443,14 +443,7 @@ let test_sim_deterministic_with_seed () =
 
 let test_frame_loss_semantics () =
   let spec = Scenarios.Paper_system.spec () in
-  let generators =
-    [
-      "S1", Gen.periodic ~period:250 ();
-      "S2", Gen.periodic ~period:450 ();
-      "S3", Gen.periodic ~period:1000 ();
-      "S4", Gen.periodic ~period:400 ();
-    ]
-  in
+  let generators = Scenarios.Paper_system.generators () in
   let run loss =
     match
       Simulator.run ~frame_loss_percent:loss ~generators ~horizon:500_000 spec

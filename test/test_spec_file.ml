@@ -318,7 +318,7 @@ let prop_digest_edit_sensitive =
     (fun (d, percent) ->
       let spec = Spec_file.to_spec d in
       let task = (List.hd d.Spec_file.tasks).Spec.task_name in
-      let edited = Cpa_system.Sensitivity.scale_cet spec ~task ~percent in
+      let edited = Explore.Space.scale_cet spec ~task ~percent in
       (* percent > 100 strictly grows a positive cet after rounding up,
          so the digest must differ *)
       not (String.equal (Spec.digest spec) (Spec.digest edited)))

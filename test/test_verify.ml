@@ -213,18 +213,10 @@ let test_kernel_agreement_operators () =
          (Printf.sprintf "kernel[%s]:production=reference")
          [ "bus"; "cpu"; "ecu"; "or(upd(x),b)"; "t1.out"; "t3.out" ])
 
-let paper_generators () =
-  [
-    "S1", Des.Gen.periodic ~period:250 ();
-    "S2", Des.Gen.periodic ~period:450 ();
-    "S3", Des.Gen.periodic ~period:1000 ();
-    "S4", Des.Gen.periodic ~period:400 ();
-  ]
-
 let test_verify_spec_paper () =
   let report =
     Oracle.verify_spec ~label:"paper" ~horizon:100_000
-      ~generators:(paper_generators ())
+      ~generators:(Scenarios.Paper_system.generators ())
       (Scenarios.Paper_system.spec ())
   in
   check_all_ok ~what:"paper" report.Oracle.checks;
