@@ -638,7 +638,11 @@ let sweep_cmd =
     let axes = period_axes periods @ cet_axes cets @ frame_priority_axes fprios in
     if axes = [] then
       exit_err "sweep: give at least one --period / --cet-scale / --frame-priority axis";
-    let items = Driver.items_of_variants ~base (Space.grid axes) in
+    let items =
+      match Driver.plan ~base (Space.grid axes) with
+      | Ok items -> items
+      | Error e -> exit_guard_err e
+    in
     let report = Driver.run ~jobs ~guard items in
     render_report format report;
     let code = report_code report in
@@ -700,7 +704,11 @@ let explore_cmd =
             layouts)
         grid
     in
-    let items = Driver.items_of_variants ~base variants in
+    let items =
+      match Driver.plan ~base variants with
+      | Ok items -> items
+      | Error e -> exit_guard_err e
+    in
     let report = Driver.run ~jobs ~guard items in
     render_report format report;
     if format = Table then begin

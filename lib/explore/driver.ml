@@ -12,6 +12,23 @@ let item_of_variant ~base (v : Space.variant) =
 let items_of_variants ~base variants =
   List.map (item_of_variant ~base) variants
 
+let plan ~base variants =
+  let spec = base () in
+  let invalid (v : Space.variant) reason =
+    Error
+      (Guard.Error.Invalid_spec
+         { reason = Printf.sprintf "variant %s: %s" v.Space.label reason })
+  in
+  let rec check = function
+    | [] -> Ok (items_of_variants ~base variants)
+    | (v : Space.variant) :: rest -> (
+      match Space.apply_all spec v.Space.edits with
+      | _ -> check rest
+      | exception Not_found -> invalid v "edit names an unknown element"
+      | exception Invalid_argument reason -> invalid v reason)
+  in
+  check variants
+
 let item_of_description ~label description =
   { label; build = (fun () -> Cpa_system.Spec_file.to_spec description) }
 

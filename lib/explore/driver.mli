@@ -24,6 +24,15 @@ val item_of_variant : base:(unit -> Spec.t) -> Space.variant -> item
 val items_of_variants :
   base:(unit -> Spec.t) -> Space.variant list -> item list
 
+val plan :
+  base:(unit -> Spec.t) ->
+  Space.variant list ->
+  (item list, Guard.Error.t) result
+(** {!items_of_variants} after applying every variant once to [base ()]
+    on the calling domain: an edit that names an unknown element, a
+    malformed packing or an out-of-range parameter ends the plan in an
+    [Invalid_spec] naming the variant, before any worker starts. *)
+
 val item_of_description : label:string -> Cpa_system.Spec_file.t -> item
 (** Rebuilds the spec from the parsed description ([Spec_file.to_spec])
     worker-side; descriptions are pure data and safe to share. *)
@@ -59,7 +68,8 @@ val run :
 (** Evaluates every item ([modes] defaults to {!Summary.default_modes},
     [jobs] to {!Pool.default_jobs}).  Item-level analysis errors are
     captured in the rows; only programming errors (unknown edit targets,
-    malformed packings) escape as exceptions.
+    malformed packings) escape as exceptions — build the items with
+    {!plan} to get those as a structured error instead.
 
     With [guard], the sweep stops cooperatively when the token trips
     (deadline, budget, cancellation): every worker domain is joined and

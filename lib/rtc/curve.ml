@@ -64,6 +64,20 @@ let eval t dt =
     t.samples.(h) + t.tail_offset + slope
   end
 
+(* [eval t] on [0 .. n - 1] in one array: the samples blitted, one tail
+   period evaluated, and every later entry one period back plus the
+   period's exact integral rise. *)
+let tabulate t n =
+  let h = horizon t in
+  let table = Array.make n 0 in
+  Array.blit t.samples 0 table 0 (Stdlib.min n (h + 1));
+  for dt = h + 1 to n - 1 do
+    table.(dt) <-
+      (if dt - h > t.rate_den then table.(dt - t.rate_den) + t.rate_num
+       else eval t dt)
+  done;
+  table
+
 let linear ~kind ~horizon ~rate =
   let num, den = rate in
   let f dt =
@@ -318,6 +332,8 @@ let min_plus_conv f g =
    its tail rounding from floor to ceil, overstate the service past the
    horizon, and make the output curve optimistic by up to a unit. *)
 let min_plus_deconv f g =
+  if f.kind <> Upper then
+    invalid_arg "Rtc.Curve.min_plus_deconv: Lower numerator";
   let f, g = harmonise f g in
   let rf = f.rate_num, f.rate_den and rg = g.rate_num, g.rate_den in
   if not (rate_le rf rg) then
@@ -332,85 +348,157 @@ let min_plus_deconv f g =
      rate of g over l) <= 0 once both legs are past their horizons, so
      the supremum over s is attained within max horizon + l. *)
   let h = Stdlib.max (horizon f) (horizon g) in
-  let search_limit = h + lcm f.rate_den g.rate_den in
-  (* Beyond h every f-leg sits past f's horizon, so the whole supremum
-     advances by exactly rate_num per rate_den of f: probing one f-period
-     past h certifies the tail.  The rows 0 .. h are the samples, the
-     rows h + 1 .. h + rate_den those probes, all computed on tabulated
-     operands. *)
-  let last = h + f.rate_den in
-  let fs = Array.init (last + search_limit + 1) (eval f) in
+  let d = lcm f.rate_den g.rate_den in
+  let search_limit = h + d in
+  (* f on the windows [0, n), read through its steps: the windows where
+     it rises, and its values there.  Past its horizon hf, f is
+     base + ceil (num m / den) at hf + m, so its steps there follow
+     from num and den without a table. *)
+  let n = h + search_limit + 1 in
+  let hf = horizon f in
+  let num = f.rate_num and den = f.rate_den in
+  let base = f.samples.(hf) + f.tail_offset in
+  let each_step emit =
+    for i = 1 to hf do
+      let rise = f.samples.(i) - f.samples.(i - 1) in
+      if rise < 0 then
+        invalid_arg "Rtc.Curve.min_plus_deconv: decreasing numerator";
+      if rise > 0 then emit i f.samples.(i)
+    done;
+    let junction = base + ceil_div num den in
+    if junction < f.samples.(hf) then
+      invalid_arg "Rtc.Curve.min_plus_deconv: decreasing numerator";
+    if junction > f.samples.(hf) then emit (hf + 1) junction;
+    if num >= den then
+      for m = 2 to n - 1 - hf do
+        emit (hf + m) (base + ceil_div (num * m) den)
+      done
+    else if num > 0 then begin
+      (* below one unit per window each tail step rises by one:
+         ceil (num m / den) first reaches c at m = (c - 1) den / num + 1 *)
+      let c = ref 2 in
+      let m = ref ((den / num) + 1) in
+      while hf + !m < n do
+        emit (hf + !m) (base + !c);
+        incr c;
+        m := ((!c - 1) * den / num) + 1
+      done
+    end
+  in
+  let n_steps = ref 0 in
+  each_step (fun _ _ -> incr n_steps);
+  let steps = Array.make !n_steps 0 and vals = Array.make !n_steps 0 in
+  let n_steps = ref 0 in
+  each_step (fun i v ->
+      steps.(!n_steps) <- i;
+      vals.(!n_steps) <- v;
+      incr n_steps);
+  let n_steps = !n_steps in
   (* Replace g by its suffix minimum over the lag range.  With f
      non-decreasing a lag s never beats a later lag s' with
      g s' <= g s, so sup (f (dt + s) - g s) = sup (f (dt + s) - gmin s).
      gmin is non-decreasing, so within a run of equal f values the
      first lag of the run wins: each row only reads s = 0 and the lags
-     landing on a step of fs. *)
-  let gmin = Array.init (search_limit + 1) (eval g) in
-  for s = search_limit - 1 downto 0 do
-    if gmin.(s + 1) < gmin.(s) then gmin.(s) <- gmin.(s + 1)
+     landing on a step of f.
+
+     The same backward pass builds a linear lower envelope of gmin.
+     With [a] and [b] the tail rates of f and g over the common
+     denominator [d] (a <= b),
+       lg s = min over s' >= s of (d gmin s' - b s') + b s  <= d gmin s
+     and, for the k-th step,
+       uf k = max over k' >= k of (d f p' - a p') + a p  >= d f p
+     with p = steps.(k) and p' = steps.(k') (between two steps f is
+     flat and [- a x] falls, so steps carry the maxima).  For every lag
+     s' >= s = p - dt,
+       d (f (dt + s') - gmin s') <= uf k - lg s + (a - b) (s' - s)
+                                 <= uf k - lg s:
+     unlike [top] below, this bound follows the operands' slopes, so
+     where the rates are close, and the row's maximum sits near its
+     start, it falls below that maximum soon after. *)
+  let gmin = tabulate g (search_limit + 1) in
+  let a = num * (d / den) and b = g.rate_num * (d / g.rate_den) in
+  let lg = Array.make (search_limit + 1) 0 in
+  let run = ref max_int in
+  for s = search_limit downto 0 do
+    if s < search_limit && gmin.(s + 1) < gmin.(s) then
+      gmin.(s) <- gmin.(s + 1);
+    let v = (d * gmin.(s)) - (b * s) in
+    if v < !run then run := v;
+    lg.(s) <- !run + (b * s)
   done;
-  let n = Array.length fs in
-  let n_steps = ref 0 in
-  for i = 1 to n - 1 do
-    let d = fs.(i) - fs.(i - 1) in
-    if d < 0 then
-      invalid_arg "Rtc.Curve.min_plus_deconv: decreasing numerator";
-    if d > 0 then incr n_steps
+  let uf = Array.make n_steps 0 in
+  let run = ref min_int in
+  for k = n_steps - 1 downto 0 do
+    let p = steps.(k) in
+    let v = (d * vals.(k)) - (a * p) in
+    if v > !run then run := v;
+    uf.(k) <- !run + (a * p)
   done;
-  let steps = Array.make !n_steps 0 and n_steps = ref 0 in
-  for i = 1 to n - 1 do
-    if fs.(i) > fs.(i - 1) then begin
-      steps.(!n_steps) <- i;
-      incr n_steps
-    end
-  done;
-  let n_steps = !n_steps in
-  (* Candidates are read in ascending order.  Past a step p no later
-     candidate can beat [top - gmin (p - dt)], with [top] the largest f
-     value in the row's range, so the scan stops as soon as that bound
-     no longer exceeds the best value found.  Running maxima here and in
-     the deviation scans compare ints directly: [Stdlib.max] is the
-     polymorphic compare, an external call per step. *)
-  let rec scan ~dt ~stop ~top k best =
-    if k >= n_steps then best
-    else begin
-      let p = steps.(k) in
-      if p > stop then best
-      else begin
-        let gp = gmin.(p - dt) in
-        if top - gp <= best then best
-        else begin
-          let v = fs.(p) - gp in
-          scan ~dt ~stop ~top (k + 1) (if v > best then v else best)
-        end
-      end
-    end
-  in
-  (* [first] is the first step past dt; it only moves forward, so rows
-     must be computed in ascending dt (Array.init applies its function in
-     order).  Every read stays in bounds: dt <= last and
-     p - dt <= search_limit. *)
-  let first = ref 0 in
-  let row dt =
+  (* Candidates are read in ascending order.  Past the k-th step p no
+     later candidate can beat [top - gmin (p - dt)], with [top] the
+     largest f value in the row's range, nor [(uf k - lg (p - dt)) / d],
+     so the scan stops as soon as either bound no longer exceeds the
+     best value found (values are integers).  Running maxima here and
+     in the deviation scans compare ints directly: [Stdlib.max] is the
+     polymorphic compare, an external call per step.
+
+     Row dt reads the steps [first, last): [first] is the first step
+     past dt and [last] the first past the row's last lag dt + L; both
+     only move forward as dt grows, and every read stays in bounds
+     (p - dt <= L).  f is vals.(k - 1) from the (k - 1)-th step up to
+     the k-th, and f.samples.(0) before the first. *)
+  let samples = Array.make (h + 1) 0 in
+  let first = ref 0 and last = ref 0 and candidates = ref 0 in
+  for dt = 0 to h do
     while !first < n_steps && steps.(!first) <= dt do
       incr first
     done;
     let stop = dt + search_limit in
-    scan ~dt ~stop ~top:fs.(stop) !first (fs.(dt) - gmin.(0))
-  in
-  let samples = Array.init (h + 1) row in
-  let probes = Array.init f.rate_den (fun x -> row (h + 1 + x)) in
-  let slack =
-    probe_slack ~kind:f.kind ~h ~l:f.rate_den ~rate:rf ~anchor:samples.(h)
-      [ (fun dt -> probes.(dt - h - 1)) ]
-  in
+    while !last < n_steps && steps.(!last) <= stop do
+      incr last
+    done;
+    let top = if !last = 0 then f.samples.(0) else vals.(!last - 1) in
+    let best =
+      ref ((if !first = 0 then f.samples.(0) else vals.(!first - 1)) - gmin.(0))
+    in
+    let k = ref !first in
+    while !k < !last do
+      incr candidates;
+      let s = steps.(!k) - dt in
+      let gp = gmin.(s) in
+      if top - gp <= !best || uf.(!k) - lg.(s) < d * (!best + 1) then
+        k := !last
+      else begin
+        let v = vals.(!k) - gp in
+        if v > !best then best := v;
+        incr k
+      end
+    done;
+    samples.(dt) <- !best
+  done;
+  Obs.Metrics.add Stats.deconv_rows (h + 1);
+  Obs.Metrics.add Stats.deconv_candidates !candidates;
+  (* The tail certificate in closed form.  The result's tail, of f's
+     rate num/den from samples.(h) + slack, bounds every row past h when
+     slack >= row (h + x) - samples.(h) - ceil (num x / den) for x in
+     1 .. den: past h every leg sits in f's tail, so the supremum then
+     advances by exactly num per den.  Such a row's legs are
+     f (h + x + s) = base + ceil (num (h - hf + x + s) / den), and since
+     ceil (num (x + m) / den) - ceil (num x / den) <= ceil (num m / den),
+     with equality at x = den, the largest slack is
+       base - samples.(h)
+       + max over s of (ceil (num (h - hf + s) / den) - gmin s).
+     Each term with s >= 1, or with hf < h, is f (h + s) - gmin s, a
+     term of row h itself, so it is at most samples.(h).  Only s = 0
+     with hf = h is left: there f's tail starts at base, above f h by
+     f's own tail offset. *)
+  let slack = if hf < h then 0 else base - gmin.(0) - samples.(h) in
   {
-    kind = f.kind;
+    kind = Upper;
     samples;
     rate_num = f.rate_num;
     rate_den = f.rate_den;
-    tail_offset = signed_offset f.kind slack;
+    tail_offset = (if slack > 0 then slack else 0);
   }
 
 (* The deviations account for the half-open arrival-window convention of
@@ -463,27 +551,31 @@ let horizontal_deviation ~upper ~lower =
     (* tau dt = j dt - (dt - 1) with j dt the first index >= dt - 1
        where lower reaches upper dt.  The demand never falls and the
        start only advances, so j never moves left as dt grows: one
-       forward pointer serves every dt. *)
-    let rec scan dt j demand best =
-      if dt > limit then Some best
-      else begin
-        let d = eval upper dt in
-        if d < demand then
-          invalid_arg "Rtc.Curve.horizontal_deviation: decreasing upper curve";
-        let start = dt - 1 in
-        let rec advance j =
-          if j - start > 8 * limit then None
-          else if eval lower j >= d then Some j
-          else advance (j + 1)
-        in
-        match advance (if j > start then j else start) with
-        | None -> None
-        | Some j ->
-          let tau = j - start in
-          scan (dt + 1) j d (if tau > best then tau else best)
-      end
-    in
-    scan 1 0 min_int 0
+       forward pointer serves every dt.  [capped] records a dt whose
+       delay exceeds 8 * limit. *)
+    let reads = ref 0 and best = ref 0 and j = ref 0 and demand = ref min_int in
+    let dt = ref 1 and capped = ref false in
+    while (not !capped) && !dt <= limit do
+      let d = eval upper !dt in
+      if d < !demand then
+        invalid_arg "Rtc.Curve.horizontal_deviation: decreasing upper curve";
+      demand := d;
+      let start = !dt - 1 in
+      if !j < start then j := start;
+      let reached = ref false in
+      while not (!reached || !capped) do
+        if !j - start > 8 * limit then capped := true
+        else begin
+          incr reads;
+          if eval lower !j >= d then reached := true else incr j
+        end
+      done;
+      let tau = !j - start in
+      if tau > !best then best := tau;
+      incr dt
+    done;
+    Obs.Metrics.add Stats.delay_scan_steps !reads;
+    if !capped then None else Some !best
   end
 
 let pp ppf t =

@@ -10,8 +10,8 @@
     Certification is the module's soundness contract: every operation
     that must extrapolate past sampled data either proves its tail
     conservative (witness probes over one exact pseudo-period, the
-    slack-anchor construction of {!certified}) or refuses
-    ({!Unstable}).  Tail slack is carried in a separate anchor offset so
+    slack-anchor construction of {!certified}, the closed form of
+    {!min_plus_deconv}) or refuses ({!Unstable}).  Tail slack is carried in a separate anchor offset so
     sampled values stay exact. *)
 
 type kind =
@@ -122,14 +122,19 @@ val min_plus_conv : t -> t -> t
     region). *)
 
 val min_plus_deconv : t -> t -> t
-(** [(f (/) g) dt = max over s >= 0 of f (dt + s) - g s].  The supremum
-    is certified to be attained within [max horizon + lcm] of the tail
-    denominators when [rate f <= rate g]; the result's tail (rate of
-    [f]) is certified by one probe period.  The kinds may differ — the
-    standard output bound deconvolves an upper arrival curve by a
-    {e lower} service curve, whose floor-rounded tail must be used as
-    is (re-wrapping it as [Upper] would overstate the service); the
-    result takes [f]'s kind.
+(** [(f (/) g) dt = max over s >= 0 of f (dt + s) - g s], for an
+    [Upper] numerator [f] (an arrival curve; the result is [Upper]).  The
+    supremum is certified to be attained within [L = max horizon + lcm]
+    of the tail denominators when [rate f <= rate g].  The result keeps
+    [f]'s tail rate; its anchor slack is certified in closed form, with
+    no probe rows: past the horizon every leg of the supremum sits in
+    [f]'s rounded-up tail, and the slack reduces to [f]'s own tail
+    offset less the margin by which the last sample exceeds its [s = 0]
+    term (zero when [f]'s horizon is the shorter one).  [g] may be of
+    either kind — the standard output bound deconvolves an upper
+    arrival curve by a {e lower} service curve, whose floor-rounded
+    tail must be used as is (re-wrapping it as [Upper] would overstate
+    the service).
 
     Precondition: [f] is non-decreasing (every arrival curve is).  [g]
     may have any shape: it is replaced by its suffix minimum over the
@@ -137,17 +142,18 @@ val min_plus_deconv : t -> t -> t
     [f] and makes the first lag of every run of equal [f] values the
     best one of the run.
 
-    Cost: O(h + den_f + h + lcm) to tabulate the operands ([f] on
-    [0 .. h + den_f + h + lcm], [g] on [0 .. h + lcm]), where [h] is the
-    larger horizon, [den_f] the tail denominator of [f] and [lcm] that of
-    both denominators after {!harmonise}; then, for each of the
-    [h + den_f + 1] rows (samples and tail probes), one read per step of
-    [f] in the row's lag range — a row stops early once no later step
-    can beat its best value.  A staircase [f] has one step per event, so
-    rows read far fewer lags than the [h + lcm] of the range; a tail
-    rate close to one step per sample degrades towards that bound.
+    Cost: one row per sample, [h + 1] rows for the larger horizon [h].
+    [f] is read through its steps (from its samples, then from its tail
+    rate), [g] is tabulated on [0 .. L]; each row reads, in ascending
+    order, the lags landing on a step of [f] and stops once neither the
+    row's largest [f] value nor a linear envelope of both operands at
+    their tail rates lets a later lag beat its best.  Where the two
+    rates are close the envelope stops a row soon after its maximum, so
+    rows read few lags even on dense tails.
     @raise Unstable when [rate f > rate g] (unbounded supremum).
-    @raise Invalid_argument when [f] decreases somewhere on its table. *)
+    @raise Invalid_argument when [f] is a [Lower] curve (no closed-form
+    tail certificate exists for it, and no caller needs one) or
+    decreases somewhere. *)
 
 val vertical_deviation : upper:t -> lower:t -> int option
 (** [sup over dt of upper dt - lower (dt - 1)] — the buffer/backlog

@@ -24,6 +24,8 @@ let walk ~horizon ~scale ~strict ~offset curve =
     done;
     table.(dt) <- scale * !n
   done;
+  (* one distance read for the start and one per index step *)
+  Obs.Metrics.add Stats.eta_walk_steps (!n - 1 + offset);
   table
 
 (* eta_plus: walk n from 1 (every non-empty window holds one event) while

@@ -34,6 +34,7 @@ type stats = {
   streams_invalidated : int;
   curve : Curve.stats;
   busy : Busy_window.counters;
+  rtc : Rtc.Stats.t;
 }
 
 type iteration_stat = {
@@ -816,6 +817,7 @@ let run_fixpoint ~mode ~incremental ~max_iterations ?window_limit ?q_limit
           streams_invalidated = !invalidated;
           curve = Curve.stats_in scope;
           busy = Busy_window.counters_in scope;
+          rtc = Rtc.Stats.read scope;
         }
       in
       Ok

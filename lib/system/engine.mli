@@ -40,6 +40,7 @@ type stats = {
   curve : Event_model.Curve.stats;  (** curve work during this analysis *)
   busy : Scheduling.Busy_window.counters;
       (** busy-window work during this analysis *)
+  rtc : Rtc.Stats.t;  (** RTC kernel work of the [Rtc]-backend resources *)
 }
 
 type iteration_stat = {

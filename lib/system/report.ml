@@ -54,6 +54,12 @@ let print_effort ppf (result : Engine.result) =
     b.Busy_window.activations;
   Format.fprintf ppf "  demand kernel sweeps  %d  (%d curve probes)@ "
     b.Busy_window.demand_evals b.Busy_window.demand_probes;
+  let r = s.Engine.rtc in
+  Format.fprintf ppf "  rtc deconv rows       %d  (%d candidate lags)@ "
+    r.Rtc.Stats.deconv_rows r.Rtc.Stats.deconv_candidates;
+  Format.fprintf ppf "  rtc delay scan steps  %d@ "
+    r.Rtc.Stats.delay_scan_steps;
+  Format.fprintf ppf "  rtc eta walk steps    %d@ " r.Rtc.Stats.eta_walk_steps;
   Format.fprintf ppf "@]"
 
 let print_convergence ppf (result : Engine.result) =

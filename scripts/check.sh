@@ -5,11 +5,12 @@
 # CLI (trace, metrics snapshot, profiler, convergence CSV byte
 # stability, deadline/budget degradation, propagation and backend
 # flags), the pool scaling bench (BENCH_6.json), the exploration checks
-# (jobs-determinism byte diff + BENCH_3.json scaling sanity), the
-# self-verification smoke (sanitizer + differential oracles on the paper
-# system and a fixed-seed fuzz batch), and a serve-daemon smoke (warm
-# session round over a Unix socket + clean SIGTERM drain).  Nothing here
-# compares wall-clock times against recorded ones.
+# (jobs-determinism byte diff, the unknown-element sweep error, and
+# BENCH_3.json scaling sanity), the self-verification smoke (sanitizer +
+# differential oracles on the paper system and a fixed-seed fuzz batch),
+# and a serve-daemon smoke (warm session round over a Unix socket +
+# clean SIGTERM drain).  Nothing here compares wall-clock times against
+# recorded ones.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 # Hard wall-clock ceiling: a hung fixed point or deadlocked pool must
@@ -47,6 +48,11 @@ jq -e '.histograms["engine.iteration_ns"] | .count >= 1 and .p50 > 0 and .p99 >=
   || { echo "check: engine.iteration_ns histogram missing or inconsistent" >&2; exit 1; }
 jq -e '.counters["busy_window.windows"] >= 1' "$metrics" > /dev/null \
   || { echo "check: busy_window.windows counter missing from snapshot" >&2; exit 1; }
+# the hybrid example runs resources on the RTC backend: its snapshot
+# must carry the RTC kernel counters
+dune exec bin/hem_tool.exe -- analyse --file examples/hybrid.spec --metrics "$metrics" > /dev/null
+jq -e '.counters["rtc.deconv_rows"] >= 1' "$metrics" > /dev/null \
+  || { echo "check: rtc.deconv_rows counter missing from the hybrid snapshot" >&2; exit 1; }
 rm -f "$metrics"
 echo "check: metrics snapshot smoke ok"
 
@@ -167,6 +173,17 @@ if ! cmp -s "$e1" "$e4"; then
 fi
 rm -f "$e1" "$e4"
 echo "check: exploration determinism ok (sweep ${variants} lines + layout enumeration byte-identical at jobs 1 vs 4)"
+# an axis naming an unknown source (the paper system's are S1-S4) is a
+# structured invalid-spec error with exit 1, not an escaped exception
+set +e
+err=$(dune exec bin/hem_tool.exe -- sweep --period s3=500,1000 2>&1 > /dev/null)
+code=$?
+set -e
+if [ "$code" != 1 ] || ! grep -q '^error: invalid spec: ' <<< "$err"; then
+  echo "check: sweep on an unknown source gave exit $code: $err" >&2
+  exit 1
+fi
+echo "check: sweep rejects an unknown element with invalid spec"
 
 # --- exploration: BENCH_3.json scaling sanity -------------------------
 # Refreshes BENCH_3.json.  The bench itself asserts rows are identical

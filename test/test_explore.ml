@@ -395,6 +395,62 @@ let test_driver_error_rows () =
   | _ -> Alcotest.fail "expected Not_found"
   | exception Not_found -> ()
 
+let test_plan_unknown_elements () =
+  (* the sweep path plans its grid before running it: every edit that
+     names an element the system lacks is a structured Invalid_spec,
+     never an exception from a worker *)
+  let unknown =
+    [
+      Space.Source_period { source = "s3"; period = 500 };
+      Space.Source_jitter
+        { source = "nope"; period = 500; jitter = 10; d_min = 0 };
+      Space.Cet_scale { task = "nope"; percent = 120 };
+      Space.Task_priority { task = "nope"; priority = 1 };
+      Space.Frame_priority { frame = "nope"; priority = 1 };
+      Space.Frame_tx { frame = "nope"; tx = Interval.make ~lo:1 ~hi:2 };
+      Space.Propagation_mode
+        { task = Some "nope"; mode = Event_model.Propagation.Theta_tau };
+      Space.Backend { resource = "nope"; backend = Spec.Rtc };
+      Space.Repack
+        {
+          bus = "nope";
+          groups = [ [ "sig1" ] ];
+          bits_per_signal = 8;
+          bit_time = 1;
+        };
+    ]
+  in
+  let base () = Paper.spec () in
+  List.iter
+    (fun edit ->
+      let label = Space.edit_label edit in
+      let variants =
+        [
+          {
+            Space.label = "ok";
+            edits = [ Space.Cet_scale { task = "T3"; percent = 120 } ];
+          };
+          { Space.label; edits = [ edit ] };
+        ]
+      in
+      match Driver.plan ~base variants with
+      | Error (Guard.Error.Invalid_spec { reason }) ->
+        Alcotest.(check bool) (label ^ ": reason names the variant") true
+          (String.starts_with ~prefix:("variant " ^ label ^ ":") reason)
+      | Error e -> Alcotest.failf "%s: %s" label (Guard.Error.to_string e)
+      | Ok _ -> Alcotest.failf "%s: planned" label)
+    unknown;
+  let periods =
+    Space.int_axis "S3.period"
+      (fun period -> Space.Source_period { source = "S3"; period })
+      [ 500; 1000 ]
+  in
+  match Driver.plan ~base (Space.grid [ periods ]) with
+  | Ok items ->
+    Alcotest.(check int) "a valid grid plans every variant" 2
+      (List.length items)
+  | Error e -> Alcotest.fail (Guard.Error.to_string e)
+
 (* ------------------------------------------------------------------ *)
 (* Synthetic network generator (feeds the scaling benchmark) *)
 
@@ -550,6 +606,8 @@ let () =
             test_driver_cache_hits_normalised;
           Alcotest.test_case "unknown target raises" `Quick
             test_driver_error_rows;
+          Alcotest.test_case "plan rejects unknown elements" `Quick
+            test_plan_unknown_elements;
         ] );
       ( "synthetic",
         [

@@ -1,8 +1,9 @@
 (* Tier-1 gates over the named systems of [Scenarios.Registry]:
 
    - work budgets: the analysis work of each system, as counted by the
-     engine's curve, busy-window and iteration counters, must not exceed
-     the recorded budget.  Counts are deterministic, so these budgets
+     engine's curve, busy-window and iteration counters (and the RTC
+     kernel counters on the rtc/mixed rows), must not exceed the
+     recorded budget.  Counts are deterministic, so these budgets
      catch an algorithmic regression on any host, where a wall-clock
      ratio cannot;
    - tightness: the propagation and backend claims of the experiment
@@ -81,28 +82,85 @@ let budgets =
     [ 164; 226; 64; 182; 302; 164; 404; 60; 116; 108; 2; 20 ];
   ]
 
+(* The RTC kernel counters, budgeted for the rows that run the curve
+   backend. *)
+let rtc_counter_names =
+  counter_names
+  @ [
+      "rtc.deconv_rows"; "rtc.deconv_candidates"; "rtc.delay_scan_steps";
+      "rtc.eta_walk_steps";
+    ]
+
+let rtc_counters (r : Engine.result) =
+  let t = r.stats.rtc in
+  counters r
+  @ [
+      t.deconv_rows; t.deconv_candidates; t.delay_scan_steps;
+      t.eta_walk_steps;
+    ]
+
+(* Hierarchical analyses of three systems with every resource forced
+   onto the RTC backend, and with the mixed assignment of the backend
+   tables; one budget per [rtc_counter_names] entry, recorded when the
+   deconvolution's tail certificate became closed-form (one row per
+   sample) and its rows stopped at a linear-envelope bound.  Lower a
+   budget when a change cuts the work; never raise one to pass. *)
+let rtc_budgets =
+  [
+    "paper", "rtc",
+    [ 700; 116; 4; 18; 41; 33; 767; 0; 0; 0; 3; 3; 2058; 4757; 4222; 22 ];
+    "paper", "mixed",
+    [ 42; 45; 4; 18; 35; 14; 79; 6; 10; 12; 2; 3; 516; 553; 1048; 7 ];
+    "avionics", "rtc",
+    [ 1339; 448; 2; 94; 207; 100; 1467; 0; 5; 57; 3; 8; 6672; 44810; 16025;
+      185 ];
+    "avionics", "mixed",
+    [ 897; 333; 2; 108; 207; 88; 1035; 6; 39; 57; 3; 8; 1544; 1862; 5007;
+      32 ];
+    "network_8", "rtc",
+    [ 6752; 1847; 96; 195; 410; 339; 7186; 0; 0; 0; 4; 30; 23496; 89257;
+      60951; 260 ];
+    "network_8", "mixed",
+    [ 2773; 523; 82; 214; 373; 229; 3073; 41; 85; 86; 3; 26; 9381; 27350;
+      23629; 89 ];
+  ]
+
+let check_budget ~label ~names ~budget run =
+  let first = run () in
+  Alcotest.(check (list int)) "two runs on fresh specs count alike" first
+    (run ());
+  let over =
+    List.filter_map
+      (fun (name, (count, cap)) ->
+        if count <= cap then None
+        else Some (Printf.sprintf "%s %d > %d" name count cap))
+      (List.combine names (List.combine first budget))
+  in
+  if over <> [] then
+    Alcotest.failf "%s exceeds its work budget: %s" label
+      (String.concat ", " over)
+
 let budget_case (system, mode, incremental, budget) =
   let label =
     Printf.sprintf "%s %s%s" system (Engine.mode_name mode)
       (if incremental then "" else " full")
   in
   Alcotest.test_case label `Quick (fun () ->
-      let run () =
-        counters (analyse ~incremental ~mode (Registry.find system ()))
-      in
-      let first = run () in
-      Alcotest.(check (list int)) "two runs on fresh specs count alike" first
-        (run ());
-      let over =
-        List.filter_map
-          (fun (name, (count, cap)) ->
-            if count <= cap then None
-            else Some (Printf.sprintf "%s %d > %d" name count cap))
-          (List.combine counter_names (List.combine first budget))
-      in
-      if over <> [] then
-        Alcotest.failf "%s exceeds its work budget: %s" label
-          (String.concat ", " over))
+      check_budget ~label ~names:counter_names ~budget (fun () ->
+          counters (analyse ~incremental ~mode (Registry.find system ()))))
+
+let force_backend = function
+  | "rtc" -> Oracle.forced_backend Spec.Rtc
+  | "mixed" -> Oracle.mixed_backend
+  | b -> invalid_arg ("force_backend: " ^ b)
+
+let rtc_budget_case (system, backend, budget) =
+  let label = Printf.sprintf "%s hierarchical %s" system backend in
+  Alcotest.test_case label `Quick (fun () ->
+      check_budget ~label ~names:rtc_counter_names ~budget (fun () ->
+          rtc_counters
+            (analyse ~mode:Engine.Hierarchical
+               (force_backend backend (Registry.find system ())))))
 
 (* ------------------------------------------------------------------ *)
 (* tightness *)
@@ -262,37 +320,46 @@ let test_bounded_floors () =
 (* Two domains analysing every system at once must each count their
    curve work exactly as a serial run does: pending memo hits are
    flushed by the domain that recorded them, never lost to (or zeroed
-   by) a flush on another domain. *)
+   by) a flush on another domain.  Three systems also run on the mixed
+   backend, so the RTC kernel counters are covered too. *)
 let test_curve_counters_two_domains () =
   let runs =
     List.concat_map
       (fun (e : Registry.entry) ->
-        [ e, Engine.Flat_sem; e, Engine.Hierarchical ])
+        [ e.spec, Engine.Flat_sem; e.spec, Engine.Hierarchical ])
       Registry.all
+    @ List.map
+        (fun system ->
+          ( (fun () -> Oracle.mixed_backend (Registry.find system ())),
+            Engine.Hierarchical ))
+        [ "paper"; "avionics"; "network_8" ]
   in
-  let curve ((e : Registry.entry), mode) =
-    (analyse ~mode (e.spec ())).stats.curve
+  let work (spec, mode) =
+    let r = analyse ~mode (spec ()) in
+    r.stats.curve, r.stats.rtc
   in
-  let serial = List.map curve runs in
+  let serial = List.map work runs in
   let differing () =
     let n = ref 0 in
     for _ = 1 to 30 do
       List.iter2
-        (fun run expected -> if curve run <> expected then incr n)
+        (fun run expected -> if work run <> expected then incr n)
         runs serial
     done;
     !n
   in
   let other = Domain.spawn differing in
   let here = differing () in
-  Alcotest.(check int) "analyses whose curve counters differ from a serial run"
+  Alcotest.(check int)
+    "analyses whose curve or rtc counters differ from a serial run"
     0
     (here + Domain.join other)
 
 let () =
   Alcotest.run "registry"
     [
-      "work budgets", List.map budget_case budgets;
+      ( "work budgets",
+        List.map budget_case budgets @ List.map rtc_budget_case rtc_budgets );
       ( "tightness",
         [
           Alcotest.test_case "optimal dominates every propagation mode"

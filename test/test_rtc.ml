@@ -547,7 +547,8 @@ let test_deconv_edge_shapes () =
   in
   List.iter
     (fun (name, g) ->
-      Alcotest.(check bool) name true (library_deconv f g = reference_deconv f g))
+      Alcotest.(check bool) name true
+        (library_deconv f g = reference_deconv f g))
     [ "tail dip", tail_dip; "inner dip", inner_dip ];
   (* a single unit step against no service: the step's lag reaches the
      row's largest f value exactly *)
@@ -557,6 +558,48 @@ let test_deconv_edge_shapes () =
   and none = Curve.create ~kind:Curve.Lower ~horizon:20 ~tail_rate:(0, 1) (fun _ -> 0) in
   Alcotest.(check bool) "unit step" true
     (library_deconv step none = reference_deconv step none)
+
+let test_deconv_closed_form_tails () =
+  (* the tail certificate is computed in closed form; these shapes put
+     weight on each of its terms: an anchor slack on the numerator with a
+     horizon shorter than the denominator's (the result's horizon lies in
+     the numerator's tail) or equal to it (where that slack can carry
+     over), and a numerator that stops rising *)
+  let stair ~period ~wcet horizon =
+    Array.init (horizon + 1) (fun dt ->
+        if dt = 0 then 0 else wcet * (((dt - 1) / period) + 1))
+  in
+  let offset_tail horizon =
+    Curve.of_samples ~kind:Curve.Upper ~tail_rate:(3, 10) ~tail_offset:4
+      (stair ~period:10 ~wcet:3 horizon)
+  in
+  let tdma horizon = Workload.service_tdma ~horizon ~slot:5 ~cycle:10 in
+  let fast = Workload.service_rate ~horizon:61 ~rate:(4, 1) in
+  let bounded =
+    Curve.of_samples ~kind:Curve.Upper ~tail_rate:(0, 1) ~tail_offset:2
+      (Array.init 31 (fun dt -> Stdlib.min 6 (2 * ((dt + 4) / 5))))
+  in
+  List.iter
+    (fun (name, f, g) ->
+      Alcotest.(check bool) name true (library_deconv f g = reference_deconv f g))
+    [
+      "offset tail, shorter numerator horizon", offset_tail 40, tdma 90;
+      "offset tail, equal horizons", offset_tail 60, tdma 60;
+      "offset tail, equal horizons, fast service", offset_tail 61, fast;
+      "zero-rate tail", bounded, Workload.service_full ~horizon:50;
+      "zero-rate tail, tdma", bounded, tdma 20;
+    ];
+  (* at 61 the numerator has just stepped and the service outruns its
+     tail, so part of the numerator's anchor slack carries over *)
+  Alcotest.(check bool) "slack carried over from the numerator" true
+    (Curve.tail_offset (Curve.min_plus_deconv (offset_tail 61) fast) > 0)
+
+let test_deconv_lower_numerator () =
+  let f = Curve.linear ~kind:Curve.Lower ~horizon:20 ~rate:(1, 2) in
+  let g = Workload.service_full ~horizon:20 in
+  Alcotest.check_raises "lower numerator"
+    (Invalid_argument "Rtc.Curve.min_plus_deconv: Lower numerator")
+    (fun () -> ignore (Curve.min_plus_deconv f g))
 
 let test_deconv_decreasing_numerator () =
   let f =
@@ -787,6 +830,10 @@ let () =
             test_deconv_edge_shapes;
           Alcotest.test_case "deconvolution decreasing numerator" `Quick
             test_deconv_decreasing_numerator;
+          Alcotest.test_case "deconvolution closed-form tails" `Quick
+            test_deconv_closed_form_tails;
+          Alcotest.test_case "deconvolution lower numerator" `Quick
+            test_deconv_lower_numerator;
           Alcotest.test_case "delay reference cases" `Quick
             test_delay_reference_cases;
           Alcotest.test_case "arrival table errors" `Quick
