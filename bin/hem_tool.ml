@@ -46,9 +46,23 @@ module Guard = Guard
 
 open Cmdliner
 
+(* Counts, periods, widths, steps and horizons: a value below [lo] is a
+   usage error (exit 124) at parse time, before any command runs. *)
+let int_at_least lo =
+  let parse s =
+    match int_of_string_opt s with
+    | Some n when n >= lo -> Ok n
+    | _ ->
+      Error (`Msg (Printf.sprintf "expected an integer >= %d, got %S" lo s))
+  in
+  Arg.conv (parse, Format.pp_print_int)
+
+let positive_int = int_at_least 1
+
 let s3_period_arg =
   let doc = "Period of the pending source S3." in
-  Arg.(value & opt int Paper.s3_period & info [ "s3-period" ] ~docv:"N" ~doc)
+  Arg.(value & opt positive_int Paper.s3_period
+       & info [ "s3-period" ] ~docv:"N" ~doc)
 
 let mode_arg =
   let modes =
@@ -664,26 +678,35 @@ let explore_cmd =
     let guard = mk_guard deadline budget in
     let base, _ = base_builder file s3_period in
     let base_spec = base () in
-    let bus =
-      match bus with
-      | Some b -> Some b
-      | None ->
-        (* default: the first SPNP bus of the system, when any *)
-        List.find_map
-          (fun (r : Spec.resource) ->
-            if r.scheduler = Spec.Spnp then Some r.res_name else None)
-          base_spec.Spec.resources
+    (* [Not_found]: the bus has no frames *)
+    let packing_variants bus =
+      Space.packing_variants ?max_frames ~bits_per_signal:bits ~bit_time
+        base_spec ~bus ()
     in
+    let no_layout = [ { Space.label = ""; edits = [] } ] in
     let layouts =
       match bus with
-      | None -> [ { Space.label = ""; edits = [] } ]
       | Some bus -> begin
-        match
-          Space.packing_variants ?max_frames ~bits_per_signal:bits ~bit_time
-            base_spec ~bus ()
-        with
+        match packing_variants bus with
         | variants -> variants
-        | exception Not_found -> [ { Space.label = ""; edits = [] } ]
+        | exception Not_found ->
+          exit_guard_err
+            (Guard.Error.Invalid_spec
+               { reason = Printf.sprintf "bus %s carries no frames" bus })
+      end
+      | None -> begin
+        (* default: the first SPNP bus of the system, when it has frames *)
+        match
+          List.find_map
+            (fun (r : Spec.resource) ->
+              if r.scheduler = Spec.Spnp then Some r.res_name else None)
+            base_spec.Spec.resources
+        with
+        | None -> no_layout
+        | Some bus -> (
+          match packing_variants bus with
+          | variants -> variants
+          | exception Not_found -> no_layout)
       end
     in
     let axes = period_axes periods @ cet_axes cets @ frame_priority_axes fprios in
@@ -727,15 +750,16 @@ let explore_cmd =
   in
   let max_frames_arg =
     let doc = "Largest frame count per layout (default: one per signal)." in
-    Arg.(value & opt (some int) None & info [ "max-frames" ] ~docv:"K" ~doc)
+    Arg.(value & opt (some positive_int) None
+         & info [ "max-frames" ] ~docv:"K" ~doc)
   in
   let bits_arg =
     let doc = "Payload bits per signal for layout transmission times." in
-    Arg.(value & opt int 8 & info [ "bits-per-signal" ] ~docv:"B" ~doc)
+    Arg.(value & opt positive_int 8 & info [ "bits-per-signal" ] ~docv:"B" ~doc)
   in
   let bit_time_arg =
     let doc = "Bus time units per payload bit." in
-    Arg.(value & opt int 1 & info [ "bit-time" ] ~docv:"T" ~doc)
+    Arg.(value & opt positive_int 1 & info [ "bit-time" ] ~docv:"T" ~doc)
   in
   let doc =
     "Explore the design space: enumerate signal-to-frame layouts (set \
@@ -771,7 +795,7 @@ let simulate_cmd =
         ("F1" :: "F2" :: Paper.cpu_tasks)
   in
   let horizon =
-    Arg.(value & opt int 1_000_000
+    Arg.(value & opt positive_int 1_000_000
          & info [ "horizon" ] ~docv:"N" ~doc:"Simulation horizon.")
   in
   let seed =
@@ -819,7 +843,8 @@ let figure4_cmd =
          & info [ "max-dt" ] ~docv:"N" ~doc:"Largest window size.")
   in
   let step =
-    Arg.(value & opt int 125 & info [ "step" ] ~docv:"N" ~doc:"Window step.")
+    Arg.(value & opt positive_int 125
+         & info [ "step" ] ~docv:"N" ~doc:"Window step.")
   in
   let doc = "Print the eta+ series of Figure 4." in
   Cmd.v (Cmd.info "figure4" ~doc)
@@ -890,7 +915,7 @@ let export_cmd =
         (Des.Export.responses_csv trace ~elements)
   in
   let horizon =
-    Arg.(value & opt int 100_000
+    Arg.(value & opt positive_int 100_000
          & info [ "horizon" ] ~docv:"N" ~doc:"Simulation horizon.")
   in
   let seed =
@@ -934,7 +959,8 @@ let gantt_cmd =
     Arg.(value & opt int 0 & info [ "from" ] ~docv:"T" ~doc:"Window start.")
   in
   let width =
-    Arg.(value & opt int 120 & info [ "width" ] ~docv:"N" ~doc:"Window width.")
+    Arg.(value & opt positive_int 120
+         & info [ "width" ] ~docv:"N" ~doc:"Window width.")
   in
   let doc = "Simulate and render an ASCII Gantt chart with statistics." in
   Cmd.v (Cmd.info "gantt" ~doc) Term.(const run $ from_time $ width)
@@ -1014,7 +1040,7 @@ let scaling_cmd =
     | Error e, _ | _, Error e -> exit_guard_err e
   in
   let signals =
-    Arg.(value & opt int 4
+    Arg.(value & opt positive_int 4
          & info [ "signals" ] ~docv:"N" ~doc:"Signals packed into the frame.")
   in
   let doc = "Analyse a synthetic fan-in system of N signals." in
@@ -1096,14 +1122,14 @@ let verify_cmd =
       "Verify $(docv) seeded random systems (Space edits over the scenario \
        bases) instead of the given system."
     in
-    Arg.(value & opt int 0 & info [ "fuzz" ] ~docv:"N" ~doc)
+    Arg.(value & opt (int_at_least 0) 0 & info [ "fuzz" ] ~docv:"N" ~doc)
   in
   let seed_arg =
     Arg.(value & opt int 42
          & info [ "seed" ] ~docv:"N" ~doc:"Seed for fuzzing and simulation.")
   in
   let horizon_arg =
-    Arg.(value & opt int 200_000
+    Arg.(value & opt positive_int 200_000
          & info [ "horizon" ] ~docv:"N" ~doc:"Simulation horizon.")
   in
   let no_selfcheck_arg =

@@ -94,17 +94,14 @@ let rec gcd a b = if b = 0 then a else gcd b (a mod b)
 
 let lcm a b = a / gcd a b * b
 
-let tail_min a b = if rate_le a b then a else b
-
-let tail_max a b = if rate_le a b then b else a
-
 (* Tail-rate coarsening: re-expressing an Upper tail over a new
    denominator rounds the rate up, a Lower tail down — both strictly
-   conservative, so samples and anchor slack stay valid.  Binary
-   operations harmonise their arguments when the lcm of the
-   denominators would make certification probes (and certified search
-   limits) too wide; 720 divides evenly by every period up to 6 and
-   keeps every probe loop small. *)
+   conservative, so samples and anchor slack stay valid.  The
+   deconvolution and the delay scan certify their search range as
+   L = horizon + lcm of the two denominators, and tabulate or scan all
+   of it; coarsening both tails onto 720 when the lcm exceeds it keeps
+   L within horizon + 720 for incommensurate periods.  720 divides
+   evenly by every period up to 6, so small denominators stay exact. *)
 let coarsen_to den t =
   if den mod t.rate_den = 0 then t
   else
@@ -115,120 +112,12 @@ let coarsen_to den t =
     in
     { t with rate_num = num; rate_den = den }
 
-let harmonise ?(cap = 720) a b =
-  if lcm a.rate_den b.rate_den <= cap then a, b
-  else coarsen_to cap a, coarsen_to cap b
-
-(* Sum of two rates expressed over the lcm of the denominators, so that
-   one combined period advances the tail by an exact integer. *)
-let tail_add (n1, d1) (n2, d2) =
-  let l = lcm d1 d2 in
-  (n1 * (l / d1)) + (n2 * (l / d2)), l
-
-(* Certified tail anchor: given witness functions [ws] that are exactly
-   pseudo-periodic beyond [h] with period [l] (each advances by its own
-   integral rate per [l], at least [rate] for Upper / at most [rate] for
-   Lower), a tail of slope [rate] anchored at [anchor +/- slack] bounds
-   every witness for all dt > h.  [l] must be a multiple of the rate
-   denominator. *)
-let probe_slack ~kind ~h ~l ~rate:(num, den) ~anchor ws =
-  let slack = ref 0 in
-  List.iter
-    (fun w ->
-      for x = 1 to l do
-        let d =
-          match kind with
-          | Upper -> w (h + x) - anchor - ceil_div (x * num) den
-          | Lower -> anchor + (x * num / den) - w (h + x)
-        in
-        if d > !slack then slack := d
-      done)
-    ws;
-  !slack
+let harmonise a b =
+  if lcm a.rate_den b.rate_den <= 720 then a, b
+  else coarsen_to 720 a, coarsen_to 720 b
 
 let signed_offset kind slack =
   match kind with Upper -> slack | Lower -> -slack
-
-type op =
-  | Op_add
-  | Op_min
-  | Op_max
-
-(* Pointwise combination with a certified tail.  The result samples the
-   exact pointwise combination up to the larger horizon; the tail is
-   certified against witnesses that provably dominate (Upper) or are
-   dominated by (Lower) the combination beyond it:
-   - add: the combination itself (exactly pseudo-periodic beyond h);
-   - Upper min / Lower max: the curve whose rate was selected (the
-     result never exceeds / never falls below it asymptotically);
-   - Upper max / Lower min: both curves (the result must stay above /
-     below each of them). *)
-let combine op a b =
-  if a.kind <> b.kind then invalid_arg "Rtc.Curve.combine: kind mismatch";
-  let a, b = harmonise a b in
-  let f =
-    match op with
-    | Op_add -> ( + )
-    | Op_min -> Stdlib.min
-    | Op_max -> Stdlib.max
-  in
-  let ra = a.rate_num, a.rate_den and rb = b.rate_num, b.rate_den in
-  let rate =
-    match op with
-    | Op_add -> tail_add ra rb
-    | Op_min -> tail_min ra rb
-    | Op_max -> tail_max ra rb
-  in
-  let l = lcm a.rate_den b.rate_den in
-  let h = Stdlib.max (horizon a) (horizon b) in
-  let c dt = f (eval a dt) (eval b dt) in
-  let selected = if rate == ra then a else b in
-  let witnesses =
-    match op, a.kind with
-    | Op_add, _ -> [ c ]
-    | Op_min, Upper | Op_max, Lower -> [ eval selected ]
-    | Op_max, Upper | Op_min, Lower -> [ eval a; eval b ]
-  in
-  let anchor = c h in
-  let slack = probe_slack ~kind:a.kind ~h ~l ~rate ~anchor witnesses in
-  {
-    kind = a.kind;
-    samples = Array.init (h + 1) c;
-    rate_num = fst rate;
-    rate_den = snd rate;
-    tail_offset = signed_offset a.kind slack;
-  }
-
-let add a b = combine Op_add a b
-
-let min a b = combine Op_min a b
-
-let max a b = combine Op_max a b
-
-(* Generic pointwise combination.  Samples through the larger horizon
-   (the gap region a shorter curve used to cover with its tail is now
-   exact) and audits the declared tail against the combination over two
-   combined periods.  This is certified only when the combination is
-   pseudo-periodic with the declared rate beyond the common horizon —
-   true for the [add]/[min]/[max] instances, which use provably
-   sufficient witnesses instead; prefer those. *)
-let map2 f tail a b =
-  if a.kind <> b.kind then invalid_arg "Rtc.Curve.map2: kind mismatch";
-  let a, b = harmonise a b in
-  let rate = tail (a.rate_num, a.rate_den) (b.rate_num, b.rate_den) in
-  let l0 = lcm a.rate_den b.rate_den in
-  let l = l0 * ceil_div (snd rate) (gcd l0 (snd rate)) in
-  let h = Stdlib.max (horizon a) (horizon b) in
-  let c dt = f (eval a dt) (eval b dt) in
-  let anchor = c h in
-  let slack = probe_slack ~kind:a.kind ~h ~l:(2 * l) ~rate ~anchor [ c ] in
-  {
-    kind = a.kind;
-    samples = Array.init (h + 1) c;
-    rate_num = fst rate;
-    rate_den = snd rate;
-    tail_offset = signed_offset a.kind slack;
-  }
 
 (* Certified sub/superadditive construction (slack-anchor): for
    subadditive g (Upper) take num = g(window), den = window and
@@ -276,55 +165,6 @@ let shift_right delay t =
        reproduces the original tail point-for-point *)
     { t with samples }
   end
-
-let min_plus_conv f g =
-  if f.kind <> g.kind then invalid_arg "Rtc.Curve.min_plus_conv: kind mismatch";
-  (* the Lower branch's horizon grows by two lcm periods, and every
-     sample costs a linear scan: keep the combined period tight *)
-  let f, g = harmonise ~cap:240 f g in
-  let value dt =
-    let rec scan s best =
-      if s > dt then best
-      else scan (s + 1) (Stdlib.min best (eval f s + eval g (dt - s)))
-    in
-    scan 1 (eval f 0 + eval g dt)
-  in
-  let rf = f.rate_num, f.rate_den and rg = g.rate_num, g.rate_den in
-  let ((num, den) as rate) = tail_min rf rg in
-  match f.kind with
-  | Upper ->
-    (* conv(dt) <= f 0 + g_w dt where g_w is the slower-rate argument:
-       a linear-tail witness with exactly the selected rate *)
-    let h = Stdlib.max (horizon f) (horizon g) in
-    let w = if rate == rf then f else g in
-    let witness dt = eval (if w == f then g else f) 0 + eval w dt in
-    let anchor = value h in
-    let slack = probe_slack ~kind:Upper ~h ~l:den ~rate ~anchor [ witness ] in
-    {
-      kind = Upper;
-      samples = Array.init (h + 1) value;
-      rate_num = num;
-      rate_den = den;
-      tail_offset = slack;
-    }
-  | Lower ->
-    (* For dt >= hf + hg + 2l the minimising split of dt + l has one leg
-       at least l beyond its curve's horizon, where retracting that leg
-       by l lowers it by exactly its integral per-period rate >= the
-       selected rate: conv(dt + l) >= conv(dt) + l*num/den.  One period
-       of probes past such a horizon therefore certifies the whole
-       tail. *)
-    let l = lcm f.rate_den g.rate_den in
-    let h = horizon f + horizon g + (2 * l) in
-    let anchor = value h in
-    let slack = probe_slack ~kind:Lower ~h ~l ~rate ~anchor [ value ] in
-    {
-      kind = Lower;
-      samples = Array.init (h + 1) value;
-      rate_num = num;
-      rate_den = den;
-      tail_offset = -slack;
-    }
 
 (* Mixed kinds are deliberately allowed: the standard output bound
    alpha' = alpha (/) beta subtracts a *lower* service curve from an
@@ -439,7 +279,7 @@ let min_plus_deconv f g =
      largest f value in the row's range, nor [(uf k - lg (p - dt)) / d],
      so the scan stops as soon as either bound no longer exceeds the
      best value found (values are integers).  Running maxima here and
-     in the deviation scans compare ints directly: [Stdlib.max] is the
+     in the delay scan compare ints directly: [Stdlib.max] is the
      polymorphic compare, an external call per step.
 
      Row dt reads the steps [first, last): [first] is the first step
@@ -501,42 +341,15 @@ let min_plus_deconv f g =
     tail_offset = (if slack > 0 then slack else 0);
   }
 
-(* The deviations account for the half-open arrival-window convention of
-   this library: [upper dt] covers the arrivals at instants
+(* The delay bound accounts for the half-open arrival-window convention
+   of this library: [upper dt] covers the arrivals at instants
    [t .. t + dt - 1], so the service available to the last of them by
    relative instant [t + dt - 1 + tau] is [lower (dt - 1 + tau)].
 
-   Both searches are certified: when rate upper <= rate lower, advancing
-   dt by one common period changes the deviation monotonically downward
-   (vertical) or cannot increase the required tau (horizontal) once both
+   The search is certified: when rate upper <= rate lower, advancing dt
+   by one common period cannot increase the required tau once both
    curves are past their horizons, so the supremum over dt is attained
    within max horizon + lcm of the denominators. *)
-
-let deviation_limit ~upper ~lower =
-  Stdlib.max (horizon upper) (horizon lower + 1)
-  + lcm upper.rate_den lower.rate_den
-
-let vertical_deviation ~upper ~lower =
-  if not (upper.kind = Upper && lower.kind = Lower) then
-    invalid_arg "Rtc.Curve.vertical_deviation: expected (upper, lower)";
-  let upper, lower = harmonise upper lower in
-  if
-    not
-      (rate_le (upper.rate_num, upper.rate_den)
-         (lower.rate_num, lower.rate_den))
-  then None
-  else begin
-    let limit = deviation_limit ~upper ~lower in
-    let rec scan dt best =
-      if dt > limit then Some best
-      else begin
-        let v = eval upper dt - eval lower (dt - 1) in
-        scan (dt + 1) (if v > best then v else best)
-      end
-    in
-    scan 1 0
-  end
-
 let horizontal_deviation ~upper ~lower =
   if not (upper.kind = Upper && lower.kind = Lower) then
     invalid_arg "Rtc.Curve.horizontal_deviation: expected (upper, lower)";
@@ -547,7 +360,10 @@ let horizontal_deviation ~upper ~lower =
          (lower.rate_num, lower.rate_den))
   then None
   else begin
-    let limit = deviation_limit ~upper ~lower in
+    let limit =
+      Stdlib.max (horizon upper) (horizon lower + 1)
+      + lcm upper.rate_den lower.rate_den
+    in
     (* tau dt = j dt - (dt - 1) with j dt the first index >= dt - 1
        where lower reaches upper dt.  The demand never falls and the
        start only advances, so j never moves left as dt grows: one

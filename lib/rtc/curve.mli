@@ -7,12 +7,20 @@
     extended beyond it by a rational tail rate (rounded up for upper
     curves, down for lower curves) from a {e certified} anchor.
 
-    Certification is the module's soundness contract: every operation
-    that must extrapolate past sampled data either proves its tail
-    conservative (witness probes over one exact pseudo-period, the
-    slack-anchor construction of {!certified}, the closed form of
-    {!min_plus_deconv}) or refuses ({!Unstable}).  Tail slack is carried in a separate anchor offset so
-    sampled values stay exact. *)
+    Certification is the module's soundness contract.  Two constructions
+    extrapolate past sampled data, and each proves its tail
+    conservative: the slack-anchor construction of {!certified} for
+    sub/superadditive functions, and the closed form of
+    {!min_plus_deconv}, which refuses ({!Unstable}) when no finite tail
+    exists.  {!create}, {!of_samples} and {!linear} take the caller's
+    word for the tail; {!shift_right} and {!harmonise} only move or
+    coarsen a tail that is already sound.  Tail slack is carried in a
+    separate anchor offset so sampled values stay exact.
+
+    The analysis reads these curves through two (min,+) operations, the
+    output bound {!min_plus_deconv} and the delay bound
+    {!horizontal_deviation}; the remaining service of [Gpc] certifies
+    its own tail before wrapping it with {!of_samples}. *)
 
 type kind =
   | Upper  (** an upper bound; tail extension rounds up *)
@@ -74,37 +82,12 @@ val linear : kind:kind -> horizon:int -> rate:int * int -> t
 val rate_le : int * int -> int * int -> bool
 (** [rate_le (n1, d1) (n2, d2)] is [n1/d1 <= n2/d2], exactly. *)
 
-val harmonise : ?cap:int -> t -> t -> t * t
-(** Coarsen both curves' tail rates onto denominator [cap] (default 720)
-    when the lcm of their denominators exceeds it — Upper rates round
-    up, Lower rates round down, so the originals are still bounded.
-    Keeps certification probe periods and certified search limits small
-    for downstream (min,+) work on incommensurate periods. *)
-
-val map2 :
-  (int -> int -> int) -> (int * int -> int * int -> int * int) -> t -> t -> t
-(** [map2 f tail a b] combines pointwise with [f] and combines tail
-    rates with [tail]; the result keeps [a]'s kind and samples through
-    the {e larger} horizon (the gap a shorter curve used to cover with
-    its tail extension is exact in the result).  The declared tail is
-    audited against the combination over two combined periods past the
-    horizon; this certifies it only when the combination is
-    pseudo-periodic with the declared rate out there — true for
-    {!add}/{!min}/{!max}, which use provably sufficient witnesses
-    instead and should be preferred.
-    @raise Invalid_argument on differing kinds. *)
-
-val add : t -> t -> t
-(** Pointwise sum with a certified tail (rate = sum of rates). *)
-
-val min : t -> t -> t
-(** Pointwise minimum with a certified tail (rate = smaller rate; for
-    [Upper] curves the tail is certified against the slower curve, so it
-    stays conservative even when the pointwise minimum switches branches
-    arbitrarily far past the horizon). *)
-
-val max : t -> t -> t
-(** Pointwise maximum with a certified tail (rate = larger rate). *)
+val harmonise : t -> t -> t * t
+(** Coarsen both curves' tail rates onto denominator 720 when the lcm
+    of their denominators exceeds it — Upper rates round up, Lower
+    rates round down, so the originals are still bounded.  The
+    deconvolution and the delay scan search up to [horizon + lcm], so
+    this keeps their work bounded on incommensurate periods. *)
 
 val shift_right : int -> t -> t
 (** [shift_right d t] is the curve [dt -> t (dt - d)] (zero before [d]):
@@ -112,14 +95,6 @@ val shift_right : int -> t -> t
     [d] so the tail reproduces the original tail point-for-point.
     @raise Invalid_argument on [Upper] curves (delaying an upper bound
     is not conservative) or negative [d]. *)
-
-val min_plus_conv : t -> t -> t
-(** [(f (x) g) dt = min over 0 <= s <= dt of f s + g (dt - s)].
-    Certified: for [Upper] arguments the tail is bounded by the witness
-    [f 0 + g dt] (slower argument); for [Lower] arguments the horizon
-    extends far enough that one probe period proves the tail (the
-    minimising split always has a leg in a tail's exact linear
-    region). *)
 
 val min_plus_deconv : t -> t -> t
 (** [(f (/) g) dt = max over s >= 0 of f (dt + s) - g s], for an
@@ -154,13 +129,6 @@ val min_plus_deconv : t -> t -> t
     @raise Invalid_argument when [f] is a [Lower] curve (no closed-form
     tail certificate exists for it, and no caller needs one) or
     decreases somewhere. *)
-
-val vertical_deviation : upper:t -> lower:t -> int option
-(** [sup over dt of upper dt - lower (dt - 1)] — the buffer/backlog
-    bound; [None] when [rate upper > rate lower] (the supremum is
-    unbounded).  The search range is certified: past
-    [max horizon + lcm] of the denominators the deviation can only
-    shrink per period. *)
 
 val horizontal_deviation : upper:t -> lower:t -> int option
 (** [sup over dt of inf {tau | upper dt <= lower (dt - 1 + tau)}] — the

@@ -103,8 +103,6 @@ let arrival_lower ~horizon ~bcet stream =
 let service_full ~horizon =
   Curve.linear ~kind:Curve.Lower ~horizon ~rate:(1, 1)
 
-let service_rate ~horizon ~rate = Curve.linear ~kind:Curve.Lower ~horizon ~rate
-
 let service_tdma ~horizon ~slot ~cycle =
   if slot < 1 || cycle < slot then
     invalid_arg "Rtc.Workload.service_tdma: need 1 <= slot <= cycle";
@@ -119,15 +117,6 @@ let service_tdma ~horizon ~slot ~cycle =
      otherwise overshoot the guarantee by up to a slot) *)
   let horizon = Stdlib.max horizon cycle in
   Curve.certified ~kind:Curve.Lower ~horizon ~window:cycle g
-
-let service_bounded_delay ~horizon ~delay ~rate =
-  if delay < 0 then invalid_arg "Rtc.Workload.service_bounded_delay: delay < 0";
-  let num, den = rate in
-  (* floor ((dt - delay) * num / den) is superadditive in dt and grows by
-     exactly floor (y * num / den) at least when the horizon advances by
-     y, so the raw anchor is already certified *)
-  Curve.create ~kind:Curve.Lower ~horizon ~tail_rate:rate (fun dt ->
-    if dt <= delay then 0 else (dt - delay) * num / den)
 
 let service_delayed ~blocking beta =
   if blocking < 0 then

@@ -38,17 +38,12 @@ val service_full : horizon:int -> Curve.t
 (** Unit-rate lower service curve of a fully available resource:
     [beta dt = dt]. *)
 
-val service_rate : horizon:int -> rate:int * int -> Curve.t
-
 val service_tdma : horizon:int -> slot:int -> cycle:int -> Curve.t
 (** Guaranteed lower service of a TDMA slot under worst alignment (the
     same bound as {!Scheduling.Tdma.service}), with the tail anchored
     through {!Curve.certified} so the within-cycle phase at the horizon
     cannot make the extension optimistic.  The horizon is widened to at
     least one cycle. *)
-
-val service_bounded_delay : horizon:int -> delay:int -> rate:int * int -> Curve.t
-(** [beta dt = max 0 ((dt - delay) * rate)]. *)
 
 val service_delayed : blocking:int -> Curve.t -> Curve.t
 (** [service_delayed ~blocking beta] shifts a lower service curve right

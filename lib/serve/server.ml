@@ -579,10 +579,8 @@ let run cfg =
   let watchdog =
     Thread.create
       (fun () ->
-        let deadline = Unix.gettimeofday () +. (cfg.drain_ms /. 1000.) in
-        while
-          (not (Atomic.get drained)) && Unix.gettimeofday () < deadline
-        do
+        let deadline = Obs.Clock.now_us () +. (cfg.drain_ms *. 1000.) in
+        while (not (Atomic.get drained)) && Obs.Clock.now_us () < deadline do
           Thread.delay 0.05
         done;
         if not (Atomic.get drained) then cancel_active_guards t)

@@ -9,7 +9,7 @@ type t = {
   mutable spec : Spec.t;
   mutable warm : Engine.warm option;
   mutable last_outcomes : Engine.element_outcome list;
-  mutable last_used : float;
+  mutable last_used : int;
   mutable inflight : int;
   mutable requests : int;
 }
@@ -21,6 +21,7 @@ type table = {
   jobs : int;
   mutable next_id : int;
   mutable evicted : int;
+  mutable uses : int;  (* checkouts so far, registrations included *)
 }
 
 let c_opened = Obs.Metrics.counter "serve.sessions.opened"
@@ -36,11 +37,18 @@ let table ~max_sessions ~jobs () =
     jobs;
     next_id = 1;
     evicted = 0;
+    uses = 0;
   }
 
 let locked tbl f =
   Mutex.lock tbl.lock;
   Fun.protect ~finally:(fun () -> Mutex.unlock tbl.lock) f
+
+(* Called under the lock: each checkout gets the next use number, so the
+   LRU order is the exact checkout order, with no ties and no clock. *)
+let next_use tbl =
+  tbl.uses <- tbl.uses + 1;
+  tbl.uses
 
 (* Deterministic pin: all jobs of one session land on one worker domain,
    which is what keeps its unsynchronised curve memos single-domain. *)
@@ -53,7 +61,7 @@ let evict_lru tbl =
         if s.inflight > 0 then acc
         else
           match acc with
-          | Some best when best.last_used <= s.last_used -> acc
+          | Some best when best.last_used < s.last_used -> acc
           | _ -> Some s)
       tbl.sessions None
   in
@@ -84,7 +92,7 @@ let register tbl ~spec =
           spec;
           warm = None;
           last_outcomes = [];
-          last_used = Unix.gettimeofday ();
+          last_used = next_use tbl;
           inflight = 1;
           requests = 1;
         }
@@ -101,7 +109,7 @@ let checkout tbl id =
     | Some s ->
       s.inflight <- s.inflight + 1;
       s.requests <- s.requests + 1;
-      s.last_used <- Unix.gettimeofday ();
+      s.last_used <- next_use tbl;
       Some s)
 
 let checkin tbl s =

@@ -30,7 +30,9 @@ type t = {
   mutable spec : Spec.t;  (** current system (worker-domain owned) *)
   mutable warm : Engine.warm option;  (** [None] until [load] finishes *)
   mutable last_outcomes : Engine.element_outcome list;
-  mutable last_used : float;  (** [Unix.gettimeofday] of last dispatch *)
+  mutable last_used : int;
+      (** the table's checkout count at this session's last checkout:
+          eviction takes the idle session with the smallest *)
   mutable inflight : int;  (** dispatched, not yet completed requests *)
   mutable requests : int;  (** requests ever dispatched *)
 }

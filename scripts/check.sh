@@ -5,12 +5,13 @@
 # CLI (trace, metrics snapshot, profiler, convergence CSV byte
 # stability, deadline/budget degradation, propagation and backend
 # flags), the pool scaling bench (BENCH_6.json), the exploration checks
-# (jobs-determinism byte diff, the unknown-element sweep error, and
-# BENCH_3.json scaling sanity), the self-verification smoke (sanitizer +
-# differential oracles on the paper system and a fixed-seed fuzz batch),
-# and a serve-daemon smoke (warm session round over a Unix socket +
-# clean SIGTERM drain).  Nothing here compares wall-clock times against
-# recorded ones.
+# (jobs-determinism byte diff, the unknown-element sweep and explore
+# errors, degenerate integer flags, and BENCH_3.json scaling sanity),
+# the self-verification smoke (sanitizer + differential oracles on the
+# paper system and a fixed-seed fuzz batch), and a serve-daemon smoke
+# (warm session round over a Unix socket + clean SIGTERM drain); it
+# ends by printing the library line counts.  Nothing here compares
+# wall-clock times against recorded ones.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 # Hard wall-clock ceiling: a hung fixed point or deadlocked pool must
@@ -173,17 +174,30 @@ if ! cmp -s "$e1" "$e4"; then
 fi
 rm -f "$e1" "$e4"
 echo "check: exploration determinism ok (sweep ${variants} lines + layout enumeration byte-identical at jobs 1 vs 4)"
-# an axis naming an unknown source (the paper system's are S1-S4) is a
-# structured invalid-spec error with exit 1, not an escaped exception
-set +e
-err=$(dune exec bin/hem_tool.exe -- sweep --period s3=500,1000 2>&1 > /dev/null)
-code=$?
-set -e
-if [ "$code" != 1 ] || ! grep -q '^error: invalid spec: ' <<< "$err"; then
-  echo "check: sweep on an unknown source gave exit $code: $err" >&2
-  exit 1
-fi
-echo "check: sweep rejects an unknown element with invalid spec"
+# expect_error CODE PATTERN ARGS...: hem_tool ARGS must exit with CODE
+# within 10 s and print PATTERN on stderr
+expect_error() {
+  local want=$1 pattern=$2 code=0 err
+  shift 2
+  err=$(timeout 10 ./_build/default/bin/hem_tool.exe "$@" 2>&1 > /dev/null) \
+    || code=$?
+  if [ "$code" != "$want" ] || ! grep -q -- "$pattern" <<< "$err"; then
+    echo "check: hem_tool $* gave exit $code, expected $want: $err" >&2
+    exit 1
+  fi
+}
+# an axis naming an unknown source (the paper system's are S1-S4), or an
+# explicitly named bus without frames, is a structured invalid-spec
+# error with exit 1, not an escaped exception or a silent fallback
+expect_error 1 '^error: invalid spec: ' sweep --period s3=500,1000
+expect_error 1 '^error: invalid spec: ' explore --bus nosuch
+echo "check: sweep and explore reject unknown elements with invalid spec"
+# a zero step, period, width or count is a usage error (cmdliner's exit
+# 124) at parse time: figure4 --step 0 used to print rows forever
+expect_error 124 'expected an integer >= 1' figure4 --step 0
+expect_error 124 'expected an integer >= 1' analyse --s3-period 0
+expect_error 124 'expected an integer >= 1' explore --max-frames 0
+echo "check: degenerate integer flags are usage errors"
 
 # --- exploration: BENCH_3.json scaling sanity -------------------------
 # Refreshes BENCH_3.json.  The bench itself asserts rows are identical
@@ -279,3 +293,4 @@ trap - EXIT
 rm -f "$sock" "$servelog"
 echo "check: serve daemon smoke ok (warm edit reused ${reused} analyses, clean SIGTERM drain)"
 echo "check: ok"
+scripts/loc.sh

@@ -151,7 +151,17 @@ let test_periodic_eval_matches_closure () =
       [| 0; 0; 100 |], 3, 100;
       [| 2; 4; 6; 50 |], 2, 60;
       [| 10; 10; 10 |], 1, 0;
-    ]
+      [| 0; 10 |], 2, 100;
+    ];
+  (* delta 2 = 0, delta 3 = 10, then +100 per 2 events *)
+  let c = Curve.periodic ~prefix:[| 0; 10 |] ~period_events:2 ~period_time:100 in
+  List.iter
+    (fun (n, expected) ->
+      Alcotest.(check int)
+        (Printf.sprintf "pinned eval %d" n)
+        expected
+        (Time.to_int (Curve.eval c n)))
+    [ 0, 0; 1, 0; 2, 0; 3, 10; 4, 100; 5, 110; 6, 200; 20, 900 ]
 
 let test_periodic_searches_match_closure () =
   List.iter
@@ -203,7 +213,10 @@ let test_periodic_validation () =
   invalid (fun () -> Curve.periodic ~prefix:[| 5 |] ~period_events:1 ~period_time:(-1));
   (* tail would fall below the prefix top: 0, 10, then 0 + 5 = 5 *)
   invalid (fun () ->
-    Curve.periodic ~prefix:[| 0; 10 |] ~period_events:2 ~period_time:5)
+    Curve.periodic ~prefix:[| 0; 10 |] ~period_events:2 ~period_time:5);
+  (* delta 3 = 50, but the recurrence gives delta 4 = 0 + 10 = 10 *)
+  invalid (fun () ->
+    Curve.periodic ~prefix:[| 0; 50 |] ~period_events:2 ~period_time:10)
 
 let test_stats_attribution () =
   let before = Curve.stats () in

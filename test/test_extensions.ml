@@ -189,136 +189,6 @@ let test_backlog_observed_within_bound () =
       Scenarios.Paper_system.cpu_tasks
 
 (* ------------------------------------------------------------------ *)
-(* periodic resource model (Shin & Lee) *)
-
-module Periodic_resource = Scheduling.Periodic_resource
-
-let test_supply_bound_function () =
-  let r = Periodic_resource.make ~period:5 ~budget:3 in
-  (* blackout of 2 (5 - 3) = 4, then 3 units per 5 *)
-  List.iter
-    (fun (t, expected) ->
-      Alcotest.(check int)
-        (Printf.sprintf "sbf %d" t)
-        expected
-        (Periodic_resource.supply r t))
-    [ 0, 0; 4, 0; 5, 1; 6, 2; 7, 3; 9, 3; 10, 4; 12, 6; 14, 6; 17, 9 ];
-  Alcotest.(check int) "utilization" 60 (Periodic_resource.utilization_percent r)
-
-let test_supply_monotone_and_inverse () =
-  let r = Periodic_resource.make ~period:7 ~budget:2 in
-  for t = 1 to 100 do
-    Alcotest.(check bool)
-      (Printf.sprintf "monotone %d" t)
-      true
-      (Periodic_resource.supply r t >= Periodic_resource.supply r (t - 1))
-  done;
-  for demand = 0 to 30 do
-    let t = Periodic_resource.supply_inverse r demand in
-    Alcotest.(check bool)
-      (Printf.sprintf "inverse reaches %d" demand)
-      true
-      (Periodic_resource.supply r t >= demand
-      && (t = 0 || Periodic_resource.supply r (t - 1) < demand))
-  done
-
-let test_dedicated_resource_equals_plain_spp () =
-  (* budget = period: the component behaves like a dedicated CPU *)
-  let dedicated = Periodic_resource.make ~period:10 ~budget:10 in
-  let t1 = task ~name:"t1" ~cet:1 ~priority:1 ~period:4 ()
-  and t2 = task ~name:"t2" ~cet:2 ~priority:2 ~period:6 ()
-  and t3 = task ~name:"t3" ~cet:3 ~priority:3 ~period:13 () in
-  let all = [ t1; t2; t3 ] in
-  List.iter
-    (fun t ->
-      let others = List.filter (fun x -> x != t) all in
-      let plain = Spp.response_time ~task:t ~others () in
-      let hierarchical =
-        Periodic_resource.spp_response_time ~resource:dedicated ~task:t
-          ~others ()
-      in
-      match plain, hierarchical with
-      | Busy_window.Bounded a, Busy_window.Bounded b ->
-        Alcotest.(check bool)
-          (t.Rt_task.name ^ " identical")
-          true (Interval.equal a b)
-      | _ -> Alcotest.fail "expected bounded")
-    all
-
-let test_degraded_supply_stretches_response () =
-  let half = Periodic_resource.make ~period:10 ~budget:5 in
-  let t = task ~name:"t" ~cet:8 ~priority:1 ~period:100 () in
-  match
-    ( Scheduling.Spp.response_time ~task:t ~others:[] (),
-      Periodic_resource.spp_response_time ~resource:half ~task:t ~others:[] ()
-    )
-  with
-  | Busy_window.Bounded plain, Busy_window.Bounded degraded ->
-    Alcotest.(check int) "plain" 8 (Interval.hi plain);
-    (* blackout 2 (10 - 5) = 10, then 5 per 10: 5 by 15, 8 at 23 *)
-    Alcotest.(check int) "degraded" 23 (Interval.hi degraded)
-  | _ -> Alcotest.fail "expected bounded"
-
-let test_periodic_resource_edf () =
-  let tasks =
-    [
-      { Edf.task = task ~name:"a" ~cet:2 ~priority:1 ~period:20 (); deadline = 20 };
-      { Edf.task = task ~name:"b" ~cet:3 ~priority:1 ~period:30 (); deadline = 30 };
-    ]
-  in
-  (* utilisation 0.2: fits a 40% resource but not a 20% one with blackout *)
-  Alcotest.(check bool) "generous budget fits" true
-    (Periodic_resource.edf_schedulable
-       ~resource:(Periodic_resource.make ~period:10 ~budget:4)
-       tasks
-    = Ok ());
-  Alcotest.(check bool) "starved budget fails" true
-    (match
-       Periodic_resource.edf_schedulable
-         ~resource:(Periodic_resource.make ~period:20 ~budget:2)
-         tasks
-     with
-     | Error _ -> true
-     | Ok () -> false)
-
-let test_min_budget_interfaces () =
-  let spp_tasks =
-    [
-      task ~name:"t1" ~cet:2 ~priority:1 ~period:20 ();
-      task ~name:"t2" ~cet:3 ~priority:2 ~period:40 ();
-    ]
-  in
-  (match Periodic_resource.min_budget_spp ~period:10 spp_tasks with
-   | None -> Alcotest.fail "dedicated must work"
-   | Some budget ->
-     Alcotest.(check bool) "nontrivial" true (budget >= 1 && budget <= 10);
-     (* the boundary is exact: one less budget must fail *)
-     if budget > 1 then begin
-       let resource = Periodic_resource.make ~period:10 ~budget:(budget - 1) in
-       let bounded =
-         List.for_all
-           (fun t ->
-             match
-               Periodic_resource.spp_response_time ~resource ~task:t
-                 ~others:(List.filter (fun x -> x != t) spp_tasks)
-                 ()
-             with
-             | Busy_window.Bounded _ -> true
-             | Busy_window.Unbounded _ -> false)
-           spp_tasks
-       in
-       Alcotest.(check bool) "tight boundary" false bounded
-     end);
-  let edf_tasks =
-    [
-      { Edf.task = task ~name:"a" ~cet:2 ~priority:1 ~period:20 (); deadline = 20 };
-    ]
-  in
-  match Periodic_resource.min_budget_edf ~period:10 edf_tasks with
-  | None -> Alcotest.fail "dedicated must work"
-  | Some budget -> Alcotest.(check bool) "found" true (budget >= 1 && budget <= 10)
-
-(* ------------------------------------------------------------------ *)
 (* sensitivity *)
 
 let test_sensitivity_schedulable () =
@@ -399,20 +269,6 @@ let () =
             test_spnp_backlog_paper_frame;
           Alcotest.test_case "observed within bound" `Quick
             test_backlog_observed_within_bound;
-        ] );
-      ( "periodic resource",
-        [
-          Alcotest.test_case "supply bound function" `Quick
-            test_supply_bound_function;
-          Alcotest.test_case "supply inverse" `Quick
-            test_supply_monotone_and_inverse;
-          Alcotest.test_case "dedicated = plain SPP" `Quick
-            test_dedicated_resource_equals_plain_spp;
-          Alcotest.test_case "degraded supply" `Quick
-            test_degraded_supply_stretches_response;
-          Alcotest.test_case "EDF on supply" `Quick test_periodic_resource_edf;
-          Alcotest.test_case "interface synthesis" `Quick
-            test_min_budget_interfaces;
         ] );
       ( "sensitivity",
         [

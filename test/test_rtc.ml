@@ -41,28 +41,9 @@ let test_curve_validation () =
        Curve.eval (Curve.linear ~kind:Curve.Upper ~horizon:5 ~rate:(1, 1)) (-1)));
   Alcotest.(check bool) "kind mismatch" true
     (raises (fun () ->
-       Curve.min
-         (Curve.linear ~kind:Curve.Upper ~horizon:5 ~rate:(1, 1))
-         (Curve.linear ~kind:Curve.Lower ~horizon:5 ~rate:(1, 1))))
-
-let test_pointwise_ops () =
-  let a = Curve.linear ~kind:Curve.Upper ~horizon:20 ~rate:(2, 1) in
-  let b = Curve.linear ~kind:Curve.Upper ~horizon:20 ~rate:(3, 1) in
-  Alcotest.(check int) "add" 25 (Curve.eval (Curve.add a b) 5);
-  Alcotest.(check int) "min" 10 (Curve.eval (Curve.min a b) 5);
-  Alcotest.(check int) "max" 15 (Curve.eval (Curve.max a b) 5)
-
-let test_convolution () =
-  (* conv of two linear curves of equal rate is the same line *)
-  let a = Curve.linear ~kind:Curve.Lower ~horizon:30 ~rate:(2, 1) in
-  let conv = Curve.min_plus_conv a a in
-  Alcotest.(check int) "same line" 20 (Curve.eval conv 10);
-  (* conv with a delayed curve shifts: f = dt, g = max 0 (dt - 5) *)
-  let f = Curve.linear ~kind:Curve.Lower ~horizon:30 ~rate:(1, 1) in
-  let g = Workload.service_bounded_delay ~horizon:30 ~delay:5 ~rate:(1, 1) in
-  let fg = Curve.min_plus_conv f g in
-  Alcotest.(check int) "shifted" 5 (Curve.eval fg 10);
-  Alcotest.(check int) "zero region" 0 (Curve.eval fg 5)
+       Curve.horizontal_deviation
+         ~upper:(Curve.linear ~kind:Curve.Lower ~horizon:5 ~rate:(1, 1))
+         ~lower:(Curve.linear ~kind:Curve.Upper ~horizon:5 ~rate:(1, 1))))
 
 let test_deconvolution () =
   (* a stair arrival deconvolved by a full service recovers burst+rate *)
@@ -83,9 +64,7 @@ let test_deviations () =
   let alpha = Workload.arrival_upper ~horizon:200 ~wcet:3 stream in
   let beta = Workload.service_full ~horizon:200 in
   Alcotest.(check (option int)) "delay" (Some 3)
-    (Curve.horizontal_deviation ~upper:alpha ~lower:beta);
-  Alcotest.(check (option int)) "backlog" (Some 3)
-    (Curve.vertical_deviation ~upper:alpha ~lower:beta)
+    (Curve.horizontal_deviation ~upper:alpha ~lower:beta)
 
 let test_tdma_service_curve () =
   let beta = Workload.service_tdma ~horizon:100 ~slot:3 ~cycle:10 in
@@ -109,8 +88,6 @@ let test_gpc_single () =
   let beta = Workload.service_full ~horizon:200 in
   let result = Gpc.process ~arrival_upper:alpha ~service_lower:beta in
   Alcotest.(check (option int)) "delay = wcet" (Some 4) result.Gpc.delay;
-  Alcotest.(check (option int)) "backlog = wcet" (Some 4)
-    (Curve.vertical_deviation ~upper:alpha ~lower:beta);
   (* remaining service over one period: best split is s = 9 just before
      the next closed-window arrival: 9 - 4 = 5 *)
   let remaining = Gpc.remaining_service ~arrival_upper:alpha ~service_lower:beta in
@@ -278,39 +255,6 @@ let prop_arrival_tails_conservative =
 (* ------------------------------------------------------------------ *)
 (* properties *)
 
-let test_map2_mismatched_horizons () =
-  (* pins the map2 horizon convention: the combination keeps the LARGER
-     horizon, so in the gap where only the shorter curve has run out of
-     samples the result is exact (the shorter curve contributes its
-     certified tail) instead of tail-projected from the shorter range *)
-  let a = Curve.linear ~kind:Curve.Upper ~horizon:50 ~rate:(1, 1) in
-  let b = Curve.linear ~kind:Curve.Upper ~horizon:20 ~rate:(1, 2) in
-  let add_rates (n1, d1) (n2, d2) = ((n1 * d2) + (n2 * d1), d1 * d2) in
-  let c = Curve.map2 ( + ) add_rates a b in
-  Alcotest.(check int) "keeps the larger horizon" 50 (Curve.horizon c);
-  for dt = 0 to 50 do
-    Alcotest.(check int)
-      (Printf.sprintf "exact at %d" dt)
-      (Curve.eval a dt + Curve.eval b dt)
-      (Curve.eval c dt)
-  done;
-  List.iter
-    (fun dt ->
-      Alcotest.(check bool)
-        (Printf.sprintf "conservative at %d" dt)
-        true
-        (Curve.eval c dt >= Curve.eval a dt + Curve.eval b dt))
-    [ 51; 64; 100; 200 ]
-
-let prop_conv_dominated =
-  (* (f (x) f)(dt) <= f(0) + f(dt) by choosing the trivial split *)
-  QCheck.Test.make ~name:"convolution dominated by trivial split" ~count:40
-    (QCheck.pair (QCheck.int_range 1 20) (QCheck.int_range 0 40))
-    (fun (rate, dt) ->
-      let rate = Stdlib.max 1 rate in
-      let f = Curve.linear ~kind:Curve.Lower ~horizon:50 ~rate:(rate, 1) in
-      Curve.eval (Curve.min_plus_conv f f) dt <= Curve.eval f 0 + Curve.eval f dt)
-
 let prop_deconv_dominates =
   (* (f (/) g)(dt) >= f(dt) - g(0) = f(dt): the s = 0 term of the sup *)
   QCheck.Test.make ~name:"deconvolution dominates the original" ~count:40
@@ -411,7 +355,7 @@ let arrival_curve a =
 
 let rec service_curve ~horizon = function
   | Full -> Workload.service_full ~horizon
-  | Rate (num, den) -> Workload.service_rate ~horizon ~rate:(num, den)
+  | Rate (num, den) -> Curve.linear ~kind:Curve.Lower ~horizon ~rate:(num, den)
   | Tdma (slot, cycle) -> Workload.service_tdma ~horizon ~slot ~cycle
   | Blocked (blocking, s) ->
     Workload.service_delayed ~blocking (service_curve ~horizon s)
@@ -574,7 +518,7 @@ let test_deconv_closed_form_tails () =
       (stair ~period:10 ~wcet:3 horizon)
   in
   let tdma horizon = Workload.service_tdma ~horizon ~slot:5 ~cycle:10 in
-  let fast = Workload.service_rate ~horizon:61 ~rate:(4, 1) in
+  let fast = Curve.linear ~kind:Curve.Lower ~horizon:61 ~rate:(4, 1) in
   let bounded =
     Curve.of_samples ~kind:Curve.Upper ~tail_rate:(0, 1) ~tail_offset:2
       (Array.init 31 (fun dt -> Stdlib.min 6 (2 * ((dt + 4) / 5))))
@@ -678,7 +622,8 @@ let test_delay_reference_cases () =
     (Curve.create ~kind:Curve.Lower ~horizon:10 ~tail_rate:(0, 1) (fun dt ->
          Stdlib.min dt 4));
   check "long delay" (periodic 200 40 60)
-    (Workload.service_bounded_delay ~horizon:30 ~delay:50 ~rate:(1, 2));
+    (Curve.create ~kind:Curve.Lower ~horizon:30 ~tail_rate:(1, 2) (fun dt ->
+         if dt <= 50 then 0 else (dt - 50) / 2));
   (* a service whose certified tail starts below its last sample: the
      first index reaching the demand may lie before dt - 1 *)
   check "dipping service"
@@ -815,15 +760,11 @@ let () =
         [
           Alcotest.test_case "linear" `Quick test_linear_curve;
           Alcotest.test_case "validation" `Quick test_curve_validation;
-          Alcotest.test_case "pointwise" `Quick test_pointwise_ops;
-          Alcotest.test_case "convolution" `Quick test_convolution;
           Alcotest.test_case "deconvolution" `Quick test_deconvolution;
           Alcotest.test_case "deviations" `Quick test_deviations;
           Alcotest.test_case "tdma service" `Quick test_tdma_service_curve;
           Alcotest.test_case "long-period tail rate" `Quick
             test_long_period_tail_rate;
-          Alcotest.test_case "map2 mismatched horizons" `Quick
-            test_map2_mismatched_horizons;
           Alcotest.test_case "deconvolution reference cases" `Quick
             test_deconv_reference_cases;
           Alcotest.test_case "deconvolution edge shapes" `Quick
@@ -852,7 +793,6 @@ let () =
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
           [
-            prop_conv_dominated;
             prop_deconv_dominates;
             prop_arrival_tails_conservative;
             prop_deconv_matches_reference;

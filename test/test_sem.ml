@@ -35,7 +35,29 @@ let test_delta_closed_forms () =
   (* d_min binds when jitter removes the periodic part *)
   let bursty = Sem.make ~period:100 ~jitter:500 ~d_min:5 () in
   Alcotest.check time "d_min binds" (Time.of_int 10) (Sem.delta_min bursty 3);
-  Alcotest.check time "delta_plus" (Time.of_int 230) (Sem.delta_plus sem 3)
+  Alcotest.check time "delta_plus" (Time.of_int 230) (Sem.delta_plus sem 3);
+  (* the embedded stream's delta_min is a compact periodic curve: its
+     prefix runs to the crossover, then one period per event *)
+  let dmin = Stream.delta_min_curve (Sem.to_stream bursty) in
+  (match Event_model.Curve.periodic_tail dmin with
+   | Some (_, events, time) ->
+     Alcotest.(check (pair int int)) "periodic tail" (1, 100) (events, time)
+   | None -> Alcotest.fail "expected a compact periodic delta_min");
+  for n = 0 to 64 do
+    Alcotest.check time
+      (Printf.sprintf "stream delta_min %d" n)
+      (Sem.delta_min bursty n)
+      (Event_model.Curve.eval dmin n)
+  done;
+  (* a strictly periodic SEM needs a one-entry prefix *)
+  let strict = Sem.to_stream (Sem.make ~period:42 ~d_min:42 ()) in
+  let strict_dmin = Stream.delta_min_curve strict in
+  (match Event_model.Curve.periodic_tail strict_dmin with
+   | Some (prefix_len, _, _) ->
+     Alcotest.(check int) "strict prefix" 1 prefix_len
+   | None -> Alcotest.fail "expected a compact periodic delta_min");
+  Alcotest.check time "strict eval" (Time.of_int (42 * 9))
+    (Event_model.Curve.eval strict_dmin 10)
 
 let test_eta_closed_vs_stream () =
   (* the closed forms must agree with the generic pseudo-inversion *)

@@ -179,6 +179,35 @@ let register_checks_out () =
   Alcotest.(check bool) "evicted id unknown" true
     (Option.is_none (Session.checkout tbl s1.Session.id))
 
+(* LRU eviction follows the order of checkouts, however close together
+   they come: each round registers A and B, touches A again, and the
+   third registration must evict B *)
+let eviction_follows_checkout_order () =
+  let spec = Paper.spec () in
+  for round = 1 to 500 do
+    let tbl = Session.table ~max_sessions:2 ~jobs:1 () in
+    let register () =
+      match Session.register tbl ~spec with
+      | Ok s -> s
+      | Error e -> Alcotest.failf "round %d: %s" round e
+    in
+    let a = register () in
+    let b = register () in
+    Session.checkin tbl a;
+    Session.checkin tbl b;
+    (match Session.checkout tbl a.Session.id with
+     | Some a -> Session.checkin tbl a
+     | None -> Alcotest.failf "round %d: A missing" round);
+    ignore (register ());
+    let present (s : Session.t) =
+      match Session.checkout tbl s.Session.id with
+      | Some s -> Session.checkin tbl s; true
+      | None -> false
+    in
+    if present b || not (present a) then
+      Alcotest.failf "round %d: evicted A instead of B" round
+  done
+
 (* ------------------------------------------------------------------ *)
 (* An in-process daemon on a temporary Unix socket *)
 
@@ -632,8 +661,12 @@ let () =
         [ Alcotest.test_case "warm updates = cold analysis" `Quick
             warm_matches_cold ] );
       ( "session table",
-        [ Alcotest.test_case "register returns the session checked out"
-            `Quick register_checks_out ] );
+        [
+          Alcotest.test_case "register returns the session checked out"
+            `Quick register_checks_out;
+          Alcotest.test_case "eviction follows checkout order" `Quick
+            eviction_follows_checkout_order;
+        ] );
       ( "daemon",
         [
           Alcotest.test_case "outcomes match the offline engine" `Quick

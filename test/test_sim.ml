@@ -484,65 +484,6 @@ let test_frame_loss_semantics () =
      | exception Invalid_argument _ -> true)
 
 (* ------------------------------------------------------------------ *)
-(* measurement-based models *)
-
-let test_measured_stream () =
-  let t = Trace.create () in
-  List.iter (fun time -> Trace.record_arrival t ~stream:"s" ~time)
-    [ 0; 10; 12; 100 ];
-  (match Des.Measured.stream_of_trace t ~stream:"s" with
-   | None -> Alcotest.fail "expected a stream"
-   | Some s ->
-     let time = Alcotest.testable Timebase.Time.pp Timebase.Time.equal in
-     Alcotest.check time "delta_min 2" (Timebase.Time.of_int 2)
-       (Stream.delta_min s 2);
-     Alcotest.check time "delta_max 2" (Timebase.Time.of_int 88)
-       (Stream.delta_plus s 2);
-     Alcotest.check time "delta_min 3" (Timebase.Time.of_int 12)
-       (Stream.delta_min s 3);
-     Alcotest.check time "full span" (Timebase.Time.of_int 100)
-       (Stream.delta_min s 4);
-     (* extrapolation past the recorded count *)
-     Alcotest.check time "extrapolated min" (Timebase.Time.of_int 102)
-       (Stream.delta_min s 5);
-     Alcotest.check time "extrapolated max" (Timebase.Time.of_int 188)
-       (Stream.delta_plus s 5);
-     Alcotest.(check bool) "well formed" true
-       (Stream.well_formed ~horizon:16 s = Ok ()));
-  let empty = Trace.create () in
-  Alcotest.(check bool) "too few arrivals" true
-    (Des.Measured.stream_of_trace empty ~stream:"s" = None)
-
-let test_measured_sem () =
-  (* measuring a simulated periodic source recovers its period *)
-  let spec =
-    Spec.make
-      ~sources:[ "s", Stream.periodic ~name:"s" ~period:100 ]
-      ~resources:[ { Spec.res_name = "cpu"; scheduler = Spec.Spp; backend = Spec.Cpa } ]
-      ~tasks:
-        [
-          Spec.task ~name:"t" ~resource:"cpu" ~cet:(Interval.point 5)
-            ~priority:1 ~activation:(Spec.From_source "s") ();
-        ]
-      ()
-  in
-  match
-    Simulator.run ~generators:[ "s", Gen.periodic ~period:100 () ]
-      ~horizon:100_000 spec
-  with
-  | Error e -> Alcotest.failf "simulation failed: %s" e
-  | Ok trace -> begin
-    match Des.Measured.sem_of_trace trace ~stream:(Port.source "s") with
-    | None -> Alcotest.fail "expected a model"
-    | Some sem ->
-      Alcotest.(check bool)
-        (Format.asprintf "recovered %a" Event_model.Sem.pp sem)
-        true
-        (Event_model.Sem.equal sem
-           (Event_model.Sem.make ~period:100 ~jitter:0 ~d_min:100 ()))
-  end
-
-(* ------------------------------------------------------------------ *)
 (* exporters *)
 
 let test_export_vcd () =
@@ -710,11 +651,6 @@ let () =
         ] );
       ( "failure injection",
         [ Alcotest.test_case "frame loss" `Quick test_frame_loss_semantics ] );
-      ( "measured",
-        [
-          Alcotest.test_case "stream of trace" `Quick test_measured_stream;
-          Alcotest.test_case "sem of trace" `Quick test_measured_sem;
-        ] );
       ( "export",
         [
           Alcotest.test_case "vcd" `Quick test_export_vcd;
