@@ -152,16 +152,7 @@ let test_periodic_eval_matches_closure () =
       [| 2; 4; 6; 50 |], 2, 60;
       [| 10; 10; 10 |], 1, 0;
       [| 0; 10 |], 2, 100;
-    ];
-  (* delta 2 = 0, delta 3 = 10, then +100 per 2 events *)
-  let c = Curve.periodic ~prefix:[| 0; 10 |] ~period_events:2 ~period_time:100 in
-  List.iter
-    (fun (n, expected) ->
-      Alcotest.(check int)
-        (Printf.sprintf "pinned eval %d" n)
-        expected
-        (Time.to_int (Curve.eval c n)))
-    [ 0, 0; 1, 0; 2, 0; 3, 10; 4, 100; 5, 110; 6, 200; 20, 900 ]
+    ]
 
 let test_periodic_searches_match_closure () =
   List.iter
@@ -213,10 +204,39 @@ let test_periodic_validation () =
   invalid (fun () -> Curve.periodic ~prefix:[| 5 |] ~period_events:1 ~period_time:(-1));
   (* tail would fall below the prefix top: 0, 10, then 0 + 5 = 5 *)
   invalid (fun () ->
-    Curve.periodic ~prefix:[| 0; 10 |] ~period_events:2 ~period_time:5);
-  (* delta 3 = 50, but the recurrence gives delta 4 = 0 + 10 = 10 *)
-  invalid (fun () ->
-    Curve.periodic ~prefix:[| 0; 50 |] ~period_events:2 ~period_time:10)
+    Curve.periodic ~prefix:[| 0; 10 |] ~period_events:2 ~period_time:5)
+
+(* The eventually-periodic representation itself: pinned values of one
+   prefix-plus-recurrence curve, and the shapes it must reject. *)
+let test_representation_eval () =
+  (* delta 2 = 0, delta 3 = 10, then +100 per 2 events *)
+  let c = Curve.periodic ~prefix:[| 0; 10 |] ~period_events:2 ~period_time:100 in
+  List.iter
+    (fun (n, expected) ->
+      Alcotest.(check int)
+        (Printf.sprintf "n=%d" n)
+        expected
+        (Time.to_int (Curve.eval c n)))
+    [ 0, 0; 1, 0; 2, 0; 3, 10; 4, 100; 5, 110; 6, 200; 20, 900 ]
+
+let test_representation_validation () =
+  let raises f = match f () with
+    | _ -> false
+    | exception Invalid_argument _ -> true
+  in
+  Alcotest.(check bool) "short prefix" true
+    (raises (fun () ->
+       Curve.periodic ~prefix:[| 5 |] ~period_events:2 ~period_time:10));
+  Alcotest.(check bool) "non-monotone" true
+    (raises (fun () ->
+       Curve.periodic ~prefix:[| 10; 5 |] ~period_events:1 ~period_time:10));
+  Alcotest.(check bool) "negative" true
+    (raises (fun () ->
+       Curve.periodic ~prefix:[| -1 |] ~period_events:1 ~period_time:10));
+  Alcotest.(check bool) "recurrence breaks monotonicity" true
+    (raises (fun () ->
+       (* delta 3 = 50 but the recurrence gives delta 4 = 0 + 10 = 10 < 50 *)
+       Curve.periodic ~prefix:[| 0; 50 |] ~period_events:2 ~period_time:10))
 
 let test_stats_attribution () =
   let before = Curve.stats () in
@@ -437,6 +457,11 @@ let () =
           Alcotest.test_case "stats attribution" `Quick test_stats_attribution;
           Alcotest.test_case "packed paths allocation-free" `Quick
             test_packed_paths_allocation_free;
+        ] );
+      ( "representation",
+        [
+          Alcotest.test_case "eval" `Quick test_representation_eval;
+          Alcotest.test_case "validation" `Quick test_representation_validation;
         ] );
       ( "table backend",
         [

@@ -35,9 +35,12 @@ let test_delta_closed_forms () =
   (* d_min binds when jitter removes the periodic part *)
   let bursty = Sem.make ~period:100 ~jitter:500 ~d_min:5 () in
   Alcotest.check time "d_min binds" (Time.of_int 10) (Sem.delta_min bursty 3);
-  Alcotest.check time "delta_plus" (Time.of_int 230) (Sem.delta_plus sem 3);
+  Alcotest.check time "delta_plus" (Time.of_int 230) (Sem.delta_plus sem 3)
+
+let test_of_sem_representation () =
   (* the embedded stream's delta_min is a compact periodic curve: its
      prefix runs to the crossover, then one period per event *)
+  let bursty = Sem.make ~period:100 ~jitter:500 ~d_min:5 () in
   let dmin = Stream.delta_min_curve (Sem.to_stream bursty) in
   (match Event_model.Curve.periodic_tail dmin with
    | Some (_, events, time) ->
@@ -211,6 +214,8 @@ let () =
           Alcotest.test_case "eta vs stream" `Quick test_eta_closed_vs_stream;
           Alcotest.test_case "to_stream names" `Quick test_to_stream_name;
         ] );
+      ( "representation",
+        [ Alcotest.test_case "of SEM" `Quick test_of_sem_representation ] );
       ( "fit",
         [
           Alcotest.test_case "roundtrip" `Quick test_fit_roundtrip;
