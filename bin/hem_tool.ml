@@ -479,7 +479,7 @@ let profile_cmd =
   in
   let top_arg =
     let doc = "Rows of the top-N cost table." in
-    Arg.(value & opt int 10 & info [ "top" ] ~docv:"N" ~doc)
+    Arg.(value & opt positive_int 10 & info [ "top" ] ~docv:"N" ~doc)
   in
   let flame_arg =
     let doc =
@@ -839,7 +839,7 @@ let figure4_cmd =
       loop step
   in
   let max_dt =
-    Arg.(value & opt int 2500
+    Arg.(value & opt positive_int 2500
          & info [ "max-dt" ] ~docv:"N" ~doc:"Largest window size.")
   in
   let step =
@@ -956,7 +956,8 @@ let gantt_cmd =
         ("F1" :: "F2" :: Paper.cpu_tasks)
   in
   let from_time =
-    Arg.(value & opt int 0 & info [ "from" ] ~docv:"T" ~doc:"Window start.")
+    Arg.(value & opt (int_at_least 0) 0
+         & info [ "from" ] ~docv:"T" ~doc:"Window start.")
   in
   let width =
     Arg.(value & opt positive_int 120

@@ -50,9 +50,10 @@ let first_reaching curve target =
     end
   end
 
-let to_stream ~name ~wcet ~bcet ~upper ~lower =
+let to_stream_delayed ~name ~wcet ~bcet ~upper ~lower ~lower_delay =
   if wcet < 1 then invalid_arg "Convert.to_stream: wcet < 1";
   if bcet < 1 then invalid_arg "Convert.to_stream: bcet < 1";
+  if lower_delay < 0 then invalid_arg "Convert.to_stream: negative lower_delay";
   let delta_min n =
     (* eta_plus' dt = floor (upper dt / wcet); delta_min n is one less
        than the smallest window the event bound lets [n] events into *)
@@ -64,13 +65,19 @@ let to_stream ~name ~wcet ~bcet ~upper ~lower =
     (* the smallest window guaranteed to contain [n - 1] events bounds
        the distance of [n] consecutive events from above:
        eta_minus' dt = ceil (lower dt / bcet) >= n - 1
-       iff lower dt >= (n - 2) * bcet + 1 *)
+       iff lower dt >= (n - 2) * bcet + 1.  The stream reads n >= 2 only,
+       so the target is at least 1, which [lower] delayed by
+       [lower_delay] (zero before it) first reaches exactly
+       [lower_delay] after [lower] does. *)
     match lower with
     | None -> Time.Inf
     | Some lower -> begin
       match first_reaching lower (((n - 2) * bcet) + 1) with
-      | Some dt -> Time.of_int dt
+      | Some dt -> Time.of_int (dt + lower_delay)
       | None -> Time.Inf
     end
   in
   Stream.make ~name ~delta_min ~delta_plus
+
+let to_stream ~name ~wcet ~bcet ~upper ~lower =
+  to_stream_delayed ~name ~wcet ~bcet ~upper ~lower ~lower_delay:0

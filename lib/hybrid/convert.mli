@@ -58,3 +58,21 @@ val to_stream :
     Dividing by the same constants that scaled {!of_stream} makes the
     round trip exact on the sampled range and conservative past it.
     @raise Invalid_argument on [wcet < 1] or [bcet < 1]. *)
+
+val to_stream_delayed :
+  name:string ->
+  wcet:int ->
+  bcet:int ->
+  upper:Rtc.Curve.t ->
+  lower:Rtc.Curve.t option ->
+  lower_delay:int ->
+  Event_model.Stream.t
+(** [to_stream] of the lower curve delayed by [lower_delay]
+    ([lower' dt = lower (dt - lower_delay)], zero before), without
+    building the delayed curve: the target of [delta_plus n] ([n >= 2])
+    is at least 1, which the delayed curve first reaches exactly
+    [lower_delay] after [lower] does, so [delta_plus n] grows by
+    [lower_delay] and [delta_min] is unchanged.  [to_stream] is the
+    [lower_delay = 0] case.
+    @raise Invalid_argument on [wcet < 1], [bcet < 1] or
+    [lower_delay < 0]. *)

@@ -17,10 +17,23 @@ type item = {
   activation : Stream.t;
 }
 
+type output_key = {
+  upper : Rtc.Curve.t;
+  lower : Rtc.Curve.t;
+  jitter : int;
+  wcet : int;
+  bcet : int;
+}
+
+let output_key_equal a b =
+  a.jitter = b.jitter && a.wcet = b.wcet && a.bcet = b.bcet
+  && Rtc.Curve.equal a.upper b.upper
+  && Rtc.Curve.equal a.lower b.lower
+
 type outcome = {
   name : string;
   response : Busy_window.outcome;
-  output : Stream.t option;
+  output : (Stream.t * output_key) option;
 }
 
 let default_horizon policy items =
@@ -64,27 +77,25 @@ let unbounded name reason = { name; response = Busy_window.Unbounded reason; out
    output curve, its lower bound the input's guaranteed demand delayed
    by the response jitter (an event arriving at [t] departs within
    [t + [bcet : delay]], so departures in a window of [dt] are at least
-   the arrivals in a window of [dt - (delay - bcet)]). *)
+   the arrivals in a window of [dt - (delay - bcet)]).  That shift is
+   applied in the pseudo-inversion, not to a copy of the curve. *)
 let process_item ~(curves : Convert.curves) ~service it =
   let result =
     Rtc.Gpc.process ~arrival_upper:curves.Convert.upper ~service_lower:service
   in
   match result.Rtc.Gpc.delay, result.Rtc.Gpc.output_upper with
-  | Some delay, Some output_upper ->
-    let bcet = Interval.lo it.cet in
+  | Some delay, Some upper ->
+    let wcet = Interval.hi it.cet and bcet = Interval.lo it.cet in
     let jitter = Stdlib.max 0 (delay - bcet) in
-    let output_lower =
-      if jitter = 0 then curves.Convert.lower
-      else Rtc.Workload.service_delayed ~blocking:jitter curves.Convert.lower
-    in
+    let lower = curves.Convert.lower in
     let output =
-      Convert.to_stream ~name:(it.name ^ ".out") ~wcet:(Interval.hi it.cet)
-        ~bcet ~upper:output_upper ~lower:(Some output_lower)
+      Convert.to_stream_delayed ~name:(it.name ^ ".out") ~wcet ~bcet ~upper
+        ~lower:(Some lower) ~lower_delay:jitter
     in
     {
       name = it.name;
       response = Busy_window.Bounded (Interval.make ~lo:bcet ~hi:delay);
-      output = Some output;
+      output = Some (output, { upper; lower; jitter; wcet; bcet });
     }
   | _ ->
     unbounded it.name
@@ -95,50 +106,68 @@ let process_item ~(curves : Convert.curves) ~service it =
    resource after greedily serving every interferer (equal priorities
    interfere, as in [Busy_window.higher_priority]); SPNP first delays
    the whole resource by the longest lower-priority execution, which
-   blocks the item and its interferers alike. *)
+   blocks the item and its interferers alike.
+
+   Every item's fold starts from the base delayed by its blocking term
+   and serves its interferers in list order, so items whose interferer
+   lists start alike share partial folds: in a system listed by priority
+   the k-th item's service extends the (k-1)-th's.  Each partial fold is
+   computed once per blocking term and prefix; sharing the curve is
+   exact, since the same fold of the same curves gives the same one. *)
 let analyse_static ~horizon ~blocking items =
   let base = Rtc.Workload.service_full ~horizon in
-  let curves = List.map (fun it -> it, item_curves ~horizon it) items in
+  let curves = List.mapi (fun i it -> i, it, item_curves ~horizon it) items in
+  let folds = Hashtbl.create 16 in
+  let fold key compute =
+    match Hashtbl.find_opt folds key with
+    | Some beta -> beta
+    | None ->
+      let beta = compute () in
+      Hashtbl.add folds key beta;
+      beta
+  in
+  let rec serve (b, prefix) beta = function
+    | [] -> Ok beta
+    | (i, (other : item), other_curves) :: rest -> (
+      match other_curves with
+      | Error reason ->
+        Error (Printf.sprintf "interferer %s: %s" other.name reason)
+      | Ok (c : Convert.curves) ->
+        let key = b, i :: prefix in
+        let beta =
+          fold key (fun () ->
+              Rtc.Gpc.remaining_service ~arrival_upper:c.Convert.upper
+                ~service_lower:beta)
+        in
+        serve key beta rest)
+  in
   List.map
-    (fun ((it : item), own) ->
+    (fun (_, (it : item), own) ->
       match own with
       | Error reason -> unbounded it.name ("rtc: " ^ reason)
       | Ok own -> begin
         let interferers =
           List.filter
-            (fun ((other : item), _) ->
+            (fun (_, (other : item), _) ->
               other != it && other.priority <= it.priority)
             curves
         in
-        let blocked =
-          if not blocking then Ok base
+        let b =
+          if not blocking then 0
           else
-            match
-              List.fold_left
-                (fun acc (other : item) ->
-                  if other.priority > it.priority then
-                    Stdlib.max acc (Interval.hi other.cet)
-                  else acc)
-                0 items
-            with
-            | 0 -> Ok base
-            | b -> Ok (Rtc.Workload.service_delayed ~blocking:b base)
+            List.fold_left
+              (fun acc (other : item) ->
+                if other.priority > it.priority then
+                  Stdlib.max acc (Interval.hi other.cet)
+                else acc)
+              0 items
         in
-        let service =
-          List.fold_left
-            (fun acc ((other : item), other_curves) ->
-              match acc, other_curves with
-              | Error _, _ -> acc
-              | Ok _, Error reason ->
-                Error
-                  (Printf.sprintf "interferer %s: %s" other.name reason)
-              | Ok beta, Ok (c : Convert.curves) ->
-                Ok
-                  (Rtc.Gpc.remaining_service ~arrival_upper:c.Convert.upper
-                     ~service_lower:beta))
-            blocked interferers
+        let blocked =
+          fold (b, []) (fun () ->
+              if b = 0 then base
+              else Rtc.Workload.service_delayed ~blocking:b base)
         in
-        match service with
+        match serve (b, []) blocked interferers with
         | Error reason -> unbounded it.name ("rtc: " ^ reason)
         | Ok service -> process_item ~curves:own ~service it
       end)

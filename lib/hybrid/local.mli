@@ -29,17 +29,34 @@ type item = {
   activation : Event_model.Stream.t;
 }
 
+type output_key = {
+  upper : Rtc.Curve.t;  (** the GPC output curve *)
+  lower : Rtc.Curve.t;  (** the input's lower workload curve *)
+  jitter : int;  (** response jitter [delay - bcet], clamped at 0 *)
+  wcet : int;
+  bcet : int;
+}
+(** Everything an output stream is built from besides its name: the
+    stream is {!Convert.to_stream_delayed} of [upper] and [lower]
+    delayed by [jitter]. *)
+
+val output_key_equal : output_key -> output_key -> bool
+(** Field-wise equality, curves by {!Rtc.Curve.equal}.  Equal keys give
+    identical streams, so comparing keys detects exactly whether an
+    element's output stream moved (unequal keys may still give the same
+    stream, see {!Rtc.Curve.equal}). *)
+
 type outcome = {
   name : string;
   response : Scheduling.Busy_window.outcome;
       (** [Bounded [bcet : rtc delay]], or [Unbounded] when the
           element's arrival rate exceeds its guaranteed service rate (or
           its activations admit no finite arrival curve) *)
-  output : Event_model.Stream.t option;
-      (** the processed stream (named [name ^ ".out"]): upper bound from
-          the GPC output curve, lower bound from the response-jitter
-          shift of the input's lower curve; [None] for unbounded
-          elements *)
+  output : (Event_model.Stream.t * output_key) option;
+      (** the processed stream (named [name ^ ".out"]) and its key:
+          upper bound from the GPC output curve, lower bound from the
+          response-jitter shift of the input's lower curve; [None] for
+          unbounded elements *)
 }
 
 val default_horizon : policy -> item list -> int

@@ -38,7 +38,7 @@ let of_samples ~kind ~tail_rate ~tail_offset samples =
   if rate_den < 1 then
     invalid_arg "Rtc.Curve.of_samples: tail denominator < 1";
   if rate_num < 0 then invalid_arg "Rtc.Curve.of_samples: negative tail rate";
-  { kind; samples = Array.copy samples; rate_num; rate_den; tail_offset }
+  { kind; samples; rate_num; rate_den; tail_offset }
 
 let kind t = t.kind
 
@@ -47,6 +47,13 @@ let horizon t = Array.length t.samples - 1
 let tail_rate t = t.rate_num, t.rate_den
 
 let tail_offset t = t.tail_offset
+
+let equal a b =
+  let n = Array.length a.samples in
+  let rec same i = i = n || (a.samples.(i) = b.samples.(i) && same (i + 1)) in
+  a.kind = b.kind && a.rate_num = b.rate_num && a.rate_den = b.rate_den
+  && a.tail_offset = b.tail_offset
+  && n = Array.length b.samples && same 0
 
 let ceil_div a b = (a + b - 1) / b
 
@@ -64,19 +71,17 @@ let eval t dt =
     t.samples.(h) + t.tail_offset + slope
   end
 
-(* [eval t] on [0 .. n - 1] in one array: the samples blitted, one tail
+(* [eval t] on [0 .. n - 1] into [table]: the samples blitted, one tail
    period evaluated, and every later entry one period back plus the
    period's exact integral rise. *)
-let tabulate t n =
+let tabulate_into table t n =
   let h = horizon t in
-  let table = Array.make n 0 in
   Array.blit t.samples 0 table 0 (Stdlib.min n (h + 1));
   for dt = h + 1 to n - 1 do
     table.(dt) <-
       (if dt - h > t.rate_den then table.(dt - t.rate_den) + t.rate_num
        else eval t dt)
-  done;
-  table
+  done
 
 let linear ~kind ~horizon ~rate =
   let num, den = rate in
@@ -127,24 +132,25 @@ let signed_offset kind slack =
    g(h+y) <= g(h) + g(y) <= g(h) + slack + ceil (y*num/den): the tail
    anchored at samples(h) + slack is sound at every point past the
    horizon.  Dual with floors for superadditive g (Lower). *)
-let certified ~kind ~horizon ~window g =
+let certified ~kind ~window samples =
+  let horizon = Array.length samples - 1 in
   if horizon < 1 then invalid_arg "Rtc.Curve.certified: horizon < 1";
   if window < 1 || window > horizon then
     invalid_arg "Rtc.Curve.certified: need 1 <= window <= horizon";
-  let num = g window and den = window in
+  let num = samples.(window) and den = window in
   if num < 0 then invalid_arg "Rtc.Curve.certified: negative rate";
   let slack = ref 0 in
   for m = 1 to window do
     let d =
       match kind with
-      | Upper -> g m - ceil_div (m * num) den
-      | Lower -> (m * num / den) - g m
+      | Upper -> samples.(m) - ceil_div (m * num) den
+      | Lower -> (m * num / den) - samples.(m)
     in
     if d > !slack then slack := d
   done;
   {
     kind;
-    samples = Array.init (horizon + 1) g;
+    samples;
     rate_num = num;
     rate_den = den;
     tail_offset = signed_offset kind !slack;
@@ -165,6 +171,25 @@ let shift_right delay t =
        reproduces the original tail point-for-point *)
     { t with samples }
   end
+
+(* Work arrays of [min_plus_deconv], one set per domain and reused by
+   every call: each grows to the largest call and never shrinks, and a
+   call reads only the prefix it has just written, so stale entries past
+   it are never seen.  Only the result's samples are allocated per call.
+   A domain runs one analysis at a time, so no two calls share a set. *)
+type scratch = {
+  mutable steps : int array;  (* the windows where f rises *)
+  mutable vals : int array;  (* f at those windows *)
+  mutable uf : int array;  (* upper envelope of f at each step *)
+  mutable gmin : int array;  (* suffix minimum of g over the lag range *)
+  mutable lg : int array;  (* lower envelope of gmin *)
+}
+
+let scratch_key =
+  Domain.DLS.new_key (fun () ->
+      { steps = [||]; vals = [||]; uf = [||]; gmin = [||]; lg = [||] })
+
+let fit a n = if Array.length a >= n then a else Array.make n 0
 
 (* Mixed kinds are deliberately allowed: the standard output bound
    alpha' = alpha (/) beta subtracts a *lower* service curve from an
@@ -198,41 +223,45 @@ let min_plus_deconv f g =
   let hf = horizon f in
   let num = f.rate_num and den = f.rate_den in
   let base = f.samples.(hf) + f.tail_offset in
-  let each_step emit =
-    for i = 1 to hf do
-      let rise = f.samples.(i) - f.samples.(i - 1) in
-      if rise < 0 then
-        invalid_arg "Rtc.Curve.min_plus_deconv: decreasing numerator";
-      if rise > 0 then emit i f.samples.(i)
-    done;
-    let junction = base + ceil_div num den in
-    if junction < f.samples.(hf) then
-      invalid_arg "Rtc.Curve.min_plus_deconv: decreasing numerator";
-    if junction > f.samples.(hf) then emit (hf + 1) junction;
-    if num >= den then
-      for m = 2 to n - 1 - hf do
-        emit (hf + m) (base + ceil_div (num * m) den)
-      done
-    else if num > 0 then begin
-      (* below one unit per window each tail step rises by one:
-         ceil (num m / den) first reaches c at m = (c - 1) den / num + 1 *)
-      let c = ref 2 in
-      let m = ref ((den / num) + 1) in
-      while hf + !m < n do
-        emit (hf + !m) (base + !c);
-        incr c;
-        m := ((!c - 1) * den / num) + 1
-      done
-    end
+  (* steps are distinct windows in [1, n), so at most n - 1 of them *)
+  let sc = Domain.DLS.get scratch_key in
+  sc.steps <- fit sc.steps n;
+  sc.vals <- fit sc.vals n;
+  sc.uf <- fit sc.uf n;
+  sc.gmin <- fit sc.gmin (search_limit + 1);
+  sc.lg <- fit sc.lg (search_limit + 1);
+  let steps = sc.steps and vals = sc.vals in
+  let n_steps = ref 0 in
+  let emit i v =
+    steps.(!n_steps) <- i;
+    vals.(!n_steps) <- v;
+    incr n_steps
   in
-  let n_steps = ref 0 in
-  each_step (fun _ _ -> incr n_steps);
-  let steps = Array.make !n_steps 0 and vals = Array.make !n_steps 0 in
-  let n_steps = ref 0 in
-  each_step (fun i v ->
-      steps.(!n_steps) <- i;
-      vals.(!n_steps) <- v;
-      incr n_steps);
+  for i = 1 to hf do
+    let rise = f.samples.(i) - f.samples.(i - 1) in
+    if rise < 0 then
+      invalid_arg "Rtc.Curve.min_plus_deconv: decreasing numerator";
+    if rise > 0 then emit i f.samples.(i)
+  done;
+  let junction = base + ceil_div num den in
+  if junction < f.samples.(hf) then
+    invalid_arg "Rtc.Curve.min_plus_deconv: decreasing numerator";
+  if junction > f.samples.(hf) then emit (hf + 1) junction;
+  if num >= den then
+    for m = 2 to n - 1 - hf do
+      emit (hf + m) (base + ceil_div (num * m) den)
+    done
+  else if num > 0 then begin
+    (* below one unit per window each tail step rises by one:
+       ceil (num m / den) first reaches c at m = (c - 1) den / num + 1 *)
+    let c = ref 2 in
+    let m = ref ((den / num) + 1) in
+    while hf + !m < n do
+      emit (hf + !m) (base + !c);
+      incr c;
+      m := ((!c - 1) * den / num) + 1
+    done
+  end;
   let n_steps = !n_steps in
   (* Replace g by its suffix minimum over the lag range.  With f
      non-decreasing a lag s never beats a later lag s' with
@@ -255,9 +284,9 @@ let min_plus_deconv f g =
      unlike [top] below, this bound follows the operands' slopes, so
      where the rates are close, and the row's maximum sits near its
      start, it falls below that maximum soon after. *)
-  let gmin = tabulate g (search_limit + 1) in
+  let gmin = sc.gmin and lg = sc.lg in
+  tabulate_into gmin g (search_limit + 1);
   let a = num * (d / den) and b = g.rate_num * (d / g.rate_den) in
-  let lg = Array.make (search_limit + 1) 0 in
   let run = ref max_int in
   for s = search_limit downto 0 do
     if s < search_limit && gmin.(s + 1) < gmin.(s) then
@@ -266,7 +295,7 @@ let min_plus_deconv f g =
     if v < !run then run := v;
     lg.(s) <- !run + (b * s)
   done;
-  let uf = Array.make n_steps 0 in
+  let uf = sc.uf in
   let run = ref min_int in
   for k = n_steps - 1 downto 0 do
     let p = steps.(k) in

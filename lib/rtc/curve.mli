@@ -48,17 +48,29 @@ val of_samples :
 (** [of_samples ~kind ~tail_rate ~tail_offset samples] wraps explicit
     samples (index = window size, so [samples.(0)] is the empty window)
     with a tail anchored at [samples.(horizon) + tail_offset].  The
-    caller asserts tail soundness.  The array is copied. *)
+    caller asserts tail soundness.  The curve takes ownership of the
+    array: the caller must not write to it afterwards. *)
 
-val certified : kind:kind -> horizon:int -> window:int -> (int -> int) -> t
-(** [certified ~kind ~horizon ~window g] builds a curve with a tail that
-    is {e provably} conservative for [g] at every point past the
-    horizon, provided [g] is subadditive ([Upper]) or superadditive
-    ([Lower]): the tail rate is [(g window, window)] and the anchor is
-    shifted by the worst slack of the rounded tail against [g] on
-    [1..window] (sub/superadditivity extends the bound by induction).
-    A larger [window] tightens the rate estimate at the cost of a
-    coarser tail denominator downstream. *)
+val certified : kind:kind -> window:int -> int array -> t
+(** [certified ~kind ~window g] builds a curve on the table [g] of a
+    function on [0 .. horizon] (so [horizon = Array.length g - 1]) with
+    a tail that is {e provably} conservative for the function at every
+    point past the horizon, provided it is subadditive ([Upper]) or
+    superadditive ([Lower]): the tail rate is [(g.(window), window)] and
+    the anchor is shifted by the worst slack of the rounded tail against
+    [g] on [1..window] (sub/superadditivity extends the bound by
+    induction).  A larger [window] tightens the rate estimate at the
+    cost of a coarser tail denominator downstream.  Like {!of_samples},
+    the curve keeps [g] as its samples, without a copy.
+    @raise Invalid_argument if [horizon < 1], [window] is outside
+    [1 .. horizon] or [g.(window) < 0]. *)
+
+val equal : t -> t -> bool
+(** Representation equality: same kind, same samples (hence the same
+    horizon), same tail rate [(numerator, denominator)] and same tail
+    offset.  Equal curves are the same function; the converse does not
+    hold — the same function sampled to two horizons, or with its tail
+    rate over another denominator, is unequal. *)
 
 val kind : t -> kind
 
@@ -118,6 +130,9 @@ val min_plus_deconv : t -> t -> t
     best one of the run.
 
     Cost: one row per sample, [h + 1] rows for the larger horizon [h].
+    The work arrays (steps of [f], tabulated [g], both envelopes) live in
+    one scratch per domain that grows to the largest call and is reused
+    by every later one, so a call allocates only the result's samples.
     [f] is read through its steps (from its samples, then from its tail
     rate), [g] is tabulated on [0 .. L]; each row reads, in ascending
     order, the lags landing on a step of [f] and stops once neither the

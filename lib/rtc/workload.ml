@@ -43,7 +43,7 @@ let eta_minus_table ~horizon ~scale stream =
    | Count.Inf -> invalid_arg "Rtc.Workload: infinite guaranteed arrivals");
   walk ~horizon ~scale ~strict:false ~offset:2 (Stream.delta_plus_curve stream)
 
-(* Tail-rate window selection: [certified] uses rate (g window / window),
+(* Tail-rate window selection: [certified] uses rate (g.(window) / window),
    so the window that minimises (Upper) or maximises (Lower) that
    fraction gives the tightest provable tail.  Scanning a bounded
    candidate range keeps tail denominators small (they drive the lcm
@@ -51,9 +51,9 @@ let eta_minus_table ~horizon ~scale stream =
    smaller window for the same reason. *)
 let pick_window ~horizon ~better g =
   let limit = Stdlib.min horizon 128 in
-  let best = ref 1 and best_v = ref (g 1) in
+  let best = ref 1 and best_v = ref g.(1) in
   let consider w =
-    let v = g w in
+    let v = g.(w) in
     (* compare v/w against best_v/best without floats *)
     if better (v * !best) (!best_v * w) then begin
       best := w;
@@ -80,25 +80,25 @@ let pick_window ~horizon ~better g =
 let arrival_upper ~horizon ~wcet stream =
   if wcet < 1 then invalid_arg "Rtc.Workload.arrival_upper: wcet < 1";
   if horizon < 1 then invalid_arg "Rtc.Workload.arrival_upper: horizon < 1";
-  let g = Array.get (eta_plus_table ~horizon ~scale:wcet stream) in
+  let table = eta_plus_table ~horizon ~scale:wcet stream in
   (* eta_plus is subadditive (any window splits into two), so the
      slack-anchor tail of [certified] is sound at every point past the
      horizon — unlike a window-difference estimate, which can undershoot
      the true long-run rate and eventually dip below eta_plus * wcet. *)
-  let window = pick_window ~horizon ~better:( < ) g in
-  Curve.certified ~kind:Curve.Upper ~horizon ~window g
+  let window = pick_window ~horizon ~better:( < ) table in
+  Curve.certified ~kind:Curve.Upper ~window table
 
 let arrival_lower ~horizon ~bcet stream =
   if bcet < 1 then invalid_arg "Rtc.Workload.arrival_lower: bcet < 1";
   if horizon < 1 then invalid_arg "Rtc.Workload.arrival_lower: horizon < 1";
-  let g = Array.get (eta_minus_table ~horizon ~scale:bcet stream) in
+  let table = eta_minus_table ~horizon ~scale:bcet stream in
   (* eta_minus is superadditive (worst windows concatenate), dual of the
      upper case: a window-difference estimate can overshoot the long-run
      guaranteed rate and eventually promise more arrivals than the
      stream guarantees.  Streams with no lower bound get g = 0 on the
      whole candidate range, hence a certified zero tail. *)
-  let window = pick_window ~horizon ~better:( > ) g in
-  Curve.certified ~kind:Curve.Lower ~horizon ~window g
+  let window = pick_window ~horizon ~better:( > ) table in
+  Curve.certified ~kind:Curve.Lower ~window table
 
 let service_full ~horizon =
   Curve.linear ~kind:Curve.Lower ~horizon ~rate:(1, 1)
@@ -116,7 +116,7 @@ let service_tdma ~horizon ~slot ~cycle =
      within-cycle phase (the raw anchor at an arbitrary horizon point can
      otherwise overshoot the guarantee by up to a slot) *)
   let horizon = Stdlib.max horizon cycle in
-  Curve.certified ~kind:Curve.Lower ~horizon ~window:cycle g
+  Curve.certified ~kind:Curve.Lower ~window:cycle (Array.init (horizon + 1) g)
 
 let service_delayed ~blocking beta =
   if blocking < 0 then

@@ -123,10 +123,11 @@ type ctx = {
       (* elements whose profile moved in the current iteration — folded
          into the changed set so downstream outputs are re-derived even
          when the response interval itself is stable *)
-  rtc_outputs : (string, Stream.t * int array) Hashtbl.t;
+  rtc_outputs : (string, Stream.t * Hybrid.Local.output_key) Hashtbl.t;
       (* converted output streams of tasks on RTC-backend resources,
-         with a behavioural fingerprint for change detection; these
-         replace the response-based output propagation for such tasks *)
+         with the curves they were built from for change detection;
+         these replace the response-based output propagation for such
+         tasks *)
   mutable rtc_changed : S.t;
       (* tasks whose converted output stream moved in the current
          iteration — folded into the changed set like [profile_changed] *)
@@ -343,18 +344,9 @@ let record_profiles ctx results =
       rt, outcome)
     results
 
-(* Converted output streams are opaque closures, so movement across
-   iterations is detected behaviourally, like [Spec]'s source
-   fingerprints: a prefix of both distance functions plus deep probes
-   that expose the periodic tail, compared as packed values. *)
-let fingerprint_probes =
-  Array.append (Array.init 33 (fun i -> i + 2)) [| 64; 101; 257 |]
-
-let stream_fingerprint s =
-  Array.append
-    (Curve.eval_batch (Stream.delta_min_curve s) fingerprint_probes)
-    (Curve.eval_batch (Stream.delta_plus_curve s) fingerprint_probes)
-
+(* A converted output stream is kept while the key it is built from is
+   unchanged: equal curves, jitter and execution times give the same
+   stream, and keeping the old one keeps its memoized prefixes. *)
 let record_rtc_output ctx name output =
   match output with
   | None ->
@@ -362,13 +354,12 @@ let record_rtc_output ctx name output =
       Hashtbl.remove ctx.rtc_outputs name;
       ctx.rtc_changed <- S.add name ctx.rtc_changed
     end
-  | Some stream ->
-    let fp = stream_fingerprint stream in
-    (match Hashtbl.find_opt ctx.rtc_outputs name with
-     | Some (_, old) when old = fp -> ()
-     | Some _ | None ->
-       Hashtbl.replace ctx.rtc_outputs name (stream, fp);
-       ctx.rtc_changed <- S.add name ctx.rtc_changed)
+  | Some (stream, key) -> (
+    match Hashtbl.find_opt ctx.rtc_outputs name with
+    | Some (_, old) when Hybrid.Local.output_key_equal old key -> ()
+    | Some _ | None ->
+      Hashtbl.replace ctx.rtc_outputs name (stream, key);
+      ctx.rtc_changed <- S.add name ctx.rtc_changed)
 
 (* Local analysis of one resource under the streams of [ctx].  Returns
    the outcomes together with the set of responses the resource's

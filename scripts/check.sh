@@ -197,6 +197,11 @@ echo "check: sweep and explore reject unknown elements with invalid spec"
 expect_error 124 'expected an integer >= 1' figure4 --step 0
 expect_error 124 'expected an integer >= 1' analyse --s3-period 0
 expect_error 124 'expected an integer >= 1' explore --max-frames 0
+# a negative start, row count or window bound is one too: gantt --from=-5
+# drew t=-5 .., profile --top=-1 an empty table, figure4 --max-dt=-5 no rows
+expect_error 124 'expected an integer >= 0' gantt --from=-5
+expect_error 124 'expected an integer >= 1' profile --top=-1
+expect_error 124 'expected an integer >= 1' figure4 --max-dt=-5
 echo "check: degenerate integer flags are usage errors"
 
 # --- exploration: BENCH_3.json scaling sanity -------------------------

@@ -89,6 +89,70 @@ let test_first_reaching () =
   Alcotest.(check (option int)) "zero-rate curve never reaches" None
     (Convert.first_reaching z 1)
 
+(* The output stream's lower curve is the input's delayed by the
+   response jitter.  [to_stream_delayed] adds the delay to the inverted
+   distance instead of building the shifted curve; over lower curves of
+   every shape the hybrid backend produces (guaranteed demand of jittery
+   and bursty streams, TDMA service with its negative anchor offset, an
+   arbitrary staircase with a zero or positive tail), delta_plus must
+   equal the shifted curve's, and delta_min must not move. *)
+let gen_lower_curve =
+  let open QCheck.Gen in
+  let* horizon = int_range 16 300 in
+  frequency
+    [
+      ( 3,
+        let* period = int_range 5 120 in
+        let* jitter = int_range 0 (2 * period) in
+        let+ bcet = int_range 1 6 in
+        ( Printf.sprintf "eta_minus T=%d J=%d C=%d h=%d" period jitter bcet
+            horizon,
+          Rtc.Workload.arrival_lower ~horizon ~bcet
+            (Stream.periodic_jitter ~name:"l" ~period ~jitter ()) ) );
+      ( 2,
+        let* cycle = int_range 2 40 in
+        let+ slot = int_range 1 cycle in
+        ( Printf.sprintf "tdma %d/%d h=%d" slot cycle horizon,
+          Rtc.Workload.service_tdma ~horizon ~slot ~cycle ) );
+      ( 2,
+        let* steps = array_size (return (horizon + 1)) (int_range 0 3) in
+        let* num = int_range 0 3 in
+        let+ den = int_range 1 5 in
+        let samples = Array.make (horizon + 1) 0 in
+        for dt = 1 to horizon do
+          samples.(dt) <- samples.(dt - 1) + steps.(dt)
+        done;
+        ( Printf.sprintf "staircase tail %d/%d h=%d" num den horizon,
+          Curve.of_samples ~kind:Curve.Lower ~tail_rate:(num, den)
+            ~tail_offset:0 samples ) );
+    ]
+
+let prop_delayed_inversion =
+  QCheck.Test.make ~name:"delayed lower inversion equals the shifted curve"
+    ~count:200
+    (QCheck.make
+       ~print:(fun ((name, _), (jitter, bcet)) ->
+         Printf.sprintf "%s jitter=%d bcet=%d" name jitter bcet)
+       QCheck.Gen.(
+         pair gen_lower_curve (pair (int_range 0 50) (int_range 1 6))))
+    (fun ((_, lower), (jitter, bcet)) ->
+      let upper = Curve.linear ~kind:Curve.Upper ~horizon:16 ~rate:(1, 1) in
+      let wcet = bcet in
+      let shifted =
+        Convert.to_stream ~name:"s" ~wcet ~bcet ~upper
+          ~lower:
+            (Some (Rtc.Workload.service_delayed ~blocking:jitter lower))
+      and delayed =
+        Convert.to_stream_delayed ~name:"d" ~wcet ~bcet ~upper
+          ~lower:(Some lower) ~lower_delay:jitter
+      in
+      List.for_all
+        (fun n ->
+          Time.equal (Stream.delta_plus delayed n) (Stream.delta_plus shifted n)
+          && Time.equal (Stream.delta_min delayed n)
+               (Stream.delta_min shifted n))
+        (List.init 299 (fun i -> i + 2)))
+
 (* ------------------------------------------------------------------ *)
 (* backend agreement and mixed-backend convergence *)
 
@@ -409,5 +473,6 @@ let () =
           Alcotest.test_case "pinned chain_12" `Quick test_pinned_chain_12;
         ] );
       ( "properties",
-        List.map QCheck_alcotest.to_alcotest [ prop_roundtrip_conservative ] );
+        List.map QCheck_alcotest.to_alcotest
+          [ prop_roundtrip_conservative; prop_delayed_inversion ] );
     ]

@@ -103,25 +103,28 @@ let rtc_counters (r : Engine.result) =
    onto the RTC backend, and with the mixed assignment of the backend
    tables; one budget per [rtc_counter_names] entry, recorded when the
    deconvolution's tail certificate became closed-form (one row per
-   sample) and its rows stopped at a linear-envelope bound.  Lower a
-   budget when a change cuts the work; never raise one to pass. *)
+   sample) and its rows stopped at a linear-envelope bound, and lowered
+   when RTC outputs were compared by their curves instead of probing
+   each converted stream (fewer closure evaluations, memo hits and batch
+   sweeps).  Lower a budget when a change cuts the work; never raise one
+   to pass. *)
 let rtc_budgets =
   [
     "paper", "rtc",
-    [ 700; 116; 4; 18; 41; 33; 767; 0; 0; 0; 3; 3; 2058; 4757; 4222; 22 ];
+    [ 268; 116; 4; 18; 41; 21; 335; 0; 0; 0; 3; 3; 2058; 4757; 4222; 22 ];
     "paper", "mixed",
     [ 42; 45; 4; 18; 35; 14; 79; 6; 10; 12; 2; 3; 516; 553; 1048; 7 ];
     "avionics", "rtc",
-    [ 1339; 448; 2; 94; 207; 100; 1467; 0; 5; 57; 3; 8; 6672; 44810; 16025;
+    [ 681; 386; 2; 94; 207; 80; 747; 0; 5; 57; 3; 8; 6672; 44810; 16025;
       185 ];
     "avionics", "mixed",
-    [ 897; 333; 2; 108; 207; 88; 1035; 6; 39; 57; 3; 8; 1544; 1862; 5007;
+    [ 621; 321; 2; 108; 207; 80; 747; 6; 39; 57; 3; 8; 1544; 1862; 5007;
       32 ];
     "network_8", "rtc",
-    [ 6752; 1847; 96; 195; 410; 339; 7186; 0; 0; 0; 4; 30; 23496; 89257;
+    [ 1815; 1384; 96; 195; 410; 189; 1786; 0; 0; 0; 4; 30; 23496; 89257;
       60951; 260 ];
     "network_8", "mixed",
-    [ 2773; 523; 82; 214; 373; 229; 3073; 41; 85; 86; 3; 26; 9381; 27350;
+    [ 734; 402; 82; 214; 373; 169; 913; 41; 85; 86; 3; 26; 9381; 27350;
       23629; 89 ];
   ]
 

@@ -436,32 +436,34 @@ let prop_deconv_matches_reference =
       let f = arrival_curve a and g = service_curve ~horizon s in
       library_deconv f g = reference_deconv f g)
 
+(* Fixed cases that the property reaches only by chance: coarsened tails
+   (periodic arrivals take their own period as window, so T=97 against a
+   1/11 rate or an 11-slot cycle exceeds the lcm cap), a remaining
+   service with a negative tail offset, overload, and dense numerator
+   tails.  Each is (arrival, service, service horizon, coarsened,
+   stable). *)
+let ref_arrival period wcet horizon =
+  { period; jitter = 0; burst = 1; wcet; a_horizon = horizon }
+
+let ref_remaining = Remaining ([ ref_arrival 30 2 80 ], Tdma (6, 10))
+
+let deconv_reference_cases =
+  [
+    ref_arrival 97 3 150, Rate (1, 11), 120, true, true;
+    ref_arrival 97 3 150, Tdma (5, 11), 200, true, true;
+    ref_arrival 127 2 150, Rate (5, 7), 130, true, true;
+    ref_arrival 40 3 100, ref_remaining, 90, false, true;
+    ref_arrival 10 7 100, Tdma (3, 10), 100, false, false;
+    (* wcet close to the period: the numerator's rounded tail steps at
+       almost every sample, so nearly every lag is a candidate *)
+    ref_arrival 7 6 120, Full, 100, false, true;
+    ref_arrival 13 12 80, Rate (12, 13), 150, false, true;
+    ref_arrival 11 10 64, Tdma (11, 12), 90, false, true;
+  ]
+
 let test_deconv_reference_cases () =
-  (* fixed cases that the property reaches only by chance: coarsened
-     tails (periodic arrivals take their own period as window, so T=97
-     against a 1/11 rate or an 11-slot cycle exceeds the lcm cap), a
-     remaining service with a negative tail offset, overload, and dense
-     numerator tails *)
-  let arrival period wcet horizon =
-    { period; jitter = 0; burst = 1; wcet; a_horizon = horizon }
-  in
-  let remaining = Remaining ([ arrival 30 2 80 ], Tdma (6, 10)) in
   Alcotest.(check bool) "remaining service has a negative tail offset" true
-    (Curve.tail_offset (service_curve ~horizon:90 remaining) < 0);
-  let cases =
-    [
-      arrival 97 3 150, Rate (1, 11), 120, true, true;
-      arrival 97 3 150, Tdma (5, 11), 200, true, true;
-      arrival 127 2 150, Rate (5, 7), 130, true, true;
-      arrival 40 3 100, remaining, 90, false, true;
-      arrival 10 7 100, Tdma (3, 10), 100, false, false;
-      (* wcet close to the period: the numerator's rounded tail steps at
-         almost every sample, so nearly every lag is a candidate *)
-      arrival 7 6 120, Full, 100, false, true;
-      arrival 13 12 80, Rate (12, 13), 150, false, true;
-      arrival 11 10 64, Tdma (11, 12), 90, false, true;
-    ]
-  in
+    (Curve.tail_offset (service_curve ~horizon:90 ref_remaining) < 0);
   List.iter
     (fun (a, s, horizon, coarsened, stable) ->
       let name = string_of_arrival a ^ " (/) " ^ string_of_service s in
@@ -473,7 +475,74 @@ let test_deconv_reference_cases () =
       Alcotest.(check bool) (name ^ ": stability") stable (reference <> None);
       Alcotest.(check bool) (name ^ ": equal") true
         (library_deconv f g = reference))
-    cases
+    deconv_reference_cases
+
+(* The deconvolution reuses one work scratch per domain.  Two domains
+   run the reference cases at once, in opposite orders and for several
+   rounds (so each scratch keeps stale entries from larger calls), and
+   must reproduce a serial run exactly.  The curves are built up front:
+   they are immutable, unlike the streams they come from. *)
+let test_deconv_scratch_domains () =
+  let operands =
+    List.map
+      (fun (a, s, horizon, _, _) -> arrival_curve a, service_curve ~horizon s)
+      deconv_reference_cases
+  in
+  let run order =
+    List.concat
+      (List.init 20 (fun _ ->
+           List.map (fun (f, g) -> library_deconv f g) (order operands)))
+  in
+  let serial = run Fun.id in
+  let forward = Domain.spawn (fun () -> run Fun.id)
+  and backward = Domain.spawn (fun () -> List.rev (run List.rev)) in
+  let forward = Domain.join forward and backward = Domain.join backward in
+  Alcotest.(check bool) "forward domain matches the serial run" true
+    (forward = serial);
+  (* every round of [run List.rev] is reversed, so reversing the whole
+     concatenation restores the serial order *)
+  Alcotest.(check bool) "backward domain matches the serial run" true
+    (backward = serial)
+
+(* [Curve.equal] compares representations: kind, samples, tail rate and
+   tail offset. *)
+let test_curve_equal () =
+  let stair () = Array.init 41 (fun dt -> 3 * ((dt + 9) / 10)) in
+  let make ?(kind = Curve.Upper) ?(tail_rate = (3, 10)) ?(tail_offset = 0)
+      samples =
+    Curve.of_samples ~kind ~tail_rate ~tail_offset samples
+  in
+  let base = make (stair ()) in
+  let equal = Alcotest.(check bool) in
+  equal "itself" true (Curve.equal base base);
+  equal "same representation, separate arrays" true
+    (Curve.equal base (make (stair ())));
+  equal "same table through linear" true
+    (Curve.equal
+       (Curve.linear ~kind:Curve.Lower ~horizon:30 ~rate:(2, 3))
+       (Curve.linear ~kind:Curve.Lower ~horizon:30 ~rate:(2, 3)));
+  equal "tail offset differs" false
+    (Curve.equal base (make ~tail_offset:1 (stair ())));
+  let one_sample = stair () in
+  one_sample.(17) <- one_sample.(17) + 1;
+  equal "one sample differs" false (Curve.equal base (make one_sample));
+  equal "kind differs" false
+    (Curve.equal base (make ~kind:Curve.Lower (stair ())));
+  equal "tail rate differs" false
+    (Curve.equal base (make ~tail_rate:(1, 3) (stair ())));
+  (* the same function at two horizons, or with its tail rate over
+     another denominator: equal values everywhere, unequal curves *)
+  let short = Curve.linear ~kind:Curve.Lower ~horizon:10 ~rate:(1, 2)
+  and long = Curve.linear ~kind:Curve.Lower ~horizon:20 ~rate:(1, 2)
+  and scaled = Curve.linear ~kind:Curve.Lower ~horizon:10 ~rate:(2, 4) in
+  List.iter
+    (fun (name, c) ->
+      equal (name ^ ": same values") true
+        (List.for_all
+           (fun dt -> Curve.eval short dt = Curve.eval c dt)
+           (List.init 200 Fun.id));
+      equal (name ^ ": unequal") false (Curve.equal short c))
+    [ "two horizons", long; "two tail denominators", scaled ]
 
 let test_deconv_edge_shapes () =
   (* the denominator may dip: a Lower curve whose certified tail starts
@@ -775,6 +844,9 @@ let () =
             test_deconv_closed_form_tails;
           Alcotest.test_case "deconvolution lower numerator" `Quick
             test_deconv_lower_numerator;
+          Alcotest.test_case "deconvolution scratch across domains" `Quick
+            test_deconv_scratch_domains;
+          Alcotest.test_case "equal" `Quick test_curve_equal;
           Alcotest.test_case "delay reference cases" `Quick
             test_delay_reference_cases;
           Alcotest.test_case "arrival table errors" `Quick
