@@ -455,6 +455,41 @@ let periodic ~prefix ~period_events ~period_time =
   done;
   Periodic t
 
+(* Compact-curve certifier.  [t] is read into a growing buffer one
+   [eval_range_into] call per candidate, so a certificate found early
+   costs only the values up to it.  A window cell at [packed_inf] fails
+   the check: a periodic curve is finite everywhere. *)
+let periodic_from t ~start ~window ~cap ~period_events ~period_time =
+  let buf = ref [||] and filled = ref 0 in
+  (* make indices 0 .. n of [buf] valid *)
+  let ensure n =
+    if n >= !filled then begin
+      buf := grown !buf ~init:0 n;
+      eval_range_into t ~n0:!filled ~len:(n + 1 - !filled) ~dst:!buf
+        ~pos:!filled;
+      filled := n + 1
+    end
+  in
+  let rec attempt p =
+    if p > cap then None
+    else begin
+      ensure (p + window);
+      let v = !buf in
+      let holds = ref true in
+      for n = p + 1 to p + window do
+        if v.(n) = inf_code || v.(n) <> v.(n - period_events) + period_time
+        then holds := false
+      done;
+      if not !holds then attempt (p + window)
+      else
+        let prefix = Array.sub v 2 (p - 1) in
+        match periodic ~prefix ~period_events ~period_time with
+        | curve -> Some curve
+        | exception Invalid_argument _ -> None
+    end
+  in
+  attempt start
+
 let clamp_low t =
   match t with
   | Periodic _ | Table _ -> t (* already 0 for n <= 1 by construction *)
@@ -496,100 +531,18 @@ let first_satisfying ~lo pred =
   end
   else widen 1 lo (Stdlib.max 2 (lo * 2))
 
-(* Least n >= 2 with eval n >= limit (or > limit when [strict]), computed
-   arithmetically: locate the period block containing the answer, then
-   binary-search the (at most period_events wide) window inside it. *)
-let periodic_first p ~strict limit =
-  Metrics.add_attached p.p_att c_searches 1;
-  let steps = ref 0 in
-  let sat v =
-    Stdlib.incr steps;
-    if strict then v > limit else v >= limit
-  in
-  let flush () = Metrics.add_attached p.p_att c_search_steps !steps in
-  let len = Array.length p.prefix in
-  let top = p.prefix.(len - 1) in
-  (* first index in [lo, hi] whose value satisfies; requires sat hi *)
-  let rec bfirst value lo hi =
-    if lo >= hi then hi
-    else
-      let mid = (lo + hi) / 2 in
-      if sat (value mid) then bfirst value lo mid else bfirst value (mid + 1) hi
-  in
-  let result =
-    if sat top then bfirst (fun i -> p.prefix.(i)) 0 (len - 1) + 2
-    else if p.period_time <= 0 then begin
-      flush ();
-      raise (Unbounded "Curve: periodic tail never reaches limit")
-    end
-    else begin
-      (* smallest block s >= 1 whose largest value top + s * period_time
-         satisfies; earlier blocks are entirely below the limit *)
-      let need = limit - top in
-      let s =
-        if strict then (need / p.period_time) + 1
-        else (need + p.period_time - 1) / p.period_time
-      in
-      let s = Stdlib.max 1 s in
-      let base = s * p.period_time in
-      let j =
-        bfirst (fun j -> p.prefix.(j) + base) (len - p.period_events) (len - 1)
-      in
-      j + (s * p.period_events) + 2
-    end
-  in
-  flush ();
-  result
-
-let count_lt t limit =
-  if Time.(limit <= Time.zero) then invalid_arg "Curve.count_lt: limit <= 0";
-  match t with
-  | Periodic p -> begin
-    match limit with
-    | Time.Inf ->
-      (* a periodic-tail curve is finite everywhere, so the count below an
-         infinite limit is unbounded *)
-      raise (Unbounded "Curve.count_lt: infinite limit on a finite curve")
-    | Time.Fin lim -> periodic_first p ~strict:false lim - 1
-  end
-  | Closure _ | Table _ | Constant _ ->
-    (* largest n with eval n < limit = (first n >= 1 with eval n >= limit) - 1;
-       0 when even eval 1 >= limit *)
-    let limit = encode limit in
-    let first_ge = first_satisfying ~lo:1 (fun n -> eval_packed t n >= limit) in
-    first_ge - 1
-
-let first_gt t ~offset limit =
-  match t with
-  | Periodic p -> begin
-    match limit with
-    | Time.Inf ->
-      raise (Unbounded "Curve.first_gt: infinite limit on a finite curve")
-    | Time.Fin lim ->
-      if lim < 0 then 0 (* eval (0 + offset) >= 0 > limit already *)
-      else begin
-        let m = periodic_first p ~strict:true lim in
-        Stdlib.max 0 (m - offset)
-      end
-  end
-  | Closure _ | Table _ | Constant _ ->
-    let limit = encode limit in
-    first_satisfying ~lo:0 (fun n -> eval_packed t (n + offset) > limit)
-
 (* ------------------------------------------------------------------ *)
-(* Packed-limit searches: the same pseudo-inversions with an int limit
-   and a resumable lower bound, so convergence loops that re-probe the
-   same curves with monotonically growing windows (busy-window
-   interference, EDF demand scans) neither allocate a [Time.t] per probe
-   nor restart the exponential search from scratch each iteration. *)
+(* Compact-backend search: the least n >= 2 with eval n >= limit (or
+   > limit when [strict]), computed arithmetically: locate the period
+   block containing the answer, then binary-search the (at most
+   period_events wide) window inside it.
 
-(* [periodic_first] with an int limit and no closure/ref churn beyond a
-   single step-counting cell per search. *)
-(* First index in [lo, hi] with [prefix.(i) + base] satisfying the
-   limit; requires the value at [hi] to satisfy.  A module-level
-   recursion over plain ints (no closure, no step ref) so the packed
-   search allocates nothing; [steps] is the probe count so far, flushed
-   to the step counter when the search bottoms out. *)
+   [bfirst_packed] is the first index in [lo, hi] with
+   [prefix.(i) + base] satisfying the limit; it requires the value at
+   [hi] to satisfy.  A module-level
+   recursion over plain ints (no closure, no step ref) so the search
+   allocates nothing; [steps] is the probe count so far, flushed to the
+   step counter when the search bottoms out. *)
 let rec bfirst_packed att prefix ~strict ~limit ~base ~steps lo hi =
   if lo >= hi then begin
     Metrics.add_attached att c_search_steps steps;
@@ -620,6 +573,8 @@ let periodic_first_packed p ~strict limit =
     raise (Unbounded "Curve: periodic tail never reaches limit")
   end
   else begin
+    (* smallest block s >= 1 whose largest value top + s * period_time
+       satisfies; earlier blocks are entirely below the limit *)
     let need = limit - top in
     let s =
       if strict then (need / p.period_time) + 1
@@ -634,23 +589,42 @@ let periodic_first_packed p ~strict limit =
     j + (s * p.period_events) + 2
   end
 
-(* [count_lt] with a packed finite limit and a verified lower bound:
-   callers must guarantee [lo >= 1] and, when [lo > 1],
-   [eval t (lo - 1) < limit] (true whenever [lo - 1] is a previous
-   [count_lt_packed] answer for a limit [<=] the current one — arrival
-   counts grow monotonically with the window). *)
+(* [count_lt] with a packed limit and a verified lower bound, so
+   convergence loops that re-probe the same curves with monotonically
+   growing windows (busy-window interference, EDF demand scans) neither
+   allocate a [Time.t] per probe nor restart the exponential search from
+   scratch each iteration.  Callers must guarantee [lo >= 1] and, when
+   [lo > 1], [eval t (lo - 1) < limit] (true whenever [lo - 1] is a
+   previous [count_lt_packed] answer for a limit [<=] the current one —
+   arrival counts grow monotonically with the window). *)
 let count_lt_packed t ~lo ~limit =
   if limit <= 0 then invalid_arg "Curve.count_lt: limit <= 0";
   if lo < 1 then invalid_arg "Curve.count_lt_packed: lo < 1";
   match t with
   | Periodic p ->
     if limit >= inf_code then
+      (* a periodic-tail curve is finite everywhere, so the count below
+         an infinite limit is unbounded *)
       raise (Unbounded "Curve.count_lt: infinite limit on a finite curve");
     (* arithmetic location is already O(log period); the hint is not
        needed to stay cheap *)
     periodic_first_packed p ~strict:false limit - 1
   | Closure _ | Table _ | Constant _ ->
-    let first_ge =
-      first_satisfying ~lo (fun n -> eval_packed t n >= limit)
-    in
-    first_ge - 1
+    (* largest n with eval n < limit = (first n >= lo with
+       eval n >= limit) - 1 *)
+    first_satisfying ~lo (fun n -> eval_packed t n >= limit) - 1
+
+let count_lt t limit =
+  if Time.(limit <= Time.zero) then invalid_arg "Curve.count_lt: limit <= 0";
+  count_lt_packed t ~lo:1 ~limit:(encode limit)
+
+let first_gt t ~offset limit =
+  match t, limit with
+  | Periodic _, Time.Inf ->
+    raise (Unbounded "Curve.first_gt: infinite limit on a finite curve")
+  | Periodic p, Time.Fin lim ->
+    if lim < 0 then 0 (* eval (0 + offset) >= 0 > limit already *)
+    else Stdlib.max 0 (periodic_first_packed p ~strict:true lim - offset)
+  | (Closure _ | Table _ | Constant _), _ ->
+    let limit = encode limit in
+    first_satisfying ~lo:0 (fun n -> eval_packed t (n + offset) > limit)

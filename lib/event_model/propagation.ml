@@ -1,4 +1,3 @@
-module Time = Timebase.Time
 module Interval = Timebase.Interval
 
 type mode =
@@ -60,8 +59,8 @@ let profile_equal a b =
    amplification) and every candidate is a sound lower bound on the
    distance of [n] consecutive output events:
 
-   - the {e jitter} term [delta_min n - J]: the first of the n outputs
-     leaves at the latest [r+] after its arrival, the last at the
+   - the {e jitter} term [max 0 (delta_min n - J)]: the first of the n
+     outputs leaves at the latest [r+] after its arrival, the last at the
      earliest [r-] after its own, and the arrivals are at least
      [delta_min n] apart (Richter's output jitter equation);
    - the {e serialization} floor [(n-1) * r-]: successive completions of
@@ -79,289 +78,152 @@ let profile_equal a b =
      in-window position [q] covers all cases; the per-activation
      completions refine the single worst-case jitter [J] whenever the
      worst response is not attained by the window's first activation.
+     The subtraction stays raw: the candidate can legitimately be
+     negative, and clamping it before the outer [max] would raise the
+     minimum unsoundly.
 
    Each candidate is monotone in [n], so any pointwise [max] of them is a
    well-formed distance curve; the [max] of sound lower bounds is itself
-   sound, which is also why the [optimal] mode (pointwise max over every
-   mode) is sound. *)
-
-let jitter_term stream ~spread n =
-  Time.sub_clamped (Stream.delta_min stream n) (Time.of_int spread)
-
-let floor_term rate n = Time.of_int ((n - 1) * rate)
-
-(* Unclamped busy-window candidate.  The subtraction must stay raw: the
-   candidate can legitimately be negative and clamping it before the
-   outer [max] would raise the minimum unsoundly. *)
-let busy_window_term stream ~r_minus ~profile n =
-  let q_max = Array.length profile.finishes in
-  let best = ref Time.Inf in
-  for q = 1 to q_max do
-    let d = Stream.delta_min stream (n + q - 1) in
-    let candidate =
-      match d with
-      | Time.Inf -> Time.Inf
-      | Time.Fin d -> Time.of_int (d - profile.finishes.(q - 1))
-    in
-    best := Time.min !best candidate
-  done;
-  Time.add !best (Time.of_int r_minus)
-
-let delta_min_of_mode ~mode ~r_minus ~spread ~bmin ~profile stream n =
-  match mode with
-  | Theta_tau | Optimal ->
-    invalid_arg "Propagation.delta_min_of_mode: handled by derive"
-  | Jitter -> Time.max Time.zero (jitter_term stream ~spread n)
-  | Jitter_offset ->
-    Time.max (floor_term r_minus n) (jitter_term stream ~spread n)
-  | Jitter_bmin ->
-    Time.max (floor_term bmin n) (jitter_term stream ~spread n)
-  | Busy_window -> begin
-    let base =
-      Time.max (floor_term r_minus n) (jitter_term stream ~spread n)
-    in
-    match profile with
-    | None -> base
-    | Some p -> Time.max base (busy_window_term stream ~r_minus ~profile:p n)
-  end
+   sound, which is also why the [optimal] mode (Θτ's curve and every
+   term above) is sound. *)
 
 let output_name name stream =
   match name with
   | Some n -> n
   | None -> Printf.sprintf "out(%s)" (Stream.name stream)
 
+(* The rates of the floors a mode uses; the busy-window term joins when a
+   completion profile is given, Θτ's curve in [Optimal]. *)
+let floor_rates ~mode ~r_minus ~bmin =
+  match mode with
+  | Theta_tau | Jitter -> []
+  | Jitter_offset | Busy_window -> [ r_minus ]
+  | Jitter_bmin -> [ bmin ]
+  | Optimal -> [ r_minus; bmin ]
+
+(* The pointwise max of the terms as one range kernel over the packed
+   input; [packed_inf] in the input propagates through every term. *)
+let delta_min_table ~spread ~r_minus ~rates ~finishes ~theta din =
+  let inf = Curve.packed_inf in
+  let q_max = Array.length finishes in
+  Curve.table ~pointwise:true (fun ~n0 ~len ~dst ~pos ->
+    (* the busy-window term at n reads the input at n .. n + q_max - 1 *)
+    let d = Array.make (len + Stdlib.max 0 (q_max - 1)) 0 in
+    Curve.eval_range_into din ~n0 ~len:(Array.length d) ~dst:d ~pos:0;
+    (match theta with
+     | Some t -> Curve.eval_range_into t ~n0 ~len ~dst ~pos
+     | None -> Array.fill dst pos len 0);
+    for i = 0 to len - 1 do
+      let n = n0 + i in
+      let jitter = if d.(i) = inf then inf else Stdlib.max 0 (d.(i) - spread) in
+      let m = ref (Stdlib.max dst.(pos + i) jitter) in
+      List.iter (fun r -> m := Stdlib.max !m ((n - 1) * r)) rates;
+      (* at an infinite input distance the jitter term is already
+         infinite; otherwise the q = 1 candidate is finite *)
+      if q_max > 0 && d.(i) <> inf then begin
+        let best = ref inf in
+        for q = 1 to q_max do
+          let v = d.(i + q - 1) in
+          if v <> inf then best := Stdlib.min !best (v - finishes.(q - 1))
+        done;
+        m := Stdlib.max !m (!best + r_minus)
+      end;
+      dst.(pos + i) <- !m
+    done)
+
 (* ------------------------------------------------------------------ *)
 (* Compact construction.
 
    When the input's minimum-distance curve carries a compact periodic
-   tail (plen, pe, pt), every candidate term is eventually exactly
-   pe-block periodic:
+   tail (plen, pe, pt), every term [T] satisfies
+   [T (n + pe) <= T n + inc] for [n >= start], with equality except for
+   the clamped jitter term while it is clamped:
 
-   - the jitter term inherits the input tail: for [n >= plen + 2],
-     [term (n + pe) = term n + pt] (curve extension semantics);
-   - a floor term with rate [r] satisfies
-     [term (n + pe) = term n + pe * r] everywhere;
+   - the jitter term inherits the input tail, [inc = pt], for
+     [n >= plen + 2] (curve extension semantics);
+   - a floor with rate [r] has [inc = pe * r] everywhere;
    - each busy-window candidate is the input curve shifted by [q - 1]
      events minus a constant, so it inherits the input tail, and so does
      the min of the finitely many of them;
-   - the Theta_tau curve (optimal mode) exposes its own compact tail
-     whose pe-block increment is one of the same rates.
+   - Θτ's curve (optimal mode) exposes its own compact tail
+     (plen_t, pe_t, pt_t); when [pe_t] divides [pe] its pe-block
+     increment is [(pe / pe_t) * pt_t] for [n >= plen_t + 2].
 
-   Let [ptc] be the largest pe-block increment among the terms.  If at
-   some index [n] the max is attained by a term with increment [ptc],
-   then at [n + pe] that term gained [ptc] while every other term gained
-   at most [ptc], so it still attains the max and
-   [M (n + pe) = M n + ptc].  Verifying attainment on one full period
-   [p+1 .. p+pe] past every term's analytic periodicity start therefore
-   certifies [M (n + pe) = M n + ptc] for all [n > p], and the values up
-   to [p + pe] are the prefix of an exact compact periodic curve.  If no
-   attainment window is found below a cap (the crossover between a slow
-   floor and a faster tail sits arbitrarily far out for extreme jitter),
-   the caller falls back to the closure-backed stream — never unsound,
-   only less compact.  Compactness is what downstream consumers key on:
-   [Shaper.delay_bound] takes its exact periodic-tail branch instead of
-   the wide-window slope-estimate fallback, which misclassifies
-   large-jitter inputs as unbounded. *)
+   Let [ptc] be the largest increment and [M] the max of the terms, so
+   [M n <= M (n - pe) + ptc] once [n - pe >= start].  Suppose equality
+   holds at such an [n].  Then some term with increment [ptc] attained
+   the max at [n - pe] and gained the full [ptc] (for the jitter term
+   that makes it unclamped at [n] when [ptc > 0], and it stays so), so
+   it attains the max at [n], and [M (n + pe) = M n + ptc] follows;
+   by induction the equation holds at every later index of [n]'s
+   residue class.  A window of [pe] consecutive indices past
+   [start + pe - 1] covers every residue class, so [Curve.periodic_from]
+   with that start, window [pe] and tail [(pe, ptc)] is a sound
+   certificate.  If none is found below the cap (the crossover between a
+   slow floor and a faster tail sits arbitrarily far out for extreme
+   jitter), or Θτ's curve has no compatible tail, the table itself is
+   the result: never unsound, only less compact.  Compactness is what
+   downstream consumers key on: [Shaper.delay_bound] takes its exact
+   periodic-tail branch instead of the wide-window slope-estimate
+   fallback, which misclassifies large-jitter inputs as unbounded. *)
 
-let compact_delta_min_curve ~mode ~r_minus ~spread ~bmin ~profile ?theta
-    stream =
-  let din = Stream.delta_min_curve stream in
+let compact_delta_min ~rates ~theta table din =
   match Curve.periodic_tail din with
   | None -> None
   | Some (plen, pe, pt) -> begin
-    let inf = Curve.packed_inf in
-    let floors =
-      match mode with
-      | Theta_tau -> invalid_arg "Propagation.compact_delta_min_curve"
-      | Jitter -> [ 0 ]
-      | Jitter_offset -> [ r_minus ]
-      | Jitter_bmin -> [ bmin ]
-      | Busy_window -> [ r_minus ]
-      | Optimal -> [ r_minus; bmin ]
-    in
-    let q_max =
-      match mode, profile with
-      | (Busy_window | Optimal), Some p -> Array.length p.finishes
-      | _ -> 0
-    in
     let theta_tail =
       match theta with
-      | None -> Some None
+      | None -> Some (2, 0)
       | Some t -> begin
         match Curve.periodic_tail t with
         | Some (plen_t, pe_t, pt_t) when pe mod pe_t = 0 ->
-          Some (Some (plen_t, (pe / pe_t) * pt_t))
-        | Some _ | None -> None  (* incompatible block period: bail *)
+          Some (plen_t + 2, (pe / pe_t) * pt_t)
+        | Some _ | None -> None
       end
     in
     match theta_tail with
     | None -> None
-    | Some theta_tail ->
-      let rmax = List.fold_left Stdlib.max 0 floors in
+    | Some (theta_start, theta_inc) ->
       let ptc =
-        Stdlib.max pt
-          (Stdlib.max (pe * rmax)
-             (match theta_tail with Some (_, inc) -> inc | None -> 0))
+        List.fold_left
+          (fun acc r -> Stdlib.max acc (pe * r))
+          (Stdlib.max pt theta_inc) rates
       in
-      (* analytic periodicity start of every term *)
-      let start =
-        Stdlib.max (plen + 2)
-          (match theta_tail with Some (p_t, _) -> p_t + 2 | None -> 2)
-      in
-      let cap = start + (16 * pe) + 8192 in
-      (* packed input values for n = 2 .. cap + q_max - 1 *)
-      let din_len = cap + q_max in
-      let din_v = Array.make din_len 0 in
-      Curve.eval_range_into din ~n0:2 ~len:din_len ~dst:din_v ~pos:0;
-      let theta_v =
-        match theta with
-        | None -> [||]
-        | Some t ->
-          let v = Array.make (cap - 1) 0 in
-          Curve.eval_range_into t ~n0:2 ~len:(cap - 1) ~dst:v ~pos:0;
-          v
-      in
-      let fin =
-        match profile with
-        | Some p when q_max > 0 -> p.finishes
-        | _ -> [||]
-      in
-      let exception Bail in
-      (* value and dominant-term value (max over increment-ptc terms) *)
-      let term_values n =
-        let d = din_v.(n - 2) in
-        if d = inf then raise Bail;
-        let jit = Stdlib.max 0 (d - spread) in
-        let m = ref jit in
-        (* the clamp breaks exact pe-block periodicity while [d < spread],
-           so the jitter term is only dominant once unclamped *)
-        let dom = ref (if pt = ptc && d >= spread then jit else min_int) in
-        List.iter
-          (fun r ->
-            let v = (n - 1) * r in
-            if v > !m then m := v;
-            if pe * r = ptc && v > !dom then dom := v)
-          floors;
-        if q_max > 0 then begin
-          let best = ref max_int in
-          for q = 1 to q_max do
-            let d = din_v.(n + q - 3) in
-            if d = inf then raise Bail;
-            let c = d - fin.(q - 1) in
-            if c < !best then best := c
-          done;
-          let bw = !best + r_minus in
-          if bw > !m then m := bw;
-          if pt = ptc && bw > !dom then dom := bw
-        end;
-        (match theta, theta_tail with
-         | Some _, Some (_, inc) ->
-           let v = theta_v.(n - 2) in
-           if v = inf then raise Bail;
-           if v > !m then m := v;
-           if inc = ptc && v > !dom then dom := v
-         | _ -> ());
-        !m, !dom
-      in
-      match
-        let values = Array.make (cap - 1) 0 in
-        let run = ref 0 in
-        let found = ref 0 in
-        (try
-           let n = ref 2 in
-           while !found = 0 && !n <= cap do
-             let m, dom = term_values !n in
-             values.(!n - 2) <- m;
-             if !n >= start && dom = m then begin
-               incr run;
-               if !run >= pe then found := !n
-             end
-             else run := 0;
-             incr n
-           done
-         with Bail -> found := -1);
-        !found, values
-      with
-      | 0, _ | -1, _ -> None
-      | n, values ->
-        (* prefix covers 2 .. n, tail (pe, ptc) certified for all
-           indices past p = n - pe *)
-        Some (Curve.periodic
-                ~prefix:(Array.sub values 0 (n - 1))
-                ~period_events:pe ~period_time:ptc)
+      let start = Stdlib.max (plen + 2) theta_start in
+      Curve.periodic_from table ~start:(start + pe - 1) ~window:pe
+        ~cap:(start + (16 * pe) + 8192) ~period_events:pe ~period_time:ptc
   end
-
-let compact_delta_plus_curve ~spread stream =
-  let dp = Stream.delta_plus_curve stream in
-  match Curve.periodic_tail dp with
-  | None -> None
-  | Some (plen, pe, pt) ->
-    let vals = Array.make plen 0 in
-    Curve.eval_range_into dp ~n0:2 ~len:plen ~dst:vals ~pos:0;
-    if Array.exists (fun v -> v = Curve.packed_inf) vals then None
-    else
-      Some
-        (Curve.periodic
-           ~prefix:(Array.map (fun v -> v + spread) vals)
-           ~period_events:pe ~period_time:pt)
 
 let derive ?name ~mode ~response ~bmin ?profile stream =
   if bmin < 0 then invalid_arg "Propagation.derive: negative bmin";
   match mode with
-  | Theta_tau ->
-    (* the exact recursion, including the compact kernel path *)
-    Task_op.output ?name ~response stream
-  | Jitter | Jitter_offset | Jitter_bmin | Busy_window -> begin
+  | Theta_tau -> Task_op.output ?name ~response stream
+  | Jitter | Jitter_offset | Jitter_bmin | Busy_window | Optimal ->
     let r_minus = Interval.lo response in
     let spread = Interval.width response in
-    match compact_delta_min_curve ~mode ~r_minus ~spread ~bmin ~profile stream with
-    | Some delta_min ->
-      let delta_plus =
-        match compact_delta_plus_curve ~spread stream with
-        | Some c -> c
-        | None ->
-          Curve.make (fun n ->
-              Time.add (Stream.delta_plus stream n) (Time.of_int spread))
-      in
-      Stream.of_curves ~name:(output_name name stream) ~delta_min ~delta_plus
-    | None ->
-      let delta_min n =
-        delta_min_of_mode ~mode ~r_minus ~spread ~bmin ~profile stream n
-      in
-      let delta_plus n =
-        Time.add (Stream.delta_plus stream n) (Time.of_int spread)
-      in
-      Stream.make ~name:(output_name name stream) ~delta_min ~delta_plus
-  end
-  | Optimal -> begin
-    (* pointwise-tightest sound output: max of every mode's delta_min
-       (delta_plus is the same [+ J] shift in all of them).  Theta_tau
-       dominates the nonrecursive jitter family whenever [bmin <= r-]
+    let rates = floor_rates ~mode ~r_minus ~bmin in
+    let finishes =
+      match mode, profile with
+      | (Busy_window | Optimal), Some p -> p.finishes
+      | _ -> [||]
+    in
+    (* Θτ dominates the nonrecursive jitter family whenever [bmin <= r-]
        (always true for analysed elements, where both come from the same
        response interval), but taking the explicit max keeps dominance
-       unconditional for arbitrary caller-supplied [bmin]. *)
-    let r_minus = Interval.lo response in
-    let spread = Interval.width response in
-    let theta = Task_op.output ~response stream in
-    let closure () =
-      let modes = [ Jitter; Jitter_offset; Jitter_bmin; Busy_window ] in
-      let delta_min n =
-        List.fold_left
-          (fun acc m ->
-            Time.max acc
-              (delta_min_of_mode ~mode:m ~r_minus ~spread ~bmin ~profile
-                 stream n))
-          (Stream.delta_min theta n) modes
-      in
-      let delta_plus n = Stream.delta_plus theta n in
-      Stream.make ~name:(output_name name stream) ~delta_min ~delta_plus
+       unconditional for arbitrary caller-supplied [bmin] *)
+    let theta =
+      match mode with
+      | Optimal -> Some (Task_op.delta_min ~response stream)
+      | _ -> None
     in
-    match
-      compact_delta_min_curve ~mode ~r_minus ~spread ~bmin ~profile
-        ~theta:(Stream.delta_min_curve theta) stream
-    with
-    | Some delta_min ->
-      Stream.of_curves ~name:(output_name name stream) ~delta_min
-        ~delta_plus:(Stream.delta_plus_curve theta)
-    | None -> closure ()
-  end
+    let din = Stream.delta_min_curve stream in
+    let table =
+      delta_min_table ~spread ~r_minus ~rates ~finishes ~theta din
+    in
+    let delta_min =
+      match compact_delta_min ~rates ~theta table din with
+      | Some curve -> curve
+      | None -> table
+    in
+    Stream.of_curves ~name:(output_name name stream) ~delta_min
+      ~delta_plus:(Task_op.delta_plus ~spread stream)

@@ -79,12 +79,15 @@ val derive :
     [optimal] modes.  [Theta_tau] delegates to {!Task_op.output}
     (including its compact kernel path).
 
-    When the input's minimum-distance curve carries a compact periodic
-    tail, the other modes also build compact periodic output curves,
-    certified by a verified attainment window (see the implementation
-    comment).  Downstream consumers that branch on exact periodic tails
-    — notably {!Shaper.delay_bound} — then take their exact path instead
-    of heuristic wide-window fallbacks.  When no tail is available (or
-    the certificate search hits its cap), the result degrades to an
-    equivalent closure-backed stream; values are identical either way.
+    Every other mode computes its [delta_min] as one packed range kernel
+    ({!Curve.table}) taking the pointwise max of its terms.  When the
+    input's minimum-distance curve carries a compact periodic tail,
+    {!Curve.periodic_from} certifies that max as a compact periodic
+    curve (the proof is in the implementation comment).  Downstream
+    consumers that branch on exact periodic tails — notably
+    {!Shaper.delay_bound} — then take their exact path instead of
+    heuristic wide-window fallbacks.  When no tail is available (or the
+    certificate search hits its cap), the result is the table-backed
+    curve itself; values are identical either way.  [delta_plus] is
+    {!Task_op.delta_plus} in every mode.
     @raise Invalid_argument when [bmin < 0]. *)

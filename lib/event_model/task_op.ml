@@ -1,4 +1,3 @@
-module Time = Timebase.Time
 module Interval = Timebase.Interval
 
 (* Table fallbacks for inputs without a periodic tail: the recurrence
@@ -43,11 +42,11 @@ let table_delta_plus ~spread stream =
      [p0 = plen+1+pe] on, so [out (n+1) = out n + r] — tail [(1, r)].
    - [delta > 0]: the arrival term wins eventually — tail [(pe, pt)].
 
-   Rather than trusting the closed form, the constructor reads the exact
-   recurrence (the table fallback) up to a candidate prefix end [p] and
-   {e verifies} one
-   full period beyond it ([out n = out (n - pe') + pt'] for
-   [p < n <= p + pe]).  That check is a sound certificate: both the
+   Rather than trusting the closed form, the constructor hands the exact
+   recurrence (the table fallback) to [Curve.periodic_from], which
+   {e verifies} one full period beyond a candidate prefix end [p]
+   ([out n = out (n - pe') + pt'] for [p < n <= p + pe]).  That check
+   is a sound certificate: both the
    candidate curve and the true recurrence then shift additively
    ([X (n+pe) = X n + pt'*(pe/pe')], [c (n+pe) <= c n + pt] with equality
    beyond the clamp point), so agreement on one period propagates to all
@@ -58,18 +57,6 @@ let table_delta_plus ~spread stream =
    window check fails the prefix is extended; past a cap the constructor
    returns the table recurrence itself, already filled, so compactness is
    an optimisation, never a change in semantics. *)
-
-let rec grow_to arr n =
-  let len = Array.length !arr in
-  if n >= len then begin
-    let grown = Array.make (Stdlib.max 64 (grow_len len n)) 0 in
-    Array.blit !arr 0 grown 0 len;
-    arr := grown
-  end
-
-and grow_len len n =
-  let rec go k = if k > n then k else go (k * 2) in
-  go (Stdlib.max 64 len)
 
 let compact_delta_min ~r ~spread ~recurrence in_curve =
   match Curve.periodic_tail in_curve with
@@ -95,37 +82,8 @@ let compact_delta_min ~r ~spread ~recurrence in_curve =
             (Stdlib.max p0 (pe + 1))
             (if delta > 0 then n_c + pe else 2)
         in
-        let out = ref [||] and filled = ref 0 in
-        (* make indices 0 .. n of [out] valid *)
-        let ensure n =
-          if n >= !filled then begin
-            grow_to out n;
-            Curve.eval_range_into recurrence ~n0:!filled
-              ~len:(n + 1 - !filled) ~dst:!out ~pos:!filled;
-            filled := n + 1
-          end
-        in
-        let rec attempt p =
-          if p > cap then None
-          else begin
-            ensure (p + pe);
-            let ov = !out in
-            let ok = ref true in
-            for n = p + 1 to p + pe do
-              if ov.(n) <> ov.(n - pe') + pt' then ok := false
-            done;
-            if not !ok then attempt (p + pe)
-            else begin
-              let prefix = Array.sub ov 2 (p - 1) in
-              match
-                Curve.periodic ~prefix ~period_events:pe' ~period_time:pt'
-              with
-              | curve -> Some curve
-              | exception Invalid_argument _ -> None
-            end
-          end
-        in
-        attempt start
+        Curve.periodic_from recurrence ~start ~window:pe ~cap
+          ~period_events:pe' ~period_time:pt'
       end
     end
 
@@ -146,26 +104,27 @@ let compact_delta_plus ~spread in_plus =
       | exception Invalid_argument _ -> None
     end
 
-let output ?name ~response stream =
+let delta_min ~response stream =
   let r_minus = Interval.lo response in
   let spread = Interval.width response in
-  let delta_min =
-    let recurrence = table_delta_min ~r_minus ~spread stream in
-    match
-      compact_delta_min ~r:r_minus ~spread ~recurrence
-        (Stream.delta_min_curve stream)
-    with
-    | Some curve -> curve
-    | None -> recurrence
-  in
-  let delta_plus =
-    match compact_delta_plus ~spread (Stream.delta_plus_curve stream) with
-    | Some curve -> curve
-    | None -> table_delta_plus ~spread stream
-  in
+  let recurrence = table_delta_min ~r_minus ~spread stream in
+  match
+    compact_delta_min ~r:r_minus ~spread ~recurrence
+      (Stream.delta_min_curve stream)
+  with
+  | Some curve -> curve
+  | None -> recurrence
+
+let delta_plus ~spread stream =
+  match compact_delta_plus ~spread (Stream.delta_plus_curve stream) with
+  | Some curve -> curve
+  | None -> table_delta_plus ~spread stream
+
+let output ?name ~response stream =
   let name =
     match name with
     | Some n -> n
     | None -> Printf.sprintf "out(%s)" (Stream.name stream)
   in
-  Stream.of_curves ~name ~delta_min ~delta_plus
+  Stream.of_curves ~name ~delta_min:(delta_min ~response stream)
+    ~delta_plus:(delta_plus ~spread:(Interval.width response) stream)

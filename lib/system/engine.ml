@@ -3,7 +3,6 @@ module Stream = Event_model.Stream
 module Sem = Event_model.Sem
 module Curve = Event_model.Curve
 module Combine = Event_model.Combine
-module Task_op = Event_model.Task_op
 module Busy_window = Scheduling.Busy_window
 module Rt_task = Scheduling.Rt_task
 module S = Set.Make (String)
@@ -283,15 +282,11 @@ and task_output ctx name =
         | None ->
         let input = activation ctx k in
         let response = ctx.response_of name in
-        match Spec.task_propagation ctx.spec k with
-        | Event_model.Propagation.Theta_tau ->
-          Task_op.output ~name:(name ^ ".out") ~response input
-        | mode ->
-          Event_model.Propagation.derive ~name:(name ^ ".out") ~mode
-            ~response
-            ~bmin:(Interval.lo k.Spec.cet)
-            ?profile:(Hashtbl.find_opt ctx.profiles name)
-            input)))
+        Event_model.Propagation.derive ~name:(name ^ ".out")
+          ~mode:(Spec.task_propagation ctx.spec k) ~response
+          ~bmin:(Interval.lo k.Spec.cet)
+          ?profile:(Hashtbl.find_opt ctx.profiles name)
+          input)))
 
 and frame_pre ctx name =
   memo_deps ctx ctx.frames_pre name ~extra:S.empty (fun () ->

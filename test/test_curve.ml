@@ -286,6 +286,53 @@ let test_deep_probe_pointwise () =
     true
     (allocated < 16e6)
 
+(* The compact-curve certifier on table curves.  [f] settles into
+   f (n + 3) = f n + 40 from n = 150 on; before that it grows by one
+   per event, so a window that starts too early fails and the search
+   moves on. *)
+let settling n =
+  if n <= 1 then 0
+  else if n < 150 then n
+  else 150 + (((n - 150) / 3) * 40) + ((n - 150) mod 3)
+
+let table_of f =
+  Curve.table ~pointwise:true (fun ~n0 ~len ~dst ~pos ->
+    for i = 0 to len - 1 do
+      dst.(pos + i) <- f (n0 + i)
+    done)
+
+let test_periodic_from_settles () =
+  match
+    Curve.periodic_from (table_of settling) ~start:10 ~window:3 ~cap:1000
+      ~period_events:3 ~period_time:40
+  with
+  | None -> Alcotest.fail "no certificate for an eventually periodic table"
+  | Some c ->
+    (match Curve.periodic_tail c with
+     | Some (plen, pe, pt) ->
+       Alcotest.(check (pair int int)) "tail" (3, 40) (pe, pt);
+       (* first candidate p = 10 + 3k whose window p+1 .. p+3 lies at
+          n - 3 >= 150: p = 154, so the prefix covers 2 .. 154 *)
+       Alcotest.(check int) "prefix length" 153 plen
+     | None -> Alcotest.fail "certified curve is not compact");
+    for n = 0 to 5000 do
+      if Time.to_int (Curve.eval c n) <> settling n then
+        Alcotest.failf "value differs at n=%d" n
+    done
+
+let test_periodic_from_cap () =
+  (* still growing by one per event at the cap: no certificate *)
+  Alcotest.(check bool) "never settles before cap" true
+    (Option.is_none
+       (Curve.periodic_from (table_of settling) ~start:10 ~window:3 ~cap:100
+          ~period_events:3 ~period_time:40));
+  (* quadratic growth never settles at all *)
+  Alcotest.(check bool) "never settles" true
+    (Option.is_none
+       (Curve.periodic_from
+          (table_of (fun n -> n * n))
+          ~start:4 ~window:2 ~cap:2000 ~period_events:2 ~period_time:8))
+
 (* property: count_lt matches brute force on random step curves *)
 let arb_steps = QCheck.(list_of_size (Gen.int_range 1 30) (int_range 0 20))
 
@@ -467,6 +514,10 @@ let () =
         [
           Alcotest.test_case "deep probe on a pointwise table" `Quick
             test_deep_probe_pointwise;
+          Alcotest.test_case "periodic_from certifies a settled table" `Quick
+            test_periodic_from_settles;
+          Alcotest.test_case "periodic_from gives up at the cap" `Quick
+            test_periodic_from_cap;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

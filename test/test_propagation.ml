@@ -1,6 +1,8 @@
 (* Tests for the pluggable output-model propagation family: sanitizers,
-   dominance ordering, mode invariance on jitter-free inputs, compact /
-   closure agreement, and the shaper routing regression. *)
+   dominance ordering, mode invariance on jitter-free inputs, agreement
+   of the compact and table curves with a closure reference (on compact,
+   closure-backed, OR-combined and eventually infinite inputs), and the
+   shaper routing regression. *)
 
 module Time = Timebase.Time
 module Interval = Timebase.Interval
@@ -11,7 +13,10 @@ module Shaper = Event_model.Shaper
 
 let time = Alcotest.testable Time.pp Time.equal
 
-let probe_ns = [ 2; 3; 4; 5; 7; 11; 16; 33; 64; 100; 257; 1000; 4001 ]
+(* 32768 and 40000 lie past the dense prefix of the table backend, so
+   they reach the pointwise spill path of the derived curves *)
+let probe_ns =
+  [ 2; 3; 4; 5; 7; 11; 16; 33; 64; 100; 257; 1000; 4001; 32768; 40000 ]
 
 (* ------------------------------------------------------------------ *)
 (* Generators *)
@@ -33,7 +38,26 @@ let arb_stream =
         Stream.periodic_burst ~name:"s" ~period ~burst ~d_min:d)
       (triple (int_range 10 300) (int_range 0 10) (int_range 1 15))
   in
-  choose [ jittered; bursty ]
+  let compact = choose [ jittered; bursty ] in
+  (* the same distances behind a closure, so derive takes its table path *)
+  let closure s =
+    Stream.make ~name:"c" ~delta_min:(Stream.delta_min s)
+      ~delta_plus:(Stream.delta_plus s)
+  in
+  (* infinite distances past event [k]: at most [k] events ever arrive *)
+  let finite_until (k, s) =
+    let cut f n = if n > k then Time.Inf else f n in
+    Stream.make ~name:"f" ~delta_min:(cut (Stream.delta_min s))
+      ~delta_plus:(cut (Stream.delta_plus s))
+  in
+  frequency
+    [
+      2, compact;
+      1, map closure compact;
+      1, map (fun (a, b) -> Event_model.Combine.or_combine [ a; b ])
+           (pair compact compact);
+      1, map finite_until (pair (int_range 6 300) compact);
+    ]
 
 let arb_response =
   QCheck.map
@@ -182,8 +206,9 @@ let reference_delta_min ~mode ~r ~bmin ~profile s n =
     Time.max (Time.max (floor r_minus) jit) (bw ())
 
 let prop_compact_matches_reference =
-  (* the compact verified-window construction must agree with a direct
-     closure recomputation everywhere, deep probes included *)
+  (* the compact verified-window construction and the table kernel must
+     agree with a direct closure recomputation everywhere, deep probes
+     included *)
   QCheck.Test.make ~name:"compact derive = reference closure" ~count:120
     arb_profiled_case (fun (s, r, b, p) ->
       List.for_all
