@@ -58,15 +58,75 @@ let default_horizon policy items =
   in
   Stdlib.min 4096 (Stdlib.max 128 (span + (2 * demand) + (8 * cycle)))
 
+(* Item reuse.  The global analysis re-analyses a whole resource when
+   any one of its items' inputs moved, so many items of a later
+   iteration see the same inputs as in an earlier one.  The cache
+   keeps, per item name, the last arrival curves with the activation,
+   horizon and CET they were built from, and the last outcome with the arrival
+   curves, service curve and CET it was built from.  Each entry is a
+   pure function of what is stored next to it (and of the item's name,
+   the key; names are unique per spec, [Spec.validate]):
+
+   - [Convert.of_stream] reads only the activation, the horizon and the
+     CET, and streams are immutable values, so the same stream ([==])
+     gives the same curves;
+   - [gpc_item] reads only the two arrival curves, the service curve
+     and the CET.  [Rtc.Curve.equal] is representation equality
+     (kind, samples, tail rate, tail offset), which is everything a
+     kernel reads, so equal curves give the same GPC result and the same
+     output stream.
+
+   A hit therefore returns exactly what recomputing would; only the
+   work counters differ.  Escalation rounds miss, since the horizon is
+   part of every key.  The remaining-service folds are not kept: they
+   are cheap next to the GPC step, and they are what would make the
+   cache large. *)
+type curves_entry = {
+  c_activation : Stream.t;
+  c_horizon : int;
+  c_cet : Interval.t;
+  curves : (Convert.curves, string) result;
+}
+
+type outcome_entry = {
+  o_upper : Rtc.Curve.t;
+  o_lower : Rtc.Curve.t;
+  o_service : Rtc.Curve.t;
+  o_cet : Interval.t;
+  outcome : outcome;
+}
+
+type cache = {
+  item_curves : (string, curves_entry) Hashtbl.t;
+  item_outcomes : (string, outcome_entry) Hashtbl.t;
+}
+
+let cache () =
+  { item_curves = Hashtbl.create 16; item_outcomes = Hashtbl.create 16 }
+
+let same_curve a b = a == b || Rtc.Curve.equal a b
+
 (* Arrival curves of one item, or the reason none exist (activations
    admitting unboundedly many events in a finite window). *)
-let item_curves ~horizon it =
-  match
-    Convert.of_stream ~horizon ~wcet:(Interval.hi it.cet)
-      ~bcet:(Interval.lo it.cet) it.activation
-  with
-  | curves -> Ok curves
-  | exception Invalid_argument reason -> Error reason
+let item_curves cache ~horizon (it : item) =
+  match Hashtbl.find_opt cache.item_curves it.name with
+  | Some e
+    when e.c_activation == it.activation
+         && e.c_horizon = horizon
+         && Interval.equal e.c_cet it.cet -> e.curves
+  | Some _ | None ->
+    let curves =
+      match
+        Convert.of_stream ~horizon ~wcet:(Interval.hi it.cet)
+          ~bcet:(Interval.lo it.cet) it.activation
+      with
+      | curves -> Ok curves
+      | exception Invalid_argument reason -> Error reason
+    in
+    Hashtbl.replace cache.item_curves it.name
+      { c_activation = it.activation; c_horizon = horizon; c_cet = it.cet;
+        curves };
+    curves
 
 let unbounded name reason = { name; response = Busy_window.Unbounded reason; output = None }
 
@@ -79,7 +139,7 @@ let unbounded name reason = { name; response = Busy_window.Unbounded reason; out
    [t + [bcet : delay]], so departures in a window of [dt] are at least
    the arrivals in a window of [dt - (delay - bcet)]).  That shift is
    applied in the pseudo-inversion, not to a copy of the curve. *)
-let process_item ~(curves : Convert.curves) ~service it =
+let gpc_item ~(curves : Convert.curves) ~service (it : item) =
   let result =
     Rtc.Gpc.process ~arrival_upper:curves.Convert.upper ~service_lower:service
   in
@@ -102,6 +162,24 @@ let process_item ~(curves : Convert.curves) ~service it =
       (Printf.sprintf "rtc: arrival rate of %s exceeds its guaranteed service"
          it.name)
 
+(* [gpc_item] unless the item's last outcome was built from the same
+   curves and CET (see the cache above). *)
+let process_item cache ~(curves : Convert.curves) ~service (it : item) =
+  match Hashtbl.find_opt cache.item_outcomes it.name with
+  | Some e
+    when Interval.equal e.o_cet it.cet
+         && same_curve e.o_upper curves.Convert.upper
+         && same_curve e.o_lower curves.Convert.lower
+         && same_curve e.o_service service ->
+    Obs.Metrics.incr Rtc.Stats.items_reused;
+    e.outcome
+  | Some _ | None ->
+    let outcome = gpc_item ~curves ~service it in
+    Hashtbl.replace cache.item_outcomes it.name
+      { o_upper = curves.Convert.upper; o_lower = curves.Convert.lower;
+        o_service = service; o_cet = it.cet; outcome };
+    outcome
+
 (* Static priorities: each item's service is what remains of the full
    resource after greedily serving every interferer (equal priorities
    interfere, as in [Busy_window.higher_priority]); SPNP first delays
@@ -114,9 +192,11 @@ let process_item ~(curves : Convert.curves) ~service it =
    the k-th item's service extends the (k-1)-th's.  Each partial fold is
    computed once per blocking term and prefix; sharing the curve is
    exact, since the same fold of the same curves gives the same one. *)
-let analyse_static ~horizon ~blocking items =
+let analyse_static cache ~horizon ~blocking items =
   let base = Rtc.Workload.service_full ~horizon in
-  let curves = List.mapi (fun i it -> i, it, item_curves ~horizon it) items in
+  let curves =
+    List.mapi (fun i it -> i, it, item_curves cache ~horizon it) items
+  in
   let folds = Hashtbl.create 16 in
   let fold key compute =
     match Hashtbl.find_opt folds key with
@@ -169,7 +249,7 @@ let analyse_static ~horizon ~blocking items =
         in
         match serve (b, []) blocked interferers with
         | Error reason -> unbounded it.name ("rtc: " ^ reason)
-        | Ok service -> process_item ~curves:own ~service it
+        | Ok service -> process_item cache ~curves:own ~service it
       end)
     curves
 
@@ -177,7 +257,7 @@ let analyse_static ~horizon ~blocking items =
    the certified TDMA lower service of its own slot in the full cycle.
    Round robin is bounded the same way — in the worst case every other
    item spends its full quantum, which is exactly a TDMA cycle. *)
-let analyse_slotted ~horizon items =
+let analyse_slotted cache ~horizon items =
   let slot_of it =
     match it.service with
     | Some s when s >= 1 -> s
@@ -189,13 +269,13 @@ let analyse_slotted ~horizon items =
   let cycle = List.fold_left (fun acc it -> acc + slot_of it) 0 items in
   List.map
     (fun it ->
-      match item_curves ~horizon it with
+      match item_curves cache ~horizon it with
       | Error reason -> unbounded it.name ("rtc: " ^ reason)
       | Ok curves ->
         let service =
           Rtc.Workload.service_tdma ~horizon ~slot:(slot_of it) ~cycle
         in
-        process_item ~curves ~service it)
+        process_item cache ~curves ~service it)
     items
 
 let bounded r =
@@ -208,12 +288,13 @@ let bounded r =
    target) while some outcome is still unbounded — a short horizon is
    sound at every step, it can only be looser.  Most systems bound every
    item in the first round. *)
-let analyse ~policy items =
+let analyse ?cache:c ~policy items =
+  let c = match c with Some c -> c | None -> cache () in
   let run horizon =
     match policy with
-    | Spp -> analyse_static ~horizon ~blocking:false items
-    | Spnp -> analyse_static ~horizon ~blocking:true items
-    | Tdma | Round_robin -> analyse_slotted ~horizon items
+    | Spp -> analyse_static c ~horizon ~blocking:false items
+    | Spnp -> analyse_static c ~horizon ~blocking:true items
+    | Tdma | Round_robin -> analyse_slotted c ~horizon items
   in
   let target = default_horizon policy items in
   let rec go h =

@@ -65,7 +65,25 @@ val default_horizon : policy -> item list -> int
     slot-based policies) several full cycles; clamped to
     [\[128, 4096\]]. *)
 
-val analyse : policy:policy -> item list -> outcome list
+type cache
+(** The arrival curves and GPC outcome of each item's last analysis,
+    keyed by item name, with the inputs they were built from: the
+    activation stream (compared with [==]), the horizon and the CET for
+    the curves; both arrival curves, the service curve and the CET for
+    the outcome (curves compared with [==] or {!Rtc.Curve.equal}).
+
+    Reuse is exact.  Each entry is a pure function of what is stored
+    next to it: streams are immutable values, {!Rtc.Curve.equal} is
+    representation equality, and item names are unique within a spec
+    ([Spec.validate]).  A hit therefore returns exactly what
+    recomputation would; only the {!Rtc.Stats} work counters differ
+    (and [rtc.items_reused] counts the outcomes served).  The
+    remaining-service folds of static priorities are not kept. *)
+
+val cache : unit -> cache
+(** An empty cache. *)
+
+val analyse : ?cache:cache -> policy:policy -> item list -> outcome list
 (** Analyse every item of one resource, in input order.  Never raises
     for unbounded arrivals or overload — those yield [Unbounded]
     outcomes with a reason.  The sampling range escalates
@@ -73,4 +91,11 @@ val analyse : policy:policy -> item list -> outcome list
     stopping at the first round that bounds every item: curve
     operations are near-linear in the horizon and any horizon is sound
     (a shorter one can only be looser), so well-dimensioned systems pay
-    the small-range cost only. *)
+    the small-range cost only.
+
+    [cache] (default: a fresh one) is consulted before each item's
+    arrival curves and GPC step and updated after them.  Passing the
+    same cache to successive analyses of a resource lets items whose
+    inputs did not move skip their work; the outcomes are the same
+    with or without it.  Escalation rounds miss, since the horizon is
+    part of every key. *)

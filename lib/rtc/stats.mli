@@ -14,12 +14,16 @@ type t = {
       (** service reads of {!Curve.horizontal_deviation} *)
   eta_walk_steps : int;
       (** distance reads of the arrival-table walks of {!Workload} *)
+  items_reused : int;
+      (** items whose GPC outcome [Hybrid.Local] served from its cache
+          instead of recomputing it *)
 }
 
 val deconv_rows : Obs.Metrics.counter
 val deconv_candidates : Obs.Metrics.counter
 val delay_scan_steps : Obs.Metrics.counter
 val eta_walk_steps : Obs.Metrics.counter
+val items_reused : Obs.Metrics.counter
 
 val read : Obs.Metrics.scope -> t
 (** The RTC work charged to one metrics scope. *)

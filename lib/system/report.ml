@@ -60,6 +60,7 @@ let print_effort ppf (result : Engine.result) =
   Format.fprintf ppf "  rtc delay scan steps  %d@ "
     r.Rtc.Stats.delay_scan_steps;
   Format.fprintf ppf "  rtc eta walk steps    %d@ " r.Rtc.Stats.eta_walk_steps;
+  Format.fprintf ppf "  rtc items reused      %d@ " r.Rtc.Stats.items_reused;
   Format.fprintf ppf "@]"
 
 let print_convergence ppf (result : Engine.result) =

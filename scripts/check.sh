@@ -54,6 +54,9 @@ jq -e '.counters["busy_window.windows"] >= 1' "$metrics" > /dev/null \
 dune exec bin/hem_tool.exe -- analyse --file examples/hybrid.spec --metrics "$metrics" > /dev/null
 jq -e '.counters["rtc.deconv_rows"] >= 1' "$metrics" > /dev/null \
   || { echo "check: rtc.deconv_rows counter missing from the hybrid snapshot" >&2; exit 1; }
+# hybrid.spec reuses no RTC item, so only the key's presence is checked
+jq -e '.counters | has("rtc.items_reused")' "$metrics" > /dev/null \
+  || { echo "check: rtc.items_reused counter missing from the hybrid snapshot" >&2; exit 1; }
 rm -f "$metrics"
 echo "check: metrics snapshot smoke ok"
 

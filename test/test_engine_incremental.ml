@@ -238,6 +238,30 @@ let test_warm_own_activation () =
       activation_edit "T4" (Spec.From_signal { frame = "F1"; signal = "sig3" });
     ]
 
+(* The same sessions on the curve backend: every resource on RTC (EDF
+   stays on CPA), and RTC alternating with CPA.  CPU2 is an RTC
+   static-priority resource in both forms, so its CET and priority edits
+   re-analyse RTC items next to items whose inputs did not move. *)
+let rtc_steps =
+  List.map edit
+    [
+      Space.Cet_scale { task = "T5"; percent = 150 };
+      Space.Task_priority { task = "T5"; priority = 1 };
+      Space.Source_period { source = "S4"; period = 300 };
+      Space.Cet_scale { task = "T4"; percent = 80 };
+      Space.Task_priority { task = "T4"; priority = 3 };
+      Space.Cet_scale { task = "T1"; percent = 150 };
+      Space.Frame_tx { frame = "F1"; tx = Interval.make ~lo:3 ~hi:9 };
+      Space.Task_priority { task = "T5"; priority = 2 };
+    ]
+
+let test_warm_forced_rtc () =
+  check_warm_steps (Verify.Oracle.forced_backend Spec.Rtc (or_spec ()))
+    rtc_steps
+
+let test_warm_mixed_backend () =
+  check_warm_steps (Verify.Oracle.mixed_backend (or_spec ())) rtc_steps
+
 let () =
   Alcotest.run "engine_incremental"
     [
@@ -261,5 +285,9 @@ let () =
             test_warm_frame_receivers;
           Alcotest.test_case "edits to a task's own activation" `Quick
             test_warm_own_activation;
+          Alcotest.test_case "edits on the rtc backend" `Quick
+            test_warm_forced_rtc;
+          Alcotest.test_case "edits on mixed backends" `Quick
+            test_warm_mixed_backend;
         ] );
     ]

@@ -154,6 +154,185 @@ let prop_delayed_inversion =
         (List.init 299 (fun i -> i + 2)))
 
 (* ------------------------------------------------------------------ *)
+(* item reuse across analyses *)
+
+module Local = Hybrid.Local
+
+(* The activations the steps swap between.  Shared values, so an item
+   that gets a stream back finds its cached curves by [==]. *)
+let activation_pool =
+  [|
+    Stream.periodic ~name:"a0" ~period:100;
+    Stream.periodic_jitter ~name:"a1" ~period:150 ~jitter:40 ();
+    Stream.periodic ~name:"a2" ~period:80;
+    Stream.periodic_jitter ~name:"a3" ~period:240 ~jitter:300 ~d_min:5 ();
+    Stream.periodic_burst ~name:"a4" ~period:400 ~burst:3 ~d_min:20;
+    Stream.sporadic ~name:"a5" ~d_min:120;
+  |]
+
+let policies = [| Local.Spp; Local.Spnp; Local.Tdma; Local.Round_robin |]
+
+let policy_name = function
+  | Local.Spp -> "spp"
+  | Local.Spnp -> "spnp"
+  | Local.Tdma -> "tdma"
+  | Local.Round_robin -> "round_robin"
+
+type mutation =
+  | Swap_activation of int * int  (** item, pool index *)
+  | Set_cet of int * int * int  (** item, bcet, extra *)
+  | Rotate_priorities of int
+  | Set_slot of int * int  (** item, slot *)
+
+let mutation_name = function
+  | Swap_activation (i, a) -> Printf.sprintf "item %d activation a%d" i a
+  | Set_cet (i, lo, extra) ->
+    Printf.sprintf "item %d cet [%d:%d]" i lo (lo + extra)
+  | Rotate_priorities k -> Printf.sprintf "rotate priorities by %d" k
+  | Set_slot (i, slot) -> Printf.sprintf "item %d slot %d" i slot
+
+let item_of i (a, (lo, extra), prio, slot) =
+  {
+    Local.name = Printf.sprintf "i%d" i;
+    cet = Interval.make ~lo ~hi:(lo + extra);
+    priority = prio;
+    service = Some slot;
+    activation = activation_pool.(a);
+  }
+
+let mutate items = function
+  | Swap_activation (i, a) ->
+    List.mapi
+      (fun j (it : Local.item) ->
+        if j = i then { it with activation = activation_pool.(a) } else it)
+      items
+  | Set_cet (i, lo, extra) ->
+    List.mapi
+      (fun j (it : Local.item) ->
+        if j = i then { it with cet = Interval.make ~lo ~hi:(lo + extra) }
+        else it)
+      items
+  | Rotate_priorities k ->
+    let prios = Array.of_list (List.map (fun (it : Local.item) -> it.priority) items) in
+    let n = Array.length prios in
+    List.mapi
+      (fun j (it : Local.item) -> { it with priority = prios.((j + k) mod n) })
+      items
+  | Set_slot (i, slot) ->
+    List.mapi
+      (fun j (it : Local.item) ->
+        if j = i then { it with service = Some slot } else it)
+      items
+
+let gen_reuse_case =
+  let open QCheck.Gen in
+  let* n = int_range 2 4 in
+  let* policy = oneofa policies in
+  let gen_item =
+    quad
+      (int_range 0 (Array.length activation_pool - 1))
+      (pair (int_range 1 6) (int_range 0 8))
+      (int_range 1 4) (int_range 1 12)
+  in
+  let* items = list_repeat n gen_item in
+  let item = int_range 0 (n - 1) in
+  let gen_mutation =
+    frequency
+      [
+        ( 3,
+          map2 (fun i a -> Swap_activation (i, a)) item
+            (int_range 0 (Array.length activation_pool - 1)) );
+        ( 3,
+          map3 (fun i lo extra -> Set_cet (i, lo, extra)) item (int_range 1 6)
+            (int_range 0 8) );
+        2, map (fun k -> Rotate_priorities k) (int_range 1 (n - 1));
+        2, map2 (fun i slot -> Set_slot (i, slot)) item (int_range 1 12);
+      ]
+  in
+  let+ steps = list_size (int_range 1 8) gen_mutation in
+  policy, List.mapi item_of items, steps
+
+let response_equal a b =
+  match a, b with
+  | Scheduling.Busy_window.Bounded x, Scheduling.Busy_window.Bounded y ->
+    Interval.equal x y
+  | Scheduling.Busy_window.Unbounded x, Scheduling.Busy_window.Unbounded y ->
+    String.equal x y
+  | _ -> false
+
+let output_equal a b =
+  match a, b with
+  | None, None -> true
+  | Some (s, k), Some (s', k') ->
+    Local.output_key_equal k k'
+    && List.for_all
+         (fun n ->
+           Time.equal (Stream.delta_min s n) (Stream.delta_min s' n)
+           && Time.equal (Stream.delta_plus s n) (Stream.delta_plus s' n))
+         (List.init 199 (fun i -> i + 2))
+  | _ -> false
+
+let outcomes_equal (a : Local.outcome list) (b : Local.outcome list) =
+  List.length a = List.length b
+  && List.for_all2
+       (fun (x : Local.outcome) (y : Local.outcome) ->
+         String.equal x.name y.name
+         && response_equal x.response y.response
+         && output_equal x.output y.output)
+       a b
+
+(* One cache follows a resource through a sequence of edits; after every
+   edit its analysis must equal a fresh one. *)
+let prop_cache_exact =
+  QCheck.Test.make ~name:"item cache equals a fresh analysis after every edit"
+    ~count:150
+    (QCheck.make
+       ~print:(fun (policy, items, steps) ->
+         Printf.sprintf "%s, %d items; %s" (policy_name policy)
+           (List.length items)
+           (String.concat "; " (List.map mutation_name steps)))
+       gen_reuse_case)
+    (fun (policy, items, steps) ->
+      let cache = Local.cache () in
+      let agrees items =
+        outcomes_equal
+          (Local.analyse ~cache ~policy items)
+          (Local.analyse ~policy items)
+      in
+      agrees items
+      && snd
+           (List.fold_left
+              (fun (items, ok) m ->
+                let items = mutate items m in
+                items, ok && agrees items)
+              (items, true) steps))
+
+let test_repeat_reuses () =
+  (* a repeated analysis of unchanged items serves every outcome from
+     the cache *)
+  let items =
+    List.mapi item_of
+      [ 0, (2, 1), 1, 4; 1, (3, 0), 2, 4; 2, (1, 2), 3, 4 ]
+  in
+  List.iter
+    (fun policy ->
+      let cache = Local.cache () in
+      let first = Local.analyse ~cache ~policy items in
+      let scope = Obs.Metrics.scope "reuse" in
+      let again =
+        Obs.Metrics.in_scope scope (fun () -> Local.analyse ~cache ~policy items)
+      in
+      Alcotest.(check bool)
+        (policy_name policy ^ ": same outcome values")
+        true
+        (List.for_all2 ( == ) first again);
+      Alcotest.(check int)
+        (policy_name policy ^ ": items reused")
+        (List.length items)
+        (Obs.Metrics.read scope Rtc.Stats.items_reused))
+    (Array.to_list policies)
+
+(* ------------------------------------------------------------------ *)
 (* backend agreement and mixed-backend convergence *)
 
 let point_spec backend =
@@ -456,6 +635,11 @@ let () =
             test_roundtrip_jitter_conservative;
           Alcotest.test_case "first_reaching" `Quick test_first_reaching;
         ] );
+      ( "item reuse",
+        [
+          Alcotest.test_case "repeated analysis reuses every item" `Quick
+            test_repeat_reuses;
+        ] );
       ( "engine",
         [
           Alcotest.test_case "pure backend agreement" `Quick
@@ -474,5 +658,8 @@ let () =
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_roundtrip_conservative; prop_delayed_inversion ] );
+          [
+            prop_roundtrip_conservative; prop_delayed_inversion;
+            prop_cache_exact;
+          ] );
     ]

@@ -106,8 +106,9 @@ let rtc_counters (r : Engine.result) =
    sample) and its rows stopped at a linear-envelope bound, and lowered
    when RTC outputs were compared by their curves instead of probing
    each converted stream (fewer closure evaluations, memo hits and batch
-   sweeps).  Lower a budget when a change cuts the work; never raise one
-   to pass. *)
+   sweeps), and again when RTC items reused their curves and GPC
+   outcomes across iterations.  Lower a budget when a change cuts the
+   work; never raise one to pass. *)
 let rtc_budgets =
   [
     "paper", "rtc",
@@ -121,11 +122,11 @@ let rtc_budgets =
     [ 621; 321; 2; 108; 207; 80; 747; 6; 39; 57; 3; 8; 1544; 1862; 5007;
       32 ];
     "network_8", "rtc",
-    [ 1815; 1384; 96; 195; 410; 189; 1786; 0; 0; 0; 4; 30; 23496; 89257;
-      60951; 260 ];
+    [ 1815; 1329; 64; 147; 344; 189; 1786; 0; 0; 0; 4; 30; 14594; 56127;
+      37782; 207 ];
     "network_8", "mixed",
-    [ 734; 402; 82; 214; 373; 169; 913; 41; 85; 86; 3; 26; 9381; 27350;
-      23629; 89 ];
+    [ 734; 380; 70; 196; 348; 169; 913; 41; 85; 86; 3; 26; 4688; 17491;
+      12484; 68 ];
   ]
 
 let check_budget ~label ~names ~budget run =
@@ -164,6 +165,20 @@ let rtc_budget_case (system, backend, budget) =
           rtc_counters
             (analyse ~mode:Engine.Hierarchical
                (force_backend backend (Registry.find system ())))))
+
+(* Later iterations of network_8 re-analyse resources in which only some
+   items' inputs moved; the others are served from the item cache. *)
+let items_reused_case backend =
+  let label = Printf.sprintf "network_8 hierarchical %s reuses items" backend in
+  Alcotest.test_case label `Quick (fun () ->
+      let run () =
+        (analyse ~mode:Engine.Hierarchical
+           (force_backend backend (Registry.find "network_8" ())))
+          .stats.rtc.items_reused
+      in
+      let first = run () in
+      Alcotest.(check int) "two runs reuse alike" first (run ());
+      if first <= 0 then Alcotest.failf "%s: no item reused" label)
 
 (* ------------------------------------------------------------------ *)
 (* tightness *)
@@ -362,7 +377,9 @@ let () =
   Alcotest.run "registry"
     [
       ( "work budgets",
-        List.map budget_case budgets @ List.map rtc_budget_case rtc_budgets );
+        List.map budget_case budgets
+        @ List.map rtc_budget_case rtc_budgets
+        @ List.map items_reused_case [ "rtc"; "mixed" ] );
       ( "tightness",
         [
           Alcotest.test_case "optimal dominates every propagation mode"
