@@ -134,14 +134,17 @@ let read_file path =
   close_in ic;
   contents
 
+(* the parsed system description in [path]; exits on a read or parse
+   error *)
+let read_spec_file path =
+  match Cpa_system.Spec_file.parse (read_file path) with
+  | Ok description -> description
+  | Error e -> exit_err (Printf.sprintf "%s: %s" path e)
+  | exception Sys_error e -> exit_err e
+
 let load_spec ?(s3_period = Paper.s3_period) = function
   | None -> Paper.spec ~s3_period (), true
-  | Some path -> begin
-    match Cpa_system.Spec_file.parse (read_file path) with
-    | Ok description -> Cpa_system.Spec_file.to_spec description, false
-    | Error e -> exit_err (Printf.sprintf "%s: %s" path e)
-    | exception Sys_error e -> exit_err e
-  end
+  | Some path -> Cpa_system.Spec_file.to_spec (read_spec_file path), false
 
 let file_arg =
   let doc =
@@ -333,11 +336,7 @@ let analyse_cmd =
   let run mode s3_period file propagation backend stats trace trace_level
       metrics selfcheck deadline budget =
     let guard = mk_guard deadline budget in
-    let spec, is_paper =
-      match file with
-      | None -> Paper.spec ~s3_period (), true
-      | Some _ -> load_spec file
-    in
+    let spec, is_paper = load_spec ~s3_period file in
     let spec = apply_backend backend (apply_propagation propagation spec) in
     with_trace trace trace_level @@ fun () ->
     with_metrics metrics @@ fun () ->
@@ -511,12 +510,9 @@ let jobs_arg =
     "Worker domains for the exploration pool (0 = hardware parallelism).  \
      Results are byte-identical for every job count."
   in
-  Arg.(value & opt int 0 & info [ "jobs" ] ~docv:"N" ~doc)
+  Arg.(value & opt (int_at_least 0) 0 & info [ "jobs" ] ~docv:"N" ~doc)
 
-let resolve_jobs = function
-  | 0 -> Explore.Pool.default_jobs ()
-  | j when j >= 1 -> j
-  | _ -> exit_err "--jobs must be >= 0"
+let resolve_jobs = function 0 -> Explore.Pool.default_jobs () | j -> j
 
 type output_format =
   | Table
@@ -611,14 +607,10 @@ let frame_priority_arg =
    the pool's domain-locality contract requires. *)
 let base_builder file s3_period =
   match file with
-  | None -> (fun () -> Paper.spec ~s3_period ()), "paper system"
-  | Some path -> begin
-    match Cpa_system.Spec_file.parse (read_file path) with
-    | Ok description ->
-      (fun () -> Cpa_system.Spec_file.to_spec description), path
-    | Error e -> exit_err (Printf.sprintf "%s: %s" path e)
-    | exception Sys_error e -> exit_err e
-  end
+  | None -> fun () -> Paper.spec ~s3_period ()
+  | Some path ->
+    let description = read_spec_file path in
+    fun () -> Cpa_system.Spec_file.to_spec description
 
 let render_report format report =
   (match format with
@@ -648,7 +640,7 @@ let sweep_cmd =
   let run s3_period file periods cets fprios jobs format deadline budget =
     let jobs = resolve_jobs jobs in
     let guard = mk_guard deadline budget in
-    let base, _ = base_builder file s3_period in
+    let base = base_builder file s3_period in
     let axes = period_axes periods @ cet_axes cets @ frame_priority_axes fprios in
     if axes = [] then
       exit_err "sweep: give at least one --period / --cet-scale / --frame-priority axis";
@@ -676,7 +668,7 @@ let explore_cmd =
       jobs format deadline budget =
     let jobs = resolve_jobs jobs in
     let guard = mk_guard deadline budget in
-    let base, _ = base_builder file s3_period in
+    let base = base_builder file s3_period in
     let base_spec = base () in
     (* [Not_found]: the bus has no frames *)
     let packing_variants bus =

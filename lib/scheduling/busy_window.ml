@@ -17,7 +17,8 @@ let response_interval = function
 
 let default_window_limit = 1_000_000
 
-let default_q_limit = 4096
+(* cap on the activations examined in one busy period *)
+let q_limit = 4096
 
 (* Observability counters, routed through the Obs.Metrics registry so
    work is attributable to the metrics scope of the enclosing analysis. *)
@@ -101,8 +102,7 @@ let spanned ?label ~q_reached run =
   end
   else run ()
 
-let max_response ?label ?(q_limit = default_q_limit) ?record ~best_case
-    ~arrival ~finish () =
+let max_response ?label ?record ~best_case ~arrival ~finish () =
   Metrics.incr c_busy_windows;
   if Guard.Inject.armed () then
     Guard.Inject.fire
@@ -161,37 +161,39 @@ let profile_collector () =
   in
   record, get
 
-let max_backlog ?label ?(q_limit = default_q_limit) ~arrival ~arrivals_in
-    ~finish () =
-  Metrics.incr c_busy_windows;
-  let q_reached = ref 0 in
-  let rec loop q worst =
-    Metrics.incr c_activations;
-    Guard.tick ();
-    q_reached := q;
-    if q > q_limit then
-      Error (Printf.sprintf "busy period exceeds %d activations" q_limit)
-    else
-      match arrival q with
-      | Time.Inf -> Ok worst
-      | Time.Fin _ -> begin
-        match finish q with
-        | None -> Error "busy window diverges (overload)"
-        | Some fin -> begin
-          match arrivals_in fin with
-          | Error _ as e -> e
-          | Ok arrived ->
-            let worst = Stdlib.max worst (arrived - (q - 1)) in
-            let continue_period =
-              match arrival (q + 1) with
-              | Time.Inf -> false
-              | Time.Fin next -> fin > next
-            in
-            if continue_period then loop (q + 1) worst else Ok worst
-        end
-      end
+(* The backlog rides on the response enumeration: [record] sees every
+   (q, fin) pair of the busy period, and the first unbounded arrival
+   count stops the enumeration with its own reason. *)
+let backlog (task : Rt_task.t) run =
+  let exception Stop of string in
+  let worst = ref 1 in
+  let record ~q ~arr:_ ~fin =
+    match Stream.eta_plus task.activation fin with
+    | Count.Fin n -> worst := Stdlib.max !worst (n - (q - 1))
+    | Count.Inf ->
+      raise_notrace
+        (Stop
+           (Printf.sprintf "unbounded arrivals of %s in window %d" task.name
+              fin))
   in
-  spanned ?label ~q_reached (fun () -> loop 1 1)
+  match run record with
+  | Bounded _ -> Ok !worst
+  | Unbounded reason -> Error reason
+  | exception Stop reason -> Error reason
+
+let per_task ~profiled response_time tasks =
+  List.map
+    (fun task ->
+      let others = List.filter (fun t -> t != task) tasks in
+      if profiled then begin
+        let record, profile = profile_collector () in
+        let outcome = response_time ?record:(Some record) ~task ~others () in
+        match outcome with
+        | Bounded _ -> task, outcome, profile ()
+        | Unbounded _ -> task, outcome, None
+      end
+      else task, response_time ?record:None ~task ~others (), None)
+    tasks
 
 (* SoA interference kernel: the per-probe work of [interference] —
    walking a task list, boxing every arrival count, restarting the

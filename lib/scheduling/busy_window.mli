@@ -17,10 +17,9 @@ val pp_outcome : Format.formatter -> outcome -> unit
 val response_interval : outcome -> Timebase.Interval.t option
 
 val default_window_limit : int
-(** Cap on busy-window length before declaring divergence (1_000_000). *)
-
-val default_q_limit : int
-(** Cap on the number of activations examined in one busy period (4096). *)
+(** Cap on busy-window length before declaring divergence (1_000_000).
+    Every local analysis uses it; a busy period is also cut after 4096
+    activations. *)
 
 val fixpoint : limit:int -> init:int -> (int -> int) -> int option
 (** [fixpoint ~limit ~init f] is the least fixed point of the monotone
@@ -30,7 +29,6 @@ val fixpoint : limit:int -> init:int -> (int -> int) -> int option
 
 val max_response :
   ?label:string ->
-  ?q_limit:int ->
   ?record:(q:int -> arr:int -> fin:int -> unit) ->
   best_case:int ->
   arrival:(int -> Timebase.Time.t) ->
@@ -43,7 +41,9 @@ val max_response :
     [arrival q] its earliest arrival (the activation stream's
     [delta_min q]).  The enumeration stops at the first [q] whose
     completion does not overlap the arrival of activation [q + 1].
-    Returns [Bounded [best_case : max_q (finish q - arrival q)]].
+    Returns [Bounded [best_case : max_q (finish q - arrival q)]], or
+    [Unbounded] when a window diverges or the busy period exceeds 4096
+    activations.
 
     [record], when given, is called once per explored activation with
     its index [q], earliest arrival [arr] and worst-case completion
@@ -67,20 +67,33 @@ val profile_collector :
     explored).  Only meaningful when the enumeration returned [Bounded]
     — a divergent window leaves a partial, unusable profile. *)
 
-val max_backlog :
-  ?label:string ->
-  ?q_limit:int ->
-  arrival:(int -> Timebase.Time.t) ->
-  arrivals_in:(int -> (int, string) result) ->
-  finish:(int -> int option) ->
-  unit ->
+val backlog :
+  Rt_task.t ->
+  ((q:int -> arr:int -> fin:int -> unit) -> outcome) ->
   (int, string) result
-(** [max_backlog ~arrival ~arrivals_in ~finish ()] bounds the number of
-    simultaneously pending activations (the activation buffer the
-    element needs): within the critical-instant busy period, while the
-    q-th activation is in service at most [arrivals_in (finish q) - (q - 1)]
-    activations are pending.  [arrivals_in w] is the element's own
-    [eta_plus] over a window of size [w]. *)
+(** [backlog task run] bounds the number of simultaneously pending
+    activations of [task] (the activation buffer it needs).  [run record]
+    must run [task]'s {!max_response} enumeration with [record].  While
+    the q-th activation is in service at most [eta_plus (finish q) - (q - 1)]
+    activations are pending, so the bound is the maximum of that over the
+    busy period, and at least 1.  The first unbounded [eta_plus] stops the
+    enumeration and is the error; otherwise an [Unbounded] outcome's
+    reason is. *)
+
+val per_task :
+  profiled:bool ->
+  (?record:(q:int -> arr:int -> fin:int -> unit) ->
+   task:Rt_task.t ->
+   others:Rt_task.t list ->
+   unit ->
+   outcome) ->
+  Rt_task.t list ->
+  (Rt_task.t * outcome * Event_model.Propagation.profile option) list
+(** [per_task ~profiled response_time tasks] runs [response_time] for
+    every task of a resource against the others, in list order.  With
+    [profiled], each task's completion profile is collected
+    ({!profile_collector}; [None] for unbounded outcomes); without it no
+    collector is made and every profile is [None]. *)
 
 (** SoA interference kernel with resumable arrival searches.
 
@@ -132,7 +145,7 @@ val lower_priority : than:Rt_task.t -> Rt_task.t list -> Rt_task.t list
 (** {1 Observability} *)
 
 type counters = {
-  busy_windows : int;  (** {!max_response} / {!max_backlog} invocations *)
+  busy_windows : int;  (** {!max_response} invocations *)
   window_iterations : int;  (** {!fixpoint} steps *)
   activations : int;  (** busy-period activation indices explored *)
   demand_evals : int;  (** {!Demand.eval} kernel sweeps *)

@@ -40,7 +40,7 @@ let demand_bound tasks dt =
   in
   total tasks
 
-let busy_period ?(window_limit = Busy_window.default_window_limit) tasks =
+let busy_period tasks =
   check_tasks tasks;
   let rt_tasks = List.map (fun t -> t.task) tasks in
   let failure = ref None in
@@ -56,7 +56,9 @@ let busy_period ?(window_limit = Busy_window.default_window_limit) tasks =
              (Busy_window.Demand.name demand i) w);
       w
   in
-  match Busy_window.fixpoint ~limit:window_limit ~init:1 step with
+  match
+    Busy_window.fixpoint ~limit:Busy_window.default_window_limit ~init:1 step
+  with
   | Some l when !failure = None -> Ok l
   | Some _ -> Error (Option.get !failure)
   | None -> Error "busy period diverges (overload)"
@@ -88,10 +90,10 @@ let demand_bound_kernel tasks =
     in
     total 0 0
 
-let schedulable ?window_limit tasks =
+let schedulable tasks =
   check_tasks tasks;
   let run () =
-    match busy_period ?window_limit tasks with
+    match busy_period tasks with
     | Error _ as e -> e
     | Ok l ->
       let demand = demand_bound_kernel tasks in
@@ -115,9 +117,9 @@ let schedulable ?window_limit tasks =
       run
   else run ()
 
-let analyse ?window_limit tasks =
+let analyse tasks =
   check_tasks tasks;
-  let verdict = schedulable ?window_limit tasks in
+  let verdict = schedulable tasks in
   List.map
     (fun t ->
       let outcome =

@@ -16,16 +16,15 @@ val demand_bound : task list -> int -> (int, string) result
 (** [demand_bound tasks dt]: cumulated demand with absolute deadline
     inside a window of size [dt]; [Error] on unbounded arrivals. *)
 
-val busy_period : ?window_limit:int -> task list -> (int, string) result
+val busy_period : task list -> (int, string) result
 (** Length of the longest processor busy period (least fixed point of
     the total-demand equation); [Error] on overload. *)
 
-val schedulable : ?window_limit:int -> task list -> (unit, string) result
+val schedulable : task list -> (unit, string) result
 (** [Ok ()] iff the demand-bound test passes for every window size up to
     the busy period. *)
 
-val analyse :
-  ?window_limit:int -> task list -> (Rt_task.t * Busy_window.outcome) list
+val analyse : task list -> (Rt_task.t * Busy_window.outcome) list
 (** [Bounded [C- : D_i]] for every task of a schedulable set — EDF
     guarantees completion by the deadline — and [Unbounded] for every
     task otherwise. *)

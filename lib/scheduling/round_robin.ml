@@ -7,8 +7,7 @@ type share = {
   quantum : int;
 }
 
-let response_time ?(window_limit = Busy_window.default_window_limit) ?q_limit
-    ~shares ~task () =
+let response_time ~shares ~task () =
   let own =
     match List.find_opt (fun s -> s.task == task) shares with
     | Some s -> s
@@ -47,15 +46,13 @@ let response_time ?(window_limit = Busy_window.default_window_limit) ?q_limit
     let step w =
       demand + List.fold_left (fun acc s -> acc + interference_of w s) 0 others
     in
-    Busy_window.fixpoint ~limit:window_limit ~init:demand step
+    Busy_window.fixpoint ~limit:Busy_window.default_window_limit ~init:demand
+      step
   in
-  Busy_window.max_response ~label:task.Rt_task.name ?q_limit
+  Busy_window.max_response ~label:task.Rt_task.name
     ~best_case:(Interval.lo task.Rt_task.cet)
     ~arrival:(Stream.delta_min task.Rt_task.activation)
     ~finish ()
 
-let analyse ?window_limit ?q_limit shares =
-  List.map
-    (fun s ->
-      s.task, response_time ?window_limit ?q_limit ~shares ~task:s.task ())
-    shares
+let analyse shares =
+  List.map (fun s -> s.task, response_time ~shares ~task:s.task ()) shares

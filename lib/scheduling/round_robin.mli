@@ -13,16 +13,7 @@ type share = {
 }
 
 val response_time :
-  ?window_limit:int ->
-  ?q_limit:int ->
-  shares:share list ->
-  task:Rt_task.t ->
-  unit ->
-  Busy_window.outcome
+  shares:share list -> task:Rt_task.t -> unit -> Busy_window.outcome
 (** @raise Invalid_argument if [task] has no share in [shares]. *)
 
-val analyse :
-  ?window_limit:int ->
-  ?q_limit:int ->
-  share list ->
-  (Rt_task.t * Busy_window.outcome) list
+val analyse : share list -> (Rt_task.t * Busy_window.outcome) list

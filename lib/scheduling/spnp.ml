@@ -1,4 +1,3 @@
-module Count = Timebase.Count
 module Interval = Timebase.Interval
 module Stream = Event_model.Stream
 
@@ -20,7 +19,7 @@ let blocking ~task ~others =
    [f_q w' = w' + C+ >= w'] and iteration from it still converges to the
    least fixed point).  The cold-start iteration is the differential
    reference in [Verify.Reference]. *)
-let make_finish ~window_limit ~task ~others =
+let make_finish ~task ~others =
   let hp = Busy_window.higher_priority ~than:task others in
   let demand = Busy_window.Demand.make hp in
   let c_plus = Interval.hi task.Rt_task.cet in
@@ -37,7 +36,7 @@ let make_finish ~window_limit ~task ~others =
         w
     in
     match
-      Busy_window.fixpoint ~limit:window_limit
+      Busy_window.fixpoint ~limit:Busy_window.default_window_limit
         ~init:(Stdlib.max own_queued !prev) step
     with
     | Some start when not !diverged ->
@@ -45,50 +44,21 @@ let make_finish ~window_limit ~task ~others =
       Some (start + c_plus)
     | Some _ | None -> None
 
-let response_time ?(window_limit = Busy_window.default_window_limit) ?q_limit
-    ?record ~task ~others () =
-  Busy_window.max_response ~label:task.Rt_task.name ?q_limit ?record
+let response_time ?record ~task ~others () =
+  Busy_window.max_response ~label:task.Rt_task.name ?record
     ~best_case:(Interval.lo task.Rt_task.cet)
     ~arrival:(Stream.delta_min task.Rt_task.activation)
-    ~finish:(make_finish ~window_limit ~task ~others)
+    ~finish:(make_finish ~task ~others)
     ()
 
-let backlog_bound ?(window_limit = Busy_window.default_window_limit) ?q_limit
-    ~task ~others () =
-  let activation = task.Rt_task.activation in
-  let arrivals_in w =
-    match Stream.eta_plus activation w with
-    | Count.Fin n -> Ok n
-    | Count.Inf ->
-      Error
-        (Printf.sprintf "unbounded arrivals of %s in window %d"
-           task.Rt_task.name w)
-  in
-  Busy_window.max_backlog ~label:task.Rt_task.name ?q_limit
-    ~arrival:(Stream.delta_min activation)
-    ~arrivals_in
-    ~finish:(make_finish ~window_limit ~task ~others)
-    ()
+let backlog_bound ~task ~others () =
+  Busy_window.backlog task (fun record ->
+      response_time ~record ~task ~others ())
 
-let analyse ?window_limit ?q_limit tasks =
+let analyse tasks =
   List.map
-    (fun task ->
-      let others = List.filter (fun t -> t != task) tasks in
-      task, response_time ?window_limit ?q_limit ~task ~others ())
-    tasks
+    (fun (task, outcome, _) -> task, outcome)
+    (Busy_window.per_task ~profiled:false response_time tasks)
 
-let analyse_profiled ?window_limit ?q_limit tasks =
-  List.map
-    (fun task ->
-      let others = List.filter (fun t -> t != task) tasks in
-      let record, profile = Busy_window.profile_collector () in
-      let outcome =
-        response_time ?window_limit ?q_limit ~record ~task ~others ()
-      in
-      let profile =
-        match outcome with
-        | Busy_window.Bounded _ -> profile ()
-        | Busy_window.Unbounded _ -> None
-      in
-      task, outcome, profile)
-    tasks
+let analyse_profiled tasks =
+  Busy_window.per_task ~profiled:true response_time tasks

@@ -10,8 +10,6 @@
     arbitration is decided (discrete time). *)
 
 val response_time :
-  ?window_limit:int ->
-  ?q_limit:int ->
   ?record:(q:int -> arr:int -> fin:int -> unit) ->
   task:Rt_task.t ->
   others:Rt_task.t list ->
@@ -21,26 +19,17 @@ val response_time :
     {!Busy_window.max_response}). *)
 
 val backlog_bound :
-  ?window_limit:int ->
-  ?q_limit:int ->
-  task:Rt_task.t ->
-  others:Rt_task.t list ->
-  unit ->
-  (int, string) result
+  task:Rt_task.t -> others:Rt_task.t list -> unit -> (int, string) result
 (** Bound on the number of simultaneously queued instances of the
-    message — the transmit queue depth the node needs. *)
+    message — the transmit queue depth the node needs (see
+    {!Busy_window.backlog}).  It walks the same busy period as
+    {!response_time}. *)
 
-val analyse :
-  ?window_limit:int ->
-  ?q_limit:int ->
-  Rt_task.t list ->
-  (Rt_task.t * Busy_window.outcome) list
+val analyse : Rt_task.t list -> (Rt_task.t * Busy_window.outcome) list
 (** [analyse tasks] runs {!response_time} for every message of an SPNP
     resource (e.g. every frame on a CAN bus). *)
 
 val analyse_profiled :
-  ?window_limit:int ->
-  ?q_limit:int ->
   Rt_task.t list ->
   (Rt_task.t * Busy_window.outcome * Event_model.Propagation.profile option)
   list

@@ -8,44 +8,27 @@
     Equal priorities are conservatively treated as interference. *)
 
 val response_time :
-  ?window_limit:int ->
-  ?q_limit:int ->
   ?record:(q:int -> arr:int -> fin:int -> unit) ->
-  ?blocking:int ->
   task:Rt_task.t ->
   others:Rt_task.t list ->
   unit ->
   Busy_window.outcome
 (** Response-time interval of [task] given the other tasks sharing the
     resource.  The best case is the task's best-case execution time.
-    [blocking] (default 0) adds a per-busy-window blocking term — the
-    priority-inversion bound of a shared-resource locking protocol.
     [record] observes the per-activation busy-window completions (see
     {!Busy_window.max_response}). *)
 
 val backlog_bound :
-  ?window_limit:int ->
-  ?q_limit:int ->
-  ?blocking:int ->
-  task:Rt_task.t ->
-  others:Rt_task.t list ->
-  unit ->
-  (int, string) result
+  task:Rt_task.t -> others:Rt_task.t list -> unit -> (int, string) result
 (** Bound on the number of simultaneously pending activations of [task]
-    — the activation queue the task needs (see
-    {!Busy_window.max_backlog}). *)
+    — the activation queue the task needs (see {!Busy_window.backlog}).
+    It walks the same busy period as {!response_time}. *)
 
-val analyse :
-  ?window_limit:int ->
-  ?q_limit:int ->
-  Rt_task.t list ->
-  (Rt_task.t * Busy_window.outcome) list
+val analyse : Rt_task.t list -> (Rt_task.t * Busy_window.outcome) list
 (** [analyse tasks] runs {!response_time} for every task of an SPP
     resource. *)
 
 val analyse_profiled :
-  ?window_limit:int ->
-  ?q_limit:int ->
   Rt_task.t list ->
   (Rt_task.t * Busy_window.outcome * Event_model.Propagation.profile option)
   list

@@ -42,8 +42,7 @@ let best_case ~slot ~cycle c =
   let k = (c - 1) / slot in
   (k * cycle) + (c - (k * slot))
 
-let response_time ?(window_limit = Busy_window.default_window_limit) ?q_limit
-    ~slots ~task () =
+let response_time ~slots ~task () =
   let own =
     match List.find_opt (fun s -> s.task == task) slots with
     | Some s -> s
@@ -69,14 +68,13 @@ let response_time ?(window_limit = Busy_window.default_window_limit) ?q_limit
   let cycle = cycle_length slots in
   let c_plus = Interval.hi task.Rt_task.cet in
   let finish q =
-    invert_service ~slot:own.length ~cycle ~limit:window_limit (q * c_plus)
+    invert_service ~slot:own.length ~cycle
+      ~limit:Busy_window.default_window_limit (q * c_plus)
   in
-  Busy_window.max_response ~label:task.Rt_task.name ?q_limit
+  Busy_window.max_response ~label:task.Rt_task.name
     ~best_case:(best_case ~slot:own.length ~cycle (Interval.lo task.Rt_task.cet))
     ~arrival:(Stream.delta_min task.Rt_task.activation)
     ~finish ()
 
-let analyse ?window_limit ?q_limit slots =
-  List.map
-    (fun s -> s.task, response_time ?window_limit ?q_limit ~slots ~task:s.task ())
-    slots
+let analyse slots =
+  List.map (fun s -> s.task, response_time ~slots ~task:s.task ()) slots

@@ -19,16 +19,7 @@ val service : slot:int -> cycle:int -> int -> int
     (worst-case alignment). *)
 
 val response_time :
-  ?window_limit:int ->
-  ?q_limit:int ->
-  slots:slot list ->
-  task:Rt_task.t ->
-  unit ->
-  Busy_window.outcome
+  slots:slot list -> task:Rt_task.t -> unit -> Busy_window.outcome
 (** @raise Invalid_argument if [task] owns no slot in [slots]. *)
 
-val analyse :
-  ?window_limit:int ->
-  ?q_limit:int ->
-  slot list ->
-  (Rt_task.t * Busy_window.outcome) list
+val analyse : slot list -> (Rt_task.t * Busy_window.outcome) list

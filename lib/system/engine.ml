@@ -365,7 +365,7 @@ let record_rtc_output ctx name output =
    the outcomes together with the set of responses the resource's
    activation streams depend on: the resource needs re-analysis only when
    one of those changes. *)
-let analyse_resource ?window_limit ?q_limit ctx (res : Spec.resource) =
+let analyse_resource ctx (res : Spec.resource) =
   let saved = ctx.dep_acc in
   ctx.dep_acc <- S.empty;
   let tasks =
@@ -448,32 +448,30 @@ let analyse_resource ?window_limit ?q_limit ctx (res : Spec.resource) =
     match res.scheduler with
     | Spec.Spp ->
       if profiled then
-        record_profiles ctx
-          (Scheduling.Spp.analyse_profiled ?window_limit ?q_limit rt_tasks)
-      else Scheduling.Spp.analyse ?window_limit ?q_limit rt_tasks
+        record_profiles ctx (Scheduling.Spp.analyse_profiled rt_tasks)
+      else Scheduling.Spp.analyse rt_tasks
     | Spec.Spnp ->
       if profiled then
-        record_profiles ctx
-          (Scheduling.Spnp.analyse_profiled ?window_limit ?q_limit rt_tasks)
-      else Scheduling.Spnp.analyse ?window_limit ?q_limit rt_tasks
+        record_profiles ctx (Scheduling.Spnp.analyse_profiled rt_tasks)
+      else Scheduling.Spnp.analyse rt_tasks
     | Spec.Tdma ->
       let slot_of (k : Spec.task) rt =
         { Scheduling.Tdma.task = rt; length = Option.get k.service }
       in
       let slots = List.map2 slot_of tasks (List.map rt_of_task tasks) in
-      Scheduling.Tdma.analyse ?window_limit ?q_limit slots
+      Scheduling.Tdma.analyse slots
     | Spec.Round_robin ->
       let share_of (k : Spec.task) rt =
         { Scheduling.Round_robin.task = rt; quantum = Option.get k.service }
       in
       let shares = List.map2 share_of tasks (List.map rt_of_task tasks) in
-      Scheduling.Round_robin.analyse ?window_limit ?q_limit shares
+      Scheduling.Round_robin.analyse shares
     | Spec.Edf ->
       let edf_of (k : Spec.task) rt =
         { Scheduling.Edf.task = rt; deadline = Option.get k.deadline }
       in
       let edf_tasks = List.map2 edf_of tasks (List.map rt_of_task tasks) in
-      Scheduling.Edf.analyse ?window_limit edf_tasks
+      Scheduling.Edf.analyse edf_tasks
   in
   let deps = ctx.dep_acc in
   ctx.dep_acc <- saved;
@@ -530,8 +528,8 @@ let remove_memos ctx key =
    makes it fresh, a warm session keeps it across calls and seeds
    [initial_dirty] with the elements an edit invalidated, paying only for
    what is downstream of them. *)
-let run_fixpoint ~mode ~incremental ~max_iterations ?window_limit ?q_limit
-    ~guard ~responses ~ctx ~resource_cache ~initial_dirty () =
+let run_fixpoint ~mode ~incremental ~max_iterations ~guard ~responses ~ctx
+    ~resource_cache ~initial_dirty () =
   begin
     let spec = ctx.spec in
     let response_of = ctx.response_of in
@@ -566,8 +564,8 @@ let run_fixpoint ~mode ~incremental ~max_iterations ?window_limit ?q_limit
               if Obs.Trace.enabled () then
                 Obs.Trace.with_span "engine.resource"
                   ~attrs:[ ("resource", Obs.Event.Str res.res_name) ]
-                  (fun () -> analyse_resource ?window_limit ?q_limit ctx res)
-              else analyse_resource ?window_limit ?q_limit ctx res
+                  (fun () -> analyse_resource ctx res)
+              else analyse_resource ctx res
             in
             Hashtbl.replace resource_cache res.res_name (outcomes, deps);
             incr analysed;
@@ -870,24 +868,24 @@ let fresh_state ?selfcheck spec mode =
   in
   responses, ctx, resource_cache
 
-let analyse ?(mode = Hierarchical) ?(incremental = true) ?(max_iterations = 64)
-    ?window_limit ?q_limit ?selfcheck ?guard spec =
+(* global iterations before an unconverged run degrades as [Diverged] *)
+let default_max_iterations = 64
+
+let analyse ?(mode = Hierarchical) ?(incremental = true)
+    ?(max_iterations = default_max_iterations) ?selfcheck ?guard spec =
   let guard = match guard with Some g -> g | None -> Guard.ambient () in
   match Spec.validate spec with
   | Error e -> Error (Guard.Error.Invalid_spec { reason = e })
   | Ok () ->
     let responses, ctx, resource_cache = fresh_state ?selfcheck spec mode in
-    run_fixpoint ~mode ~incremental ~max_iterations ?window_limit ?q_limit
-      ~guard ~responses ~ctx ~resource_cache ~initial_dirty:S.empty ()
+    run_fixpoint ~mode ~incremental ~max_iterations ~guard ~responses ~ctx
+      ~resource_cache ~initial_dirty:S.empty ()
 
 (* ------------------------------------------------------------------ *)
 (* Warm sessions *)
 
 type warm = {
   warm_mode : mode;
-  warm_max_iterations : int;
-  warm_window_limit : int option;
-  warm_q_limit : int option;
   warm_responses : (string, Interval.t) Hashtbl.t;
   mutable warm_ctx : ctx;
   warm_resource_cache : (string, element_outcome list * S.t) Hashtbl.t;
@@ -897,30 +895,22 @@ type warm = {
          the next update starts from scratch *)
 }
 
-let warm_spec w = w.warm_ctx.spec
-let warm_mode w = w.warm_mode
-let warm_poisoned w = w.warm_poisoned
-
-let warm ?(mode = Hierarchical) ?(max_iterations = 64) ?window_limit ?q_limit
-    ?selfcheck ?guard spec =
+let warm ?(mode = Hierarchical) ?guard spec =
   let guard = match guard with Some g -> g | None -> Guard.ambient () in
   match Spec.validate spec with
   | Error e -> Error (Guard.Error.Invalid_spec { reason = e })
   | Ok () -> begin
-    let responses, ctx, resource_cache = fresh_state ?selfcheck spec mode in
+    let responses, ctx, resource_cache = fresh_state spec mode in
     match
-      run_fixpoint ~mode ~incremental:true ~max_iterations ?window_limit
-        ?q_limit ~guard ~responses ~ctx ~resource_cache
-        ~initial_dirty:S.empty ()
+      run_fixpoint ~mode ~incremental:true
+        ~max_iterations:default_max_iterations ~guard ~responses ~ctx
+        ~resource_cache ~initial_dirty:S.empty ()
     with
     | Error e -> Error e
     | Ok result ->
       Ok
         ( {
             warm_mode = mode;
-            warm_max_iterations = max_iterations;
-            warm_window_limit = window_limit;
-            warm_q_limit = q_limit;
             warm_responses = responses;
             warm_ctx = ctx;
             warm_resource_cache = resource_cache;
@@ -950,7 +940,7 @@ let warm_update ?guard w ~spec ~stale =
   let guard = match guard with Some g -> g | None -> Guard.ambient () in
   (* The session's own spec was validated before it was installed, and a
      [Spec.t] is immutable: a read-back need not validate it again. *)
-  match if spec == warm_spec w then Ok () else Spec.validate spec with
+  match if spec == w.warm_ctx.spec then Ok () else Spec.validate spec with
   | Error e -> Error (Guard.Error.Invalid_spec { reason = e })
   | Ok () ->
     let ctx0 = w.warm_ctx in
@@ -993,10 +983,9 @@ let warm_update ?guard w ~spec ~stale =
     w.warm_ctx <- ctx;
     let result =
       run_fixpoint ~mode:w.warm_mode ~incremental:true
-        ~max_iterations:w.warm_max_iterations
-        ?window_limit:w.warm_window_limit ?q_limit:w.warm_q_limit ~guard
-        ~responses:w.warm_responses ~ctx ~resource_cache:w.warm_resource_cache
-        ~initial_dirty ()
+        ~max_iterations:default_max_iterations ~guard
+        ~responses:w.warm_responses ~ctx
+        ~resource_cache:w.warm_resource_cache ~initial_dirty ()
     in
     (match result with
      | Ok r ->

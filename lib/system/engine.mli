@@ -119,13 +119,14 @@ val analyse :
   ?mode:mode ->
   ?incremental:bool ->
   ?max_iterations:int ->
-  ?window_limit:int ->
-  ?q_limit:int ->
   ?selfcheck:(Event_model.Stream.t -> unit) ->
   ?guard:Guard.t ->
   Spec.t ->
   (result, Guard.Error.t) Stdlib.result
-(** Runs the global iteration ([max_iterations] defaults to 64).  Returns
+(** Runs the global iteration ([max_iterations] defaults to 64).  The
+    local analyses cap every busy window at
+    {!Scheduling.Busy_window.default_window_limit} and every busy period
+    at 4096 activations; past either the element is [Unbounded].  Returns
     [Error] for invalid specifications ([Invalid_spec]) or cyclic stream
     dependencies ([Cycle], unsupported).  An overloaded element yields an
     [Unbounded] outcome and a result with [status = Overloaded].
@@ -188,15 +189,12 @@ type warm
 
 val warm :
   ?mode:mode ->
-  ?max_iterations:int ->
-  ?window_limit:int ->
-  ?q_limit:int ->
-  ?selfcheck:(Event_model.Stream.t -> unit) ->
   ?guard:Guard.t ->
   Spec.t ->
   (warm * result, Guard.Error.t) Stdlib.result
 (** Cold analysis that keeps its resolution context.  Equivalent to
-    {!analyse} (always incremental) plus the session handle. *)
+    {!analyse} (incremental, default iteration cap, no [selfcheck]) plus
+    the session handle; {!warm_update} keeps the same mode and cap. *)
 
 val warm_update :
   ?guard:Guard.t ->
@@ -217,7 +215,7 @@ val warm_update :
     With [stale = \[\]] and an unchanged spec this is a read-back: every
     resource reports as reused and the result repeats the fixed point.
     [spec] is validated unless it is physically the session's current
-    spec ({!warm_spec}), which was validated when it was installed.
+    spec (the last one installed), which was validated then.
 
     If a previous run of this session did not converge (degraded,
     overloaded, or errored), the cached state is not a valid baseline;
@@ -226,15 +224,6 @@ val warm_update :
     The [resolve]/[hierarchy] accessors of a returned {!result} read the
     session's live caches: they are valid until the next
     [warm_update]. *)
-
-val warm_spec : warm -> Spec.t
-(** The spec of the last update (the session's current system). *)
-
-val warm_mode : warm -> mode
-
-val warm_poisoned : warm -> bool
-(** [true] when the cached state is not a converged baseline and the
-    next {!warm_update} will rebuild from scratch. *)
 
 val affected : Spec.t -> sources:string list -> elements:string list -> string list
 (** Transitive impact closure of editing the given sources and elements

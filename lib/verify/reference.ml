@@ -74,10 +74,10 @@ let cold_fixpoint ~tasks ~own ~lag =
   | Some w when not !diverged -> Some w
   | Some _ | None -> None
 
-let spp_finish ~blocking ~task ~others q =
+let spp_finish ~task ~others q =
   cold_fixpoint
     ~tasks:(Busy.higher_priority ~than:task others)
-    ~own:(blocking + (q * Interval.hi task.Rt_task.cet))
+    ~own:(q * Interval.hi task.Rt_task.cet)
     ~lag:0
 
 let spnp_finish ~task ~others q =
@@ -94,26 +94,18 @@ let spnp_finish ~task ~others q =
     ~lag:1
   |> Option.map (fun start -> start + c_plus)
 
-let response ~finish (task : Rt_task.t) =
-  Busy.max_response ~label:task.name ~best_case:(Interval.lo task.cet)
+let response ?record ~finish (task : Rt_task.t) =
+  Busy.max_response ~label:task.name ?record ~best_case:(Interval.lo task.cet)
     ~arrival:(Es.delta_min task.activation) ~finish ()
 
-let backlog ~finish (task : Rt_task.t) =
-  let arrivals_in w =
-    match Es.eta_plus task.activation w with
-    | Count.Fin n -> Ok n
-    | Count.Inf ->
-      Error
-        (Printf.sprintf "unbounded arrivals of %s in window %d" task.name w)
-  in
-  Busy.max_backlog ~label:task.name ~arrival:(Es.delta_min task.activation)
-    ~arrivals_in ~finish ()
+let backlog ~finish task =
+  Busy.backlog task (fun record -> response ~record ~finish task)
 
-let spp_response_time ?(blocking = 0) ~task ~others () =
-  response ~finish:(spp_finish ~blocking ~task ~others) task
+let spp_response_time ~task ~others () =
+  response ~finish:(spp_finish ~task ~others) task
 
-let spp_backlog_bound ?(blocking = 0) ~task ~others () =
-  backlog ~finish:(spp_finish ~blocking ~task ~others) task
+let spp_backlog_bound ~task ~others () =
+  backlog ~finish:(spp_finish ~task ~others) task
 
 let spnp_response_time ~task ~others () =
   response ~finish:(spnp_finish ~task ~others) task

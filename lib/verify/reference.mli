@@ -33,19 +33,18 @@ val task_output :
     activation index [q] iterates from its own demand, and every
     interference query re-inverts the arrival curves from scratch.
     Arguments and results mirror {!Scheduling.Spp}, {!Scheduling.Spnp}
-    and {!Scheduling.Edf} at their default limits. *)
+    and {!Scheduling.Edf}; the backlog bounds share the production
+    {!Scheduling.Busy_window.backlog} fold over their own enumeration. *)
 
 val spp_response_time :
-  ?blocking:int ->
   task:Scheduling.Rt_task.t ->
   others:Scheduling.Rt_task.t list ->
   unit ->
   Scheduling.Busy_window.outcome
 (** Completion of the q-th activation:
-    [w = B + q * C+ + sum_{j in hp} eta_plus_j w * C+_j]. *)
+    [w = q * C+ + sum_{j in hp} eta_plus_j w * C+_j]. *)
 
 val spp_backlog_bound :
-  ?blocking:int ->
   task:Scheduling.Rt_task.t ->
   others:Scheduling.Rt_task.t list ->
   unit ->

@@ -211,6 +211,8 @@ expect_error 124 'expected an integer >= 1' explore --max-frames 0
 expect_error 124 'expected an integer >= 0' gantt --from=-5
 expect_error 124 'expected an integer >= 1' profile --top=-1
 expect_error 124 'expected an integer >= 1' figure4 --max-dt=-5
+# a negative worker count is one at parse time too, not a runtime error
+expect_error 124 'expected an integer >= 0' sweep --jobs=-1
 echo "check: degenerate integer flags are usage errors"
 
 # --- exploration: BENCH_3.json scaling sanity -------------------------

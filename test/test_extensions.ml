@@ -167,6 +167,30 @@ let test_spnp_backlog_paper_frame () =
   Alcotest.(check (result int string)) "F1 queue depth" (Ok 2)
     (Spnp.backlog_bound ~task:f1 ~others:[ f2 ] ())
 
+let test_backlog_unbounded_arrivals () =
+  (* every activation arrives at once: the first arrival count the
+     enumeration asks for is unbounded, and that error wins over the
+     busy period's own activation cap *)
+  let flood =
+    Stream.of_curves ~name:"flood"
+      ~delta_min:(Event_model.Curve.constant Time.zero)
+      ~delta_plus:(Event_model.Curve.constant Time.Inf)
+  in
+  let t =
+    Rt_task.make ~name:"flood" ~cet:(Interval.point 5) ~priority:1
+      ~activation:flood
+  in
+  Alcotest.(check string) "response"
+    "unbounded (busy period exceeds 4096 activations)"
+    (Format.asprintf "%a" Busy_window.pp_outcome
+       (Spp.response_time ~task:t ~others:[] ()));
+  List.iter
+    (fun (name, backlog_bound) ->
+      Alcotest.(check (result int string)) name
+        (Error "unbounded arrivals of flood in window 5")
+        (backlog_bound ~task:t ~others:[] ()))
+    [ "spp", Spp.backlog_bound; "spnp", Spnp.backlog_bound ]
+
 let test_backlog_observed_within_bound () =
   (* paper system: analytic queue bounds dominate simulated depths *)
   let spec = Scenarios.Paper_system.spec () in
@@ -267,6 +291,8 @@ let () =
             test_spp_backlog_with_interference;
           Alcotest.test_case "paper frame queue" `Quick
             test_spnp_backlog_paper_frame;
+          Alcotest.test_case "unbounded arrivals" `Quick
+            test_backlog_unbounded_arrivals;
           Alcotest.test_case "observed within bound" `Quick
             test_backlog_observed_within_bound;
         ] );

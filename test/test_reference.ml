@@ -133,15 +133,10 @@ let arb_task_set =
     let open Gen in
     let* n = int_range 2 5 in
     let* first = gen_task ~n ~bursty:true in
-    let* rest = list_repeat (n - 1) (gen_task ~n ~bursty:false) in
-    let+ blocking = int_range 0 20 in
-    (first :: rest, blocking)
+    let+ rest = list_repeat (n - 1) (gen_task ~n ~bursty:false) in
+    first :: rest
   in
-  make
-    ~print:(fun (ts, blocking) ->
-      Printf.sprintf "blocking=%d %s" blocking
-        (String.concat " " (List.map print_task ts)))
-    gen
+  make ~print:(fun ts -> String.concat " " (List.map print_task ts)) gen
 
 let rt_tasks specs =
   List.mapi
@@ -191,20 +186,20 @@ let busy_agreement ~production_response ~production_backlog
 
 let prop_spp_matches_reference =
   QCheck.Test.make ~name:"spp response/backlog = reference" ~count:100
-    arb_task_set (fun (specs, blocking) ->
+    arb_task_set (fun specs ->
       busy_agreement specs
         ~production_response:(fun ~record ~task ~others ->
-          Scheduling.Spp.response_time ~record ~blocking ~task ~others ())
+          Scheduling.Spp.response_time ~record ~task ~others ())
         ~production_backlog:(fun ~task ~others ->
-          Scheduling.Spp.backlog_bound ~blocking ~task ~others ())
+          Scheduling.Spp.backlog_bound ~task ~others ())
         ~reference_response:(fun ~task ~others ->
-          Reference.spp_response_time ~blocking ~task ~others ())
+          Reference.spp_response_time ~task ~others ())
         ~reference_backlog:(fun ~task ~others ->
-          Reference.spp_backlog_bound ~blocking ~task ~others ()))
+          Reference.spp_backlog_bound ~task ~others ()))
 
 let prop_spnp_matches_reference =
   QCheck.Test.make ~name:"spnp response/backlog = reference" ~count:100
-    arb_task_set (fun (specs, _) ->
+    arb_task_set (fun specs ->
       busy_agreement specs
         ~production_response:(fun ~record ~task ~others ->
           Scheduling.Spnp.response_time ~record ~task ~others ())
@@ -217,7 +212,7 @@ let prop_spnp_matches_reference =
 
 let prop_edf_matches_reference =
   QCheck.Test.make ~name:"edf busy period/schedulable = reference" ~count:100
-    arb_task_set (fun (specs, _) ->
+    arb_task_set (fun specs ->
       let tasks =
         List.map2
           (fun task t -> { Edf.task; deadline = t.deadline })

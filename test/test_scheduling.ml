@@ -106,19 +106,18 @@ let test_spp_jitter_burst_interference () =
     (Busy_window.Bounded (Interval.make ~lo:10 ~hi:20))
     (Spp.response_time ~task:lp ~others:[ hp ] ())
 
-let test_spp_blocking_term () =
-  (* a shared-resource blocking term delays every busy window *)
-  let t = task ~name:"t" ~cet:10 ~priority:1 ~period:100 () in
-  Alcotest.check outcome "without blocking"
-    (Busy_window.Bounded (Interval.point 10))
-    (Spp.response_time ~task:t ~others:[] ());
-  Alcotest.check outcome "with blocking"
-    (Busy_window.Bounded (Interval.make ~lo:10 ~hi:17))
-    (Spp.response_time ~blocking:7 ~task:t ~others:[] ());
-  Alcotest.(check bool) "negative rejected" true
-    (match Spp.response_time ~blocking:(-1) ~task:t ~others:[] () with
-     | _ -> false
-     | exception Guard.Error.Error (Guard.Error.Invalid_spec _) -> true)
+let test_spp_activation_cap () =
+  (* utilisation 0.5, but a jitter of 100000 releases lp every time unit
+     for the first ~11000 activations, faster than they complete: the
+     busy period outlasts the 4096-activation cap *)
+  let hp = task ~name:"hp" ~cet:1 ~priority:1 ~period:10 ()
+  and lp = task ~name:"lp" ~cet:4 ~priority:2 ~period:10 ~jitter:100_000 () in
+  let reason = "busy period exceeds 4096 activations" in
+  Alcotest.(check string) "response" ("unbounded (" ^ reason ^ ")")
+    (Format.asprintf "%a" Busy_window.pp_outcome
+       (Spp.response_time ~task:lp ~others:[ hp ] ()));
+  Alcotest.(check (result int string)) "backlog" (Error reason)
+    (Spp.backlog_bound ~task:lp ~others:[ hp ] ())
 
 let test_spp_overload () =
   let t1 = task ~name:"t1" ~cet:5 ~priority:1 ~period:8 ()
@@ -342,7 +341,7 @@ let () =
             test_spp_multiple_activations_in_busy_period;
           Alcotest.test_case "jitter interference" `Quick
             test_spp_jitter_burst_interference;
-          Alcotest.test_case "blocking term" `Quick test_spp_blocking_term;
+          Alcotest.test_case "activation cap" `Quick test_spp_activation_cap;
           Alcotest.test_case "overload" `Quick test_spp_overload;
           Alcotest.test_case "analyse all" `Quick test_spp_analyse_all;
         ] );

@@ -510,12 +510,33 @@ let test_max_iterations_cutoff () =
   Alcotest.(check bool) "not converged" false limited.Engine.converged;
   Alcotest.(check int) "stopped at 1" 1 limited.Engine.iterations
 
-let test_small_window_limit_degrades_gracefully () =
-  let spec = single_cpu_chain () in
-  let result = ok (Engine.analyse ~window_limit:5 spec) in
-  (* windows cannot close below the execution times: unbounded outcomes,
-     no convergence claim *)
-  Alcotest.(check bool) "not converged" false result.Engine.converged
+let test_overload_degrades_gracefully () =
+  (* hp alone needs 9 of every 8 time units, so lp's busy window grows
+     past the window cap: unbounded outcomes, no convergence claim *)
+  let spec =
+    Spec.make
+      ~sources:[ "src", Stream.periodic ~name:"src" ~period:8 ]
+      ~resources:[ { Spec.res_name = "cpu"; scheduler = Spec.Spp; backend = Spec.Cpa } ]
+      ~tasks:
+        [
+          Spec.task ~name:"hp" ~resource:"cpu" ~cet:(Interval.point 9)
+            ~priority:1 ~activation:(Spec.From_source "src") ();
+          Spec.task ~name:"lp" ~resource:"cpu" ~cet:(Interval.point 1)
+            ~priority:2 ~activation:(Spec.From_source "src") ();
+        ]
+      ()
+  in
+  let result = ok (Engine.analyse spec) in
+  Alcotest.(check bool) "not converged" false result.Engine.converged;
+  Alcotest.(check (list string)) "lp diverges"
+    [ "unbounded (busy window diverges (overload))" ]
+    (List.filter_map
+       (fun (o : Engine.element_outcome) ->
+         if String.equal o.element "lp" then
+           Some
+             (Format.asprintf "%a" Scheduling.Busy_window.pp_outcome o.outcome)
+         else None)
+       result.Engine.outcomes)
 
 let prop_wcrt_monotone_in_cet =
   QCheck.Test.make ~name:"WCRT monotone in execution time" ~count:25
@@ -611,8 +632,8 @@ let () =
       ( "robustness",
         [
           Alcotest.test_case "iteration cutoff" `Quick test_max_iterations_cutoff;
-          Alcotest.test_case "small window limit" `Quick
-            test_small_window_limit_degrades_gracefully;
+          Alcotest.test_case "overload degrades gracefully" `Quick
+            test_overload_degrades_gracefully;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
