@@ -41,15 +41,14 @@ let analyse_paper mode = ok (Engine.analyse ~mode (Paper.spec ()))
 (* Telemetry section of the BENCH_*.json files: run [f] once with
    latency histograms on (untimed, so the measured loops above stay
    comparable across revisions), then snapshot counters + histograms.
-   The snapshot JSON ends in a newline and is pretty-printed for a
-   2-space indent; re-indent so it nests as a top-level "metrics" key. *)
+   The snapshot prints compact, on one line, as the top-level "metrics"
+   value. *)
 let metrics_json ~warm =
   Obs.Hist.clear_all ();
   Obs.Hist.set_enabled true;
   warm ();
   Obs.Hist.set_enabled false;
-  let raw = String.trim (Obs.Snapshot.to_json (Obs.Snapshot.capture ())) in
-  String.concat "\n  " (String.split_on_char '\n' raw)
+  Obs.Json.to_string (Obs.Snapshot.to_json_value (Obs.Snapshot.capture ()))
 
 (* ------------------------------------------------------------------ *)
 (* E1/E2: Tables 1 and 2 — system parameters and bus analysis          *)

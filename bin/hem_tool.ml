@@ -81,7 +81,19 @@ let exit_guard_err e =
   Printf.eprintf "error: %s\n" (Guard.Error.to_string e);
   exit (Guard.Error.exit_code e)
 
-(* --deadline / --budget: build a guard token for the command *)
+(* --deadline / --budget: build a guard token for the command.  A
+   deadline is a finite number of milliseconds >= 0 and a budget an
+   integer >= 0; anything else (nan, inf, -5) is a usage error at parse
+   time (exit 124). *)
+
+let finite_ms =
+  let parse s =
+    match float_of_string_opt s with
+    | Some f when Float.is_finite f && f >= 0.0 -> Ok f
+    | _ ->
+      Error (`Msg (Printf.sprintf "expected a finite number >= 0, got %S" s))
+  in
+  Arg.conv (parse, Format.pp_print_float)
 
 let deadline_arg =
   let doc =
@@ -91,7 +103,7 @@ let deadline_arg =
      exploration returns the deterministic completed prefix, and the \
      process exits with code 3."
   in
-  Arg.(value & opt (some float) None & info [ "deadline" ] ~docv:"MS" ~doc)
+  Arg.(value & opt (some finite_ms) None & info [ "deadline" ] ~docv:"MS" ~doc)
 
 let budget_arg =
   let doc =
@@ -99,7 +111,8 @@ let budget_arg =
      fixed-point iterations; one verification case for verify).  \
      Exhaustion degrades the run like --deadline: exit code 3."
   in
-  Arg.(value & opt (some int) None & info [ "budget" ] ~docv:"N" ~doc)
+  Arg.(value & opt (some (int_at_least 0)) None
+       & info [ "budget" ] ~docv:"N" ~doc)
 
 let mk_guard deadline budget =
   match deadline, budget with
@@ -1237,11 +1250,6 @@ let session_arg =
   let doc = "Session id (as returned by $(b,load))." in
   Arg.(required & opt (some string) None & info [ "session" ] ~docv:"ID" ~doc)
 
-let mode_wire_name = function
-  | Engine.Hierarchical -> "hierarchical"
-  | Engine.Flat_stream -> "flat-stream"
-  | Engine.Flat_sem -> "flat-sem"
-
 let client_cmd =
   let load_cmd =
     let spec_file_arg =
@@ -1255,7 +1263,7 @@ let client_cmd =
       in
       with_client socket tcp host (fun c ->
         Client.load ?deadline_ms:deadline ?budget:budget
-          ~mode:(mode_wire_name mode) c ~spec)
+          ~mode:(Engine.mode_name mode) c ~spec)
     in
     let doc =
       "Upload a spec and open a warm session; the reply body carries the \

@@ -28,8 +28,6 @@ let mode_of_name = function
   | "optimal" -> Some Optimal
   | _ -> None
 
-let pp_mode ppf m = Format.pp_print_string ppf (mode_name m)
-
 type profile = {
   arrivals : int array;
   finishes : int array;

@@ -45,8 +45,6 @@ val mode_name : mode -> string
 
 val mode_of_name : string -> mode option
 
-val pp_mode : Format.formatter -> mode -> unit
-
 (** Per-activation completion data of one maximal busy window: for
     [q = 1 .. Array.length finishes], [arrivals.(q-1)] is the earliest
     arrival of the q-th activation and [finishes.(q-1)] its worst-case

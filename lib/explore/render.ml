@@ -113,21 +113,9 @@ let csv fmt (report : Driver.report) =
       | Ok s -> List.iter (csv_mode_line fmt r s) s.modes)
     report.rows
 
-let json_string s =
-  let buffer = Buffer.create (String.length s + 2) in
-  Buffer.add_char buffer '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buffer "\\\""
-      | '\\' -> Buffer.add_string buffer "\\\\"
-      | '\n' -> Buffer.add_string buffer "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buffer (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buffer c)
-    s;
-  Buffer.add_char buffer '"';
-  Buffer.contents buffer
+(* JSON string literals come from the shared codec; the layout and the
+   [%.2f] numbers of the report are this module's own. *)
+let quote s = Obs.Json.to_string (Obs.Json.Str s)
 
 let json fmt (report : Driver.report) =
   Format.fprintf fmt "{@.  \"variants\": [@.";
@@ -135,9 +123,9 @@ let json fmt (report : Driver.report) =
   List.iteri
     (fun i (r : Driver.row) ->
       Format.fprintf fmt "    {\"label\": %s, \"digest\": %s, \"cache_hit\": %b"
-        (json_string r.label) (json_string r.digest) r.cache_hit;
+        (quote r.label) (quote r.digest) r.cache_hit;
       (match r.summary with
-       | Error e -> Format.fprintf fmt ", \"error\": %s}" (json_string e)
+       | Error e -> Format.fprintf fmt ", \"error\": %s}" (quote e)
        | Ok s ->
          Format.fprintf fmt ", \"modes\": [";
          let last_mode = List.length s.modes - 1 in
@@ -148,7 +136,7 @@ let json fmt (report : Driver.report) =
                 \"worst_latency\": %s, \
                 \"max_util_pct\": %.2f, \"margin_pct\": %.2f, \
                 \"iterations\": %d}%s"
-               (json_string (mode_tag m.mode))
+               (quote (mode_tag m.mode))
                m.metrics.converged m.metrics.degraded
                (match m.metrics.worst_latency with
                 | Some l -> string_of_int l
@@ -171,7 +159,7 @@ let json fmt (report : Driver.report) =
   | None -> ()
   | Some reason ->
     Format.fprintf fmt ",@.  \"interrupted\": %s"
-      (json_string (Guard.Error.to_string reason)));
+      (quote (Guard.Error.to_string reason)));
   Format.fprintf fmt "@.}@."
 
 let pareto_table fmt (report : Driver.report) ~mode =

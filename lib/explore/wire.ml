@@ -1,264 +1,9 @@
-(* Canonical JSON codec for Space edit lists.  Hand-rolled: the repo
-   carries no external JSON dependency, and the serving protocol needs a
-   full value parser anyway (requests are JSON objects). *)
+(* Canonical JSON codec for Space edit lists, on top of {!Obs.Json}. *)
 
 module Interval = Timebase.Interval
 module Spec = Cpa_system.Spec
 
-module Json = struct
-  type t =
-    | Null
-    | Bool of bool
-    | Int of int
-    | Float of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  (* --- printing ---------------------------------------------------- *)
-
-  let add_string buf s =
-    Buffer.add_char buf '"';
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string buf "\\\""
-        | '\\' -> Buffer.add_string buf "\\\\"
-        | '\n' -> Buffer.add_string buf "\\n"
-        | '\r' -> Buffer.add_string buf "\\r"
-        | '\t' -> Buffer.add_string buf "\\t"
-        | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char buf c)
-      s;
-    Buffer.add_char buf '"'
-
-  let rec add buf = function
-    | Null -> Buffer.add_string buf "null"
-    | Bool b -> Buffer.add_string buf (if b then "true" else "false")
-    | Int n -> Buffer.add_string buf (string_of_int n)
-    | Float f ->
-      (* round-trippable and never "inf"/"nan" (invalid JSON) *)
-      if Float.is_integer f && Float.abs f < 1e15 then
-        Buffer.add_string buf (Printf.sprintf "%.1f" f)
-      else Buffer.add_string buf (Printf.sprintf "%.17g" f)
-    | Str s -> add_string buf s
-    | Arr items ->
-      Buffer.add_char buf '[';
-      List.iteri
-        (fun i item ->
-          if i > 0 then Buffer.add_char buf ',';
-          add buf item)
-        items;
-      Buffer.add_char buf ']'
-    | Obj fields ->
-      Buffer.add_char buf '{';
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char buf ',';
-          add_string buf k;
-          Buffer.add_char buf ':';
-          add buf v)
-        fields;
-      Buffer.add_char buf '}'
-
-  let to_string v =
-    let buf = Buffer.create 128 in
-    add buf v;
-    Buffer.contents buf
-
-  (* --- parsing ----------------------------------------------------- *)
-
-  exception Fail of int * string
-
-  let of_string s =
-    let n = String.length s in
-    let pos = ref 0 in
-    let fail msg = raise (Fail (!pos, msg)) in
-    let peek () = if !pos < n then Some s.[!pos] else None in
-    let advance () = incr pos in
-    let skip_ws () =
-      while
-        !pos < n
-        && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-      do
-        advance ()
-      done
-    in
-    let expect c =
-      match peek () with
-      | Some got when Char.equal got c -> advance ()
-      | Some got -> fail (Printf.sprintf "expected %c, got %c" c got)
-      | None -> fail (Printf.sprintf "expected %c, got end of input" c)
-    in
-    let literal word value =
-      if !pos + String.length word <= n
-         && String.equal (String.sub s !pos (String.length word)) word
-      then begin
-        pos := !pos + String.length word;
-        value
-      end
-      else fail ("invalid literal, expected " ^ word)
-    in
-    (* UTF-8 encoding of one \uXXXX scalar (surrogate pairs unsupported:
-       edits and protocol payloads are names and numbers) *)
-    let add_utf8 buf code =
-      if code < 0x80 then Buffer.add_char buf (Char.chr code)
-      else if code < 0x800 then begin
-        Buffer.add_char buf (Char.chr (0xC0 lor (code lsr 6)));
-        Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-      end
-      else begin
-        Buffer.add_char buf (Char.chr (0xE0 lor (code lsr 12)));
-        Buffer.add_char buf (Char.chr (0x80 lor ((code lsr 6) land 0x3F)));
-        Buffer.add_char buf (Char.chr (0x80 lor (code land 0x3F)))
-      end
-    in
-    let parse_string () =
-      expect '"';
-      let buf = Buffer.create 16 in
-      let rec loop () =
-        if !pos >= n then fail "unterminated string";
-        let c = s.[!pos] in
-        advance ();
-        if Char.equal c '"' then Buffer.contents buf
-        else if Char.equal c '\\' then begin
-          (if !pos >= n then fail "unterminated escape");
-          let e = s.[!pos] in
-          advance ();
-          (match e with
-           | '"' -> Buffer.add_char buf '"'
-           | '\\' -> Buffer.add_char buf '\\'
-           | '/' -> Buffer.add_char buf '/'
-           | 'b' -> Buffer.add_char buf '\b'
-           | 'f' -> Buffer.add_char buf '\012'
-           | 'n' -> Buffer.add_char buf '\n'
-           | 'r' -> Buffer.add_char buf '\r'
-           | 't' -> Buffer.add_char buf '\t'
-           | 'u' ->
-             if !pos + 4 > n then fail "truncated \\u escape";
-             let hex = String.sub s !pos 4 in
-             pos := !pos + 4;
-             let code =
-               match int_of_string_opt ("0x" ^ hex) with
-               | Some c -> c
-               | None -> fail "invalid \\u escape"
-             in
-             add_utf8 buf code
-           | _ -> fail "unknown escape");
-          loop ()
-        end
-        else begin
-          Buffer.add_char buf c;
-          loop ()
-        end
-      in
-      loop ()
-    in
-    let parse_number () =
-      let start = !pos in
-      let is_num_char c =
-        match c with
-        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-        | _ -> false
-      in
-      while !pos < n && is_num_char s.[!pos] do
-        advance ()
-      done;
-      let text = String.sub s start (!pos - start) in
-      match int_of_string_opt text with
-      | Some i -> Int i
-      | None -> begin
-        match float_of_string_opt text with
-        | Some f -> Float f
-        | None -> fail ("invalid number " ^ text)
-      end
-    in
-    let rec parse_value () =
-      skip_ws ();
-      match peek () with
-      | None -> fail "unexpected end of input"
-      | Some '"' -> Str (parse_string ())
-      | Some 't' -> literal "true" (Bool true)
-      | Some 'f' -> literal "false" (Bool false)
-      | Some 'n' -> literal "null" Null
-      | Some '[' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some ']' then begin
-          advance ();
-          Arr []
-        end
-        else begin
-          let rec items acc =
-            let v = parse_value () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-              advance ();
-              items (v :: acc)
-            | Some ']' ->
-              advance ();
-              List.rev (v :: acc)
-            | _ -> fail "expected , or ] in array"
-          in
-          Arr (items [])
-        end
-      | Some '{' ->
-        advance ();
-        skip_ws ();
-        if peek () = Some '}' then begin
-          advance ();
-          Obj []
-        end
-        else begin
-          let field () =
-            skip_ws ();
-            let k = parse_string () in
-            skip_ws ();
-            expect ':';
-            let v = parse_value () in
-            k, v
-          in
-          let rec fields acc =
-            let f = field () in
-            skip_ws ();
-            match peek () with
-            | Some ',' ->
-              advance ();
-              fields (f :: acc)
-            | Some '}' ->
-              advance ();
-              List.rev (f :: acc)
-            | _ -> fail "expected , or } in object"
-          in
-          Obj (fields [])
-        end
-      | Some _ -> parse_number ()
-    in
-    match
-      let v = parse_value () in
-      skip_ws ();
-      if !pos <> n then fail "trailing garbage after value";
-      v
-    with
-    | v -> Ok v
-    | exception Fail (at, msg) ->
-      Error (Printf.sprintf "json: %s at byte %d" msg at)
-
-  let member key = function
-    | Obj fields -> List.assoc_opt key fields
-    | _ -> None
-
-  let to_int = function
-    | Int n -> Some n
-    | Float f when Float.is_integer f -> Some (int_of_float f)
-    | _ -> None
-
-  let to_str = function
-    | Str s -> Some s
-    | _ -> None
-end
+module Json = Obs.Json
 
 (* --- edit codec ----------------------------------------------------- *)
 

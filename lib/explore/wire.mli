@@ -2,8 +2,10 @@
 
     The serving layer ships system deltas over sockets as JSON; the
     sweep driver builds the same edits programmatically.  This module is
-    the single codec both share, so a delta captured from a client can
-    be replayed through the driver (and vice versa) byte-for-byte.
+    the single edit codec both share, so a delta captured from a client
+    can be replayed through the driver (and vice versa) byte-for-byte.
+    The JSON text itself is printed and parsed by {!Obs.Json}, the
+    repository's one JSON codec.
 
     The rendering is {e canonical}: objects carry their keys in a fixed
     order, integers print without padding, and no insignificant
@@ -11,35 +13,8 @@
     printed form of equal edit lists is byte-identical (the qcheck
     property in [test_serve.ml]). *)
 
-(** A minimal self-contained JSON value — the repository deliberately
-    carries no external JSON dependency.  [to_string] escapes control
-    characters and emits objects in key order; [of_string] accepts
-    arbitrary whitespace and [\uXXXX] escapes (decoded to UTF-8). *)
-module Json : sig
-  type t =
-    | Null
-    | Bool of bool
-    | Int of int
-    | Float of float
-    | Str of string
-    | Arr of t list
-    | Obj of (string * t) list
-
-  val to_string : t -> string
-  (** Compact, deterministic rendering (no trailing newline). *)
-
-  val of_string : string -> (t, string) result
-  (** Parses one JSON value; trailing garbage after the value is an
-      error.  Errors carry a byte offset. *)
-
-  val member : string -> t -> t option
-  (** Object field lookup; [None] on non-objects too. *)
-
-  val to_int : t -> int option
-  (** [Int n] (and integral [Float]) as [Some n]. *)
-
-  val to_str : t -> string option
-end
+module Json = Obs.Json
+(** The JSON value type and codec, {!Obs.Json}. *)
 
 val edit_to_json : Space.edit -> Json.t
 (** One edit as a tagged object, e.g.

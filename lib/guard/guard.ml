@@ -93,10 +93,6 @@ let consumed g =
   if g.budget_limit = max_int then 0
   else Stdlib.max 0 (g.budget_limit - Atomic.get g.budget_left)
 
-let slack_ms g =
-  if g.deadline_us = infinity then None
-  else Some ((g.deadline_us -. Obs.Clock.now_us ()) /. 1e3)
-
 let h_slack = Obs.Hist.hist "guard.deadline_slack_us"
 let h_consumed = Obs.Hist.hist "guard.budget_consumed"
 

@@ -54,10 +54,6 @@ val consumed : t -> int
 (** Work units spent against the budget so far; [0] when no budget was
     set. *)
 
-val slack_ms : t -> float option
-(** Time remaining before the deadline (negative once past it); [None]
-    when no deadline was set. *)
-
 val observe_completion : t -> unit
 (** Records this token's end-of-run distributions — remaining deadline
     slack into the [guard.deadline_slack_us] histogram (clamped at 0)

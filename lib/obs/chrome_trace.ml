@@ -2,88 +2,40 @@ type format =
   | Json
   | Jsonl
 
-let add_json_string b s =
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\r' -> Buffer.add_string b "\\r"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"'
+let value = function
+  | Event.Str s -> Json.Str s
+  | Event.Int i -> Json.Int i
+  | Event.Float f -> Json.Float f
+  | Event.Bool v -> Json.Bool v
 
-let add_value b = function
-  | Event.Str s -> add_json_string b s
-  | Event.Int i -> Buffer.add_string b (string_of_int i)
-  | Event.Float f ->
-    (* JSON has no NaN/infinity literals *)
-    if Float.is_finite f then Buffer.add_string b (Printf.sprintf "%.6g" f)
-    else add_json_string b (string_of_float f)
-  | Event.Bool v -> Buffer.add_string b (if v then "true" else "false")
+let args attrs = "args", Json.Obj (List.map (fun (k, v) -> k, value v) attrs)
 
-let add_args b attrs =
-  Buffer.add_string b "\"args\":{";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char b ',';
-      add_json_string b k;
-      Buffer.add_char b ':';
-      add_value b v)
-    attrs;
-  Buffer.add_char b '}'
-
-let add_event b e =
-  let common name ph ts =
-    Buffer.add_string b "{\"name\":";
-    add_json_string b name;
-    Buffer.add_string b (Printf.sprintf ",\"cat\":\"hem\",\"ph\":%S" ph);
-    Buffer.add_string b (Printf.sprintf ",\"ts\":%.3f,\"pid\":1,\"tid\":1," ts)
+let event_value e =
+  let common name ph ts rest =
+    Json.Obj
+      ([ "name", Json.Str name; "cat", Json.Str "hem"; "ph", Json.Str ph;
+         "ts", Json.Float ts; "pid", Json.Int 1; "tid", Json.Int 1 ]
+       @ rest)
   in
-  (match e with
-  | Event.Span_begin { name; ts; attrs } ->
-    common name "B" ts;
-    add_args b attrs
-  | Event.Span_end { name; ts; attrs } ->
-    common name "E" ts;
-    add_args b attrs
+  match e with
+  | Event.Span_begin { name; ts; attrs } -> common name "B" ts [ args attrs ]
+  | Event.Span_end { name; ts; attrs } -> common name "E" ts [ args attrs ]
   | Event.Instant { name; ts; attrs } ->
-    common name "i" ts;
-    Buffer.add_string b "\"s\":\"t\",";
-    add_args b attrs
+    common name "i" ts [ "s", Json.Str "t"; args attrs ]
   | Event.Counter { name; ts; value } ->
-    common name "C" ts;
-    Buffer.add_string b (Printf.sprintf "\"args\":{\"value\":%d}" value));
-  Buffer.add_char b '}'
+    common name "C" ts [ "args", Json.Obj [ "value", Json.Int value ] ]
 
-let event_json e =
-  let b = Buffer.create 128 in
-  add_event b e;
-  Buffer.contents b
+let event_json e = Json.to_string (event_value e)
 
 let to_string ?(format = Json) events =
-  let b = Buffer.create 4096 in
-  (match format with
+  match format with
   | Json ->
-    Buffer.add_string b "{\"traceEvents\":[\n";
-    List.iteri
-      (fun i e ->
-        if i > 0 then Buffer.add_string b ",\n";
-        add_event b e)
-      events;
-    Buffer.add_string b "\n],\"displayTimeUnit\":\"ms\"}\n"
-  | Jsonl ->
-    List.iter
-      (fun e ->
-        add_event b e;
-        Buffer.add_char b '\n')
-      events);
-  Buffer.contents b
+    Json.to_string
+      (Json.Obj
+         [ "traceEvents", Json.Arr (List.map event_value events);
+           "displayTimeUnit", Json.Str "ms" ])
+    ^ "\n"
+  | Jsonl -> String.concat "" (List.map (fun e -> event_json e ^ "\n") events)
 
 let file ?format path =
   let format =

@@ -8,7 +8,9 @@
     Two output shapes are supported: {!Json} is the standard
     [{"traceEvents": [...]}] object; {!Jsonl} writes one event object per
     line (newline-delimited JSON, convenient for streaming and for
-    [grep]-based post-processing; Perfetto accepts it as well). *)
+    [grep]-based post-processing; Perfetto accepts it as well).  Events
+    are built as {!Json} values and printed by {!Json.to_string}, so a
+    non-finite float attribute prints as [null]. *)
 
 type format =
   | Json

@@ -23,28 +23,3 @@ let ts = function
   | Span_begin { ts; _ } | Span_end { ts; _ } | Instant { ts; _ }
   | Counter { ts; _ } ->
     ts
-
-let pp_value ppf = function
-  | Str s -> Format.pp_print_string ppf s
-  | Int i -> Format.pp_print_int ppf i
-  | Float f -> Format.fprintf ppf "%g" f
-  | Bool b -> Format.pp_print_bool ppf b
-
-let pp_attrs ppf = function
-  | [] -> ()
-  | attrs ->
-    Format.fprintf ppf " {%a}"
-      (Format.pp_print_list
-         ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ")
-         (fun ppf (k, v) -> Format.fprintf ppf "%s=%a" k pp_value v))
-      attrs
-
-let pp ppf = function
-  | Span_begin { name; ts; attrs } ->
-    Format.fprintf ppf "[%.1f] B %s%a" ts name pp_attrs attrs
-  | Span_end { name; ts; attrs } ->
-    Format.fprintf ppf "[%.1f] E %s%a" ts name pp_attrs attrs
-  | Instant { name; ts; attrs } ->
-    Format.fprintf ppf "[%.1f] I %s%a" ts name pp_attrs attrs
-  | Counter { name; ts; value } ->
-    Format.fprintf ppf "[%.1f] C %s=%d" ts name value

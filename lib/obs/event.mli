@@ -24,7 +24,3 @@ type t =
 
 val name : t -> string
 val ts : t -> float
-
-val pp_value : Format.formatter -> value -> unit
-val pp : Format.formatter -> t -> unit
-(** One-line human-readable rendering (used by the [Logs] bridge sink). *)

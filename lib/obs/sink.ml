@@ -48,9 +48,3 @@ let memory ?(capacity = 65536) () =
       if Queue.length q > capacity then ignore (Queue.pop q))
   in
   sink, fun () -> List.of_seq (Queue.to_seq q)
-
-let log_src = Logs.Src.create "obs" ~doc:"observability event bridge"
-
-let logs_bridge ?(src = log_src) () =
-  make (fun e ->
-    Logs.debug ~src (fun m -> m "%a" Event.pp e))

@@ -48,7 +48,3 @@ val memory : ?capacity:int -> unit -> t * (unit -> Event.t list)
 (** [memory ()] is an in-memory ring buffer keeping the most recent
     [capacity] (default [65536]) events, and a function returning them in
     emission order. *)
-
-val logs_bridge : ?src:Logs.src -> unit -> t
-(** Forwards every event as a [Logs.debug] message on [src] (default: the
-    ["obs"] source). *)

@@ -41,72 +41,28 @@ let capture () =
 
 (* --- JSON ------------------------------------------------------------- *)
 
-let add_json_string buf s =
-  Buffer.add_char buf '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.add_char buf '"'
+let int_object entries =
+  Json.Obj (List.map (fun (k, v) -> k, Json.Int v) entries)
 
-let add_int_object buf entries =
-  Buffer.add_char buf '{';
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then Buffer.add_char buf ',';
-      add_json_string buf k;
-      Buffer.add_char buf ':';
-      Buffer.add_string buf (string_of_int v))
-    entries;
-  Buffer.add_char buf '}'
+let hist_value (s : hist_summary) =
+  Json.Obj
+    [ "count", Json.Int s.h_count; "min", Json.Int s.h_min;
+      "max", Json.Int s.h_max; "sum", Json.Int s.h_sum;
+      "p50", Json.Int s.h_p50; "p90", Json.Int s.h_p90;
+      "p99", Json.Int s.h_p99;
+      "buckets",
+      Json.Arr
+        (List.map
+           (fun (lo, hi, c) -> Json.Arr [ Json.Int lo; Json.Int hi; Json.Int c ])
+           s.h_buckets) ]
 
-let add_hist buf (s : hist_summary) =
-  Buffer.add_string buf "{\"count\":";
-  Buffer.add_string buf (string_of_int s.h_count);
-  Buffer.add_string buf ",\"min\":";
-  Buffer.add_string buf (string_of_int s.h_min);
-  Buffer.add_string buf ",\"max\":";
-  Buffer.add_string buf (string_of_int s.h_max);
-  Buffer.add_string buf ",\"sum\":";
-  Buffer.add_string buf (string_of_int s.h_sum);
-  Buffer.add_string buf ",\"p50\":";
-  Buffer.add_string buf (string_of_int s.h_p50);
-  Buffer.add_string buf ",\"p90\":";
-  Buffer.add_string buf (string_of_int s.h_p90);
-  Buffer.add_string buf ",\"p99\":";
-  Buffer.add_string buf (string_of_int s.h_p99);
-  Buffer.add_string buf ",\"buckets\":[";
-  List.iteri
-    (fun i (lo, hi, c) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "[%d,%d,%d]" lo hi c))
-    s.h_buckets;
-  Buffer.add_string buf "]}"
+let to_json_value t =
+  Json.Obj
+    [ "counters", int_object t.counters; "gauges", int_object t.gauges;
+      "histograms",
+      Json.Obj (List.map (fun (k, s) -> k, hist_value s) t.hists) ]
 
-let to_json t =
-  let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\"counters\":";
-  add_int_object buf t.counters;
-  Buffer.add_string buf ",\"gauges\":";
-  add_int_object buf t.gauges;
-  Buffer.add_string buf ",\"histograms\":{";
-  List.iteri
-    (fun i (k, s) ->
-      if i > 0 then Buffer.add_char buf ',';
-      add_json_string buf k;
-      Buffer.add_char buf ':';
-      add_hist buf s)
-    t.hists;
-  Buffer.add_string buf "}}\n";
-  Buffer.contents buf
+let to_json t = Json.to_string (to_json_value t) ^ "\n"
 
 (* --- Prometheus text format ------------------------------------------- *)
 

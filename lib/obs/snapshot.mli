@@ -22,8 +22,12 @@ type t
 val capture : unit -> t
 (** The current counters, gauges, and registered histograms. *)
 
+val to_json_value : t -> Json.t
+(** The snapshot as a JSON value, for embedding in a larger document. *)
+
 val to_json : t -> string
-(** Deterministic, self-contained JSON (ends with a newline). *)
+(** {!to_json_value} printed by {!Json.to_string}: deterministic,
+    self-contained JSON (ends with a newline). *)
 
 val to_prometheus : t -> string
 (** Prometheus text exposition format (ends with a newline). *)

@@ -51,13 +51,6 @@ let counters () = counters_of Metrics.total
 
 let counters_in scope = counters_of (Metrics.read scope)
 
-let reset_counters () =
-  List.iter Metrics.reset_total
-    [
-      c_busy_windows; c_window_iterations; c_activations; c_demand_evals;
-      c_demand_probes;
-    ]
-
 let counters_diff a b =
   {
     busy_windows = a.busy_windows - b.busy_windows;

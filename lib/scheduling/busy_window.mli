@@ -158,8 +158,5 @@ val counters : unit -> counters
 val counters_in : Obs.Metrics.scope -> counters
 (** Busy-window work charged to one metrics scope. *)
 
-val reset_counters : unit -> unit
-(** Resets the global totals; scoped cells are unaffected. *)
-
 val counters_diff : counters -> counters -> counters
 (** [counters_diff a b] is the per-field difference [a - b]. *)

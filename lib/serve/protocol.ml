@@ -1,4 +1,4 @@
-module Json = Explore.Wire.Json
+module Json = Obs.Json
 module Wire = Explore.Wire
 
 (* ------------------------------------------------------------------ *)

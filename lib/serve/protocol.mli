@@ -2,7 +2,7 @@
 
     {b Framing.}  Each message is one frame:
     [<decimal byte length>\n<payload>\n], where the payload is a single
-    JSON value ({!Explore.Wire.Json}).  The length counts payload bytes
+    JSON value ({!Obs.Json}, the one codec of the repository).  The length counts payload bytes
     only (not the two newlines) and is bounded by [max_frame]; an
     oversized announcement or a malformed header is unrecoverable for
     the connection (the stream position is lost), so peers reply with a
@@ -21,7 +21,7 @@
     degraded result when one exists), [4] cancelled (including admission
     rejections and drain). *)
 
-module Json = Explore.Wire.Json
+module Json = Obs.Json
 
 (** {1 Status codes} *)
 

@@ -129,12 +129,6 @@ let cancel_active_guards t =
 (* ------------------------------------------------------------------ *)
 (* Handlers (worker-domain side) *)
 
-let mode_of_name = function
-  | "hierarchical" -> Some Engine.Hierarchical
-  | "flat_stream" | "flat-stream" -> Some Engine.Flat_stream
-  | "flat_sem" | "flat-sem" -> Some Engine.Flat_sem
-  | _ -> None
-
 let handle_load t (s : Session.t) ~id ~mode ~guard =
   let mode = Option.value mode ~default:t.cfg.mode in
   match Engine.warm ~mode ~guard s.spec with
@@ -247,12 +241,6 @@ let handle_metrics t (s : Session.t) ~id =
          (fun (k, v) -> k, Json.Int v)
          (Obs.Metrics.snapshot s.scope))
   in
-  let process =
-    (* Snapshot.to_json is deterministic JSON; embed it structurally *)
-    match Json.of_string (Obs.Snapshot.to_json (Obs.Snapshot.capture ())) with
-    | Ok j -> j
-    | Error _ -> Json.Null
-  in
   Protocol.ok ~id
     (Json.Obj
        [ "session", Json.Str s.id;
@@ -261,7 +249,7 @@ let handle_metrics t (s : Session.t) ~id =
          "sessions", Json.Int (Session.count t.table);
          "evictions", Json.Int (Session.evictions t.table);
          "counters", counters;
-         "process", process ])
+         "process", Obs.Snapshot.to_json_value (Obs.Snapshot.capture ()) ])
 
 let handle_close t (s : Session.t) ~id =
   Session.remove t.table s.id;
@@ -379,7 +367,7 @@ let handle_request t (req : Protocol.request) =
         match mode_name with
         | None -> Ok None
         | Some m -> begin
-          match mode_of_name m with
+          match Engine.mode_of_name m with
           | Some mode -> Ok (Some mode)
           | None -> Error ("unknown mode " ^ m)
         end

@@ -86,19 +86,6 @@ let gantt ?(from_time = 0) ?(width = 100) trace ~elements =
     elements;
   Buffer.contents buffer
 
-let segments_csv trace ~elements =
-  let buffer = Buffer.create 256 in
-  Buffer.add_string buffer "element,start,stop\n";
-  List.iter
-    (fun element ->
-      List.iter
-        (fun (start, stop) ->
-          Buffer.add_string buffer
-            (Printf.sprintf "%s,%d,%d\n" element start stop))
-        (Trace.segments trace element))
-    elements;
-  Buffer.contents buffer
-
 let responses_csv trace ~elements =
   let buffer = Buffer.create 256 in
   Buffer.add_string buffer "element,activation,completion,response\n";

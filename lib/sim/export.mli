@@ -23,5 +23,3 @@ val gantt :
     starts at [from_time] (default 0) and spans [width] time units
     (default 100, one column per unit). *)
 
-val segments_csv : Trace.t -> elements:string list -> string
-(** One row per execution segment: [element,start,stop]. *)

@@ -21,6 +21,12 @@ let mode_name = function
   | Flat_stream -> "flat_stream"
   | Flat_sem -> "flat_sem"
 
+let mode_of_name = function
+  | "hierarchical" -> Some Hierarchical
+  | "flat_stream" | "flat-stream" -> Some Flat_stream
+  | "flat_sem" | "flat-sem" -> Some Flat_sem
+  | _ -> None
+
 type element_outcome = {
   element : string;
   resource : string;

@@ -22,7 +22,11 @@ type mode =
 
 val mode_name : mode -> string
 (** ["hierarchical"], ["flat_stream"] or ["flat_sem"] — used for scope
-    and span naming and by the CLI. *)
+    and span naming, by the CLI and on the serving protocol. *)
+
+val mode_of_name : string -> mode option
+(** Inverse of {!mode_name}; also accepts the hyphenated spellings
+    ["flat-stream"] and ["flat-sem"]. *)
 
 type element_outcome = {
   element : string;  (** task or frame name *)

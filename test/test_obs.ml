@@ -657,9 +657,83 @@ let test_attr_escaping () =
     Alcotest.(check string) "evil value round-trips"
       "quote\" backslash\\ newline\n bell\x07" s
   | _ -> Alcotest.fail "evil key did not round-trip");
-  match Json.member "plain" args with
+  (match Json.member "plain" args with
   | Some (Json.Num f) -> Alcotest.(check (float 0.0)) "int attr" 3.0 f
-  | _ -> Alcotest.fail "plain attr missing"
+  | _ -> Alcotest.fail "plain attr missing");
+  (* every JSON writer of the repository goes through Obs.Json: one
+     hostile string must come back intact from each of them *)
+  let hostile = "q\"b\\n\nr\rt\tc\x01 \xc3\xa9" in
+  let back what j path =
+    let rec dig j = function
+      | [] -> j
+      | key :: rest -> (
+        match Json.member key j with
+        | Some j -> dig j rest
+        | None -> Alcotest.failf "%s: no %S" what key)
+    in
+    match dig j path with
+    | Json.Str s -> Alcotest.(check string) what hostile s
+    | _ -> Alcotest.failf "%s: not a string" what
+  in
+  back "trace attribute"
+    (Json.parse
+       (Obs.Chrome_trace.event_json
+          (Obs.Event.Instant
+             { name = "n"; ts = 1.0; attrs = [ "k", Obs.Event.Str hostile ] })))
+    [ "args"; "k" ];
+  Metrics.add (Metrics.counter hostile) 1;
+  (match
+     Json.member hostile
+       (Option.get
+          (Json.member "counters"
+             (Json.parse (Obs.Snapshot.to_json (Obs.Snapshot.capture ())))))
+   with
+  | Some (Json.Num 1.0) -> ()
+  | _ -> Alcotest.fail "snapshot counter name did not round-trip");
+  let report =
+    {
+      Explore.Driver.rows =
+        [ { label = hostile; digest = "d"; summary = Error "e";
+            cache_hit = false } ];
+      jobs = 1;
+      modes = [];
+      cache = { lookups = 1; hits = 0; entries = 1 };
+      wall_ms = 0.0;
+      workers = [];
+      interrupted = None;
+    }
+  in
+  (match
+     Json.member "variants"
+       (Json.parse (Format.asprintf "%a" Explore.Render.json report))
+   with
+  | Some (Json.List [ row ]) -> back "sweep row label" row [ "label" ]
+  | _ -> Alcotest.fail "sweep report has no single row");
+  let reply = Serve.Protocol.(ok ~id:7 (Json.Obj [ "text", Json.Str hostile ])) in
+  back "protocol reply body"
+    (Json.parse (Obs.Json.to_string (Serve.Protocol.reply_to_json reply)))
+    [ "body"; "text" ];
+  (* JSON has no infinity or NaN: such attributes print as null *)
+  let ev =
+    Obs.Event.Instant
+      {
+        name = "n";
+        ts = 1.0;
+        attrs =
+          [ "inf", Obs.Event.Float Float.infinity;
+            "-inf", Obs.Event.Float Float.neg_infinity;
+            "nan", Obs.Event.Float Float.nan ];
+      }
+  in
+  let text = Obs.Chrome_trace.event_json ev in
+  List.iter
+    (fun key ->
+      match Json.member "args" (Json.parse text) with
+      | Some args ->
+        Alcotest.(check bool) (key ^ " attr is null") true
+          (Json.member key args = Some Json.Null)
+      | None -> Alcotest.failf "no args in %s" text)
+    [ "inf"; "-inf"; "nan" ]
 
 (* --- profiler ----------------------------------------------------------- *)
 

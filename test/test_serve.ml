@@ -650,6 +650,37 @@ let degraded_edit_then_analyse () =
     ignore (reply_exn "close" (Client.close_session c ~session));
     Client.close c)
 
+(* One table of engine-mode names: Engine.mode_of_name inverts
+   mode_name and takes the hyphenated spellings; the daemon's load op
+   parses its "mode" with it, and a non-finite deadline goes over the
+   wire as null (no deadline) *)
+let engine_mode_names () =
+  List.iter
+    (fun m ->
+      Alcotest.(check bool)
+        (Engine.mode_name m ^ " round-trips") true
+        (Engine.mode_of_name (Engine.mode_name m) = Some m))
+    [ Engine.Hierarchical; Engine.Flat_stream; Engine.Flat_sem ];
+  Alcotest.(check bool) "flat-stream" true
+    (Engine.mode_of_name "flat-stream" = Some Engine.Flat_stream);
+  Alcotest.(check bool) "flat-sem" true
+    (Engine.mode_of_name "flat-sem" = Some Engine.Flat_sem);
+  Alcotest.(check bool) "unknown" true (Engine.mode_of_name "hem" = None);
+  let spec = read_file "paper_gateway.scm" in
+  with_server (fun path ->
+    let c = connect_retry path in
+    let load = reply_exn "load" (Client.load ~mode:"flat-sem" c ~spec) in
+    Alcotest.(check int) "flat-sem load ok" 0 (Client.exit_code load);
+    Alcotest.(check (option string)) "session runs flat_sem" (Some "flat_sem")
+      (Option.bind (Json.member "mode" load.Protocol.body) Json.to_str);
+    let load =
+      reply_exn "load" (Client.load ~deadline_ms:Float.infinity c ~spec)
+    in
+    Alcotest.(check int) "infinite deadline load ok" 0 (Client.exit_code load);
+    let bad = reply_exn "load" (Client.load ~mode:"bogus" c ~spec) in
+    Alcotest.(check int) "unknown mode is a fault" 1 (Client.exit_code bad);
+    Client.close c)
+
 let () =
   Alcotest.run "serve"
     [
@@ -678,5 +709,6 @@ let () =
             eviction_then_reload;
           Alcotest.test_case "degraded edit, then analyse rebuilds" `Quick
             degraded_edit_then_analyse;
+          Alcotest.test_case "engine mode names" `Quick engine_mode_names;
         ] );
     ]
