@@ -9,8 +9,9 @@
     [{"traceEvents": [...]}] object; {!Jsonl} writes one event object per
     line (newline-delimited JSON, convenient for streaming and for
     [grep]-based post-processing; Perfetto accepts it as well).  Events
-    are built as {!Json} values and printed by {!Json.to_string}, so a
-    non-finite float attribute prints as [null]. *)
+    are built as {!Obs.Json.t} values and printed by
+    {!Obs.Json.to_string}, so a non-finite float attribute prints as
+    [null]. *)
 
 type format =
   | Json

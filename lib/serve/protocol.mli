@@ -2,11 +2,11 @@
 
     {b Framing.}  Each message is one frame:
     [<decimal byte length>\n<payload>\n], where the payload is a single
-    JSON value ({!Obs.Json}, the one codec of the repository).  The length counts payload bytes
-    only (not the two newlines) and is bounded by [max_frame]; an
-    oversized announcement or a malformed header is unrecoverable for
-    the connection (the stream position is lost), so peers reply with a
-    fault and drop the connection.
+    JSON value ({!Obs.Json}, the one codec of the repository).  The
+    length counts payload bytes only (not the two newlines) and is
+    bounded by [max_frame]; an oversized announcement or a malformed
+    header is unrecoverable for the connection (the stream position is
+    lost), so peers reply with a fault and drop the connection.
 
     {b Requests.}  An envelope
     [{"id":N,"op":"...","deadline-ms":..?,"budget":..?,...}] carrying

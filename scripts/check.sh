@@ -214,8 +214,8 @@ expect_error 124 'expected an integer >= 1' figure4 --max-dt=-5
 # a negative worker count is one at parse time too, not a runtime error
 expect_error 124 'expected an integer >= 0' sweep --jobs=-1
 # a deadline that is not a finite number >= 0, or a negative budget, is
-# one too: --deadline=nan used to run with no deadline, -1 and
-# --budget=-1 to degrade at once
+# one too, rather than a run with no deadline (nan) or one that degrades
+# at once (-1)
 expect_error 124 'expected a finite number >= 0' analyse --deadline=nan
 expect_error 124 'expected a finite number >= 0' analyse --deadline=-1
 expect_error 124 'expected an integer >= 0' analyse --budget=-1
